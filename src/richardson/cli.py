@@ -11,8 +11,11 @@ Subcommands:
   dimension} --n N [--seed S] [--exhaustive | --samples K]`` runs the
   harness; the exit status is 0 exactly when no failures occurred.
 
-Identical argument vectors and seeds produce byte-identical JSON output;
-timeouts are recorded as findings and never affect the exit status.
+Usage errors (bad flags, malformed or size-mismatched permutations, out of
+range ``--n``, ``--parabolic`` or ``--degree-bound``) exit 2 with a
+one-line message.  Identical argument vectors and seeds produce
+byte-identical JSON output; timeouts are recorded as findings and never
+affect the exit status.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import random
 import signal
 import sys
 
+from .groebner import _FIELD_MAX
 from .invariants import parabolic_invariants, richardson_invariants
 from .permutations import Permutation, bruhat_leq, is_covexillary
 from .sweep import sweep_images
@@ -125,6 +130,10 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+class UsageError(Exception):
+    """Arguments the commands cannot run on; reported as exit status 2."""
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand)
     for f in ("check", "n", "u", "v", "w", "sigma", "seed", "exhaustive", "jobs",
@@ -134,9 +143,37 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "samples", None) is not None:
         cfg.samples = args.samples
     if getattr(args, "parabolic", ""):
-        cfg.parabolic = tuple(int(x) for x in args.parabolic.split(",") if x)
+        try:
+            cfg.parabolic = tuple(int(x) for x in args.parabolic.split(",") if x)
+        except ValueError:
+            raise UsageError(f"--parabolic {args.parabolic!r} is not a list of integers")
     cfg.output_format = getattr(args, "format", "json")
     return cfg
+
+
+def _check_usage(cfg: RunConfig) -> None:
+    """Raise UsageError for arguments no command accepts."""
+    # oracle exponents up to the degree bound must fit the packed fields
+    if cfg.subcommand in ("invariants", "verify") and not 0 <= cfg.degree_bound <= _FIELD_MAX:
+        raise UsageError(f"--degree-bound must lie in 0..{_FIELD_MAX}, got {cfg.degree_bound}")
+    if cfg.subcommand == "verify" and cfg.n < 1:
+        raise UsageError(f"--n must be at least 1, got {cfg.n}")
+    perms = {}
+    for flag in ("u", "v", "w", "sigma"):
+        text = getattr(cfg, flag)
+        if text is not None:
+            try:
+                perms[flag] = Permutation.from_string(text)
+            except ValueError:
+                raise UsageError(f"--{flag} {text!r} is not a permutation window")
+    sizes = {p.n for p in perms.values()}
+    if len(sizes) > 1:
+        given = ", ".join(f"--{f} {p}" for f, p in perms.items())
+        raise UsageError(f"size mismatch: {given}")
+    n = min(sizes, default=0)
+    bad = [j for j in cfg.parabolic if not 1 <= j < n]
+    if bad:
+        raise UsageError(f"--parabolic indices must lie in 1..{n - 1}, got {bad}")
 
 
 class _CaseTimeout(Exception):
@@ -254,6 +291,11 @@ def _dispatch_case(job):
         return ("timeout", None)
 
 
+def _pool_size(jobs: int, ncases: int) -> int:
+    """Worker processes for a run: no more than cases or CPUs."""
+    return min(jobs, ncases, os.cpu_count() or 1)
+
+
 def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
     total = VerificationReport(
         check=cfg.check,
@@ -267,12 +309,13 @@ def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
     cases = _verify_cases(cfg)
     cases.sort(key=lambda c: c[0])
     jobs = [(spec, cfg.timeout) for _, spec in cases]
-    if cfg.jobs > 1 and len(jobs) > 1:
+    workers = _pool_size(cfg.jobs, len(jobs))
+    if workers > 1:
         # case order, not completion order, fixes the output
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=cfg.jobs) as pool:
+        with ctx.Pool(processes=workers) as pool:
             outcomes = list(pool.imap(_dispatch_case, jobs))
     else:
         outcomes = [_dispatch_case(job) for job in jobs]
@@ -302,7 +345,12 @@ def run(argv, out: io.TextIOBase | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    cfg = _config_from_args(args)
+    try:
+        cfg = _config_from_args(args)
+        _check_usage(cfg)
+    except UsageError as e:
+        print(f"richardson: error: {e}", file=sys.stderr)
+        return 2
     import richardson.invariants as _rinv
 
     _rinv.ORACLE_DEGREE_DEFAULT = cfg.degree_bound

@@ -142,13 +142,29 @@ def length(w: Permutation) -> int:
     return w.length()
 
 
+# window -> flat rank table; at most n! entries for each size n in use
+_RANK_TABLES: dict = {}
+
+
+def _rank_table(w: Permutation) -> tuple[int, ...]:
+    """schubert_rank(w) flattened row by row, computed once per window."""
+    table = _RANK_TABLES.get(w.window)
+    if table is None:
+        flat = []
+        for i in range(1, w.n + 1):
+            count = 0
+            for x in w.window:
+                count += x >= i
+                flat.append(count)
+        table = _RANK_TABLES.setdefault(w.window, tuple(flat))
+    return table
+
+
 def schubert_rank(w: Permutation) -> tuple[tuple[int, ...], ...]:
     """r_w(i,j) = #{k <= j : w(k) >= i} (lower-left justified ranks)."""
     n = w.n
-    return tuple(
-        tuple(sum(1 for k in range(1, j + 1) if w(k) >= i) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    flat = _rank_table(w)
+    return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
 def opposite_rank(v: Permutation) -> tuple[tuple[int, ...], ...]:
@@ -170,20 +186,58 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     """
     if v.n != w.n:
         raise ValueError("size mismatch")
-    rv = schubert_rank(v)
-    rw = schubert_rank(w)
-    return all(rv[i][j] <= rw[i][j] for i in range(v.n) for j in range(v.n))
+    return all(map(int.__le__, _rank_table(v), _rank_table(w)))
+
+
+def lower_covers(z: Permutation) -> list[Permutation]:
+    """The elements covered by z in Bruhat order.
+
+    They are z with positions i < j swapped, where z(i) > z(j) and no
+    position between them holds a value strictly between the two; each has
+    length l(z) - 1.
+
+    >>> [str(c) for c in lower_covers(Permutation([3, 1, 2]))]
+    ['132', '213']
+    """
+    win = z.window
+    n = len(win)
+    out = []
+    for i in range(n):
+        top = win[i]
+        below = 0  # largest value under top seen strictly between i and j
+        for j in range(i + 1, n):
+            x = win[j]
+            if below < x < top:
+                cover = list(win)
+                cover[i], cover[j] = x, top
+                out.append(Permutation(cover))
+                below = x
+    return out
 
 
 def bruhat_interval(v: Permutation, w: Permutation) -> list[Permutation]:
-    """All sigma with v <= sigma <= w, sorted by (length, window); empty iff v !<= w."""
-    if v.n != w.n:
-        raise ValueError("size mismatch")
-    out = [
-        s
-        for s in Permutation.all(v.n)
-        if bruhat_leq(v, s) and bruhat_leq(s, w)
-    ]
+    """All sigma with v <= sigma <= w, sorted by (length, window); empty iff v !<= w.
+
+    Bruhat intervals are graded, so every sigma in [v, w] lies on a chain
+    of covers from w down to v that stays inside [v, w].  The walk starts
+    at w and goes down one length at a time, keeping the lower covers of
+    the current level that lie above v, until it reaches length l(v).
+
+    >>> [str(s) for s in bruhat_interval(Permutation([1, 3, 2]), Permutation([3, 2, 1]))]
+    ['132', '231', '312', '321']
+    """
+    if not bruhat_leq(v, w):
+        return []
+    level = [w]
+    out = [w]
+    for _ in range(w.length() - v.length()):
+        seen = {}
+        for z in level:
+            for c in lower_covers(z):
+                if c.window not in seen and bruhat_leq(v, c):
+                    seen[c.window] = c
+        level = list(seen.values())
+        out.extend(level)
     out.sort(key=lambda s: (s.length(), s.window))
     return out
 

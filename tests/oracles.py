@@ -135,6 +135,13 @@ def subword_bruhat_leq(v: Permutation, w: Permutation) -> bool:
     return False
 
 
+def subword_interval(v: Permutation, w: Permutation, leq=subword_bruhat_leq) -> list[Permutation]:
+    """[v, w] by filtering all of S_n, sorted by (length, window)."""
+    out = [z for z in Permutation.all(w.n) if leq(v, z) and leq(z, w)]
+    out.sort(key=lambda z: (z.length(), z.window))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Kazhdan-Lusztig via R-polynomials and the inversion identity
 # ---------------------------------------------------------------------------
@@ -192,11 +199,7 @@ def kl_by_inversion(v: Permutation, w: Permutation) -> list[int]:
     if not subword_bruhat_leq(v, w):
         return [0]
     rmemo: dict = {}
-    interval = [
-        z
-        for z in Permutation.all(w.n)
-        if subword_bruhat_leq(v, z) and subword_bruhat_leq(z, w)
-    ]
+    interval = subword_interval(v, w)
     interval.sort(key=lambda z: -z.length())
     P: dict[tuple, list[int]] = {w.window: [1]}
     for z in interval:

@@ -147,3 +147,51 @@ def test_runconfig_roundtrip():
         output_format="text",
     )
     assert RunConfig.from_json(cfg.to_json()) == cfg
+
+
+def _usage_error(argv, capsys):
+    status, out = capture(argv)
+    err = capsys.readouterr().err
+    assert status == 2 and out == ""
+    assert err.startswith("richardson: error: ") and err.count("\n") == 1
+    return err
+
+
+def test_size_mismatch_exits_2(capsys):
+    err = _usage_error(["klpoly", "--v", "123", "--w", "1234"], capsys)
+    assert "size mismatch" in err
+
+
+def test_verify_n_below_one_exits_2(capsys):
+    assert "--n" in _usage_error(["verify", "mult", "--n", "0"], capsys)
+
+
+def test_degree_bound_out_of_range_exits_2(capsys):
+    base = ["invariants", "--v", "123", "--w", "321", "--sigma", "213"]
+    assert "0..127" in _usage_error(base + ["--degree-bound", "-1"], capsys)
+    assert "0..127" in _usage_error(base + ["--degree-bound", "128"], capsys)
+    assert "0..127" in _usage_error(
+        ["verify", "mult", "--n", "3", "--degree-bound", "200"], capsys
+    )
+
+
+def test_parabolic_out_of_range_exits_2(capsys):
+    base = ["invariants", "--v", "1234", "--w", "4321", "--sigma", "2143"]
+    assert "1..3" in _usage_error(base + ["--parabolic", "7"], capsys)
+    assert "--parabolic" in _usage_error(base + ["--parabolic", "1,x"], capsys)
+
+
+def test_malformed_permutation_exits_2(capsys):
+    assert "--u" in _usage_error(["sweep", "--u", "2x1"], capsys)
+    assert "--v" in _usage_error(["klpoly", "--v", "113", "--w", "123"], capsys)
+
+
+def test_pool_size_is_capped(monkeypatch):
+    from richardson import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_size(4, 3) == 2
+    assert cli._pool_size(4, 1) == 1
+    assert cli._pool_size(1, 4) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._pool_size(3, 4) == 3

@@ -212,3 +212,27 @@ def test_parabolic_rejects_point_off_variety():
         parabolic_invariants(
             Permutation([2, 4, 1, 3]), Permutation([2, 4, 1, 3]), id4, {1, 3}
         )
+
+
+def _reflections_times(sigma: Permutation) -> list[Permutation]:
+    """t * sigma for every transposition t of values.
+
+    Right multiplication gives the same counts below: sigma * t equals
+    (sigma t sigma^-1) * sigma, and conjugation permutes the reflections.
+    """
+    n = sigma.n
+    return [sigma.swap_values(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+
+
+def test_tangent_dim_matches_reflection_count_s4():
+    # Lakshmibai-Seshadri: dim T_sigma X_w = #{t : t sigma <= w}, and
+    # dually dim T_tau X^v = #{t : v <= t tau}; independent of the ideals
+    elems = Permutation.all(4)
+    pairs = [(a, b) for a in elems for b in elems if bruhat_leq(a, b)]
+    assert len(pairs) == 213
+    for sigma, w in pairs:
+        count = sum(1 for ts in _reflections_times(sigma) if bruhat_leq(ts, w))
+        assert schubert_invariants(w, sigma, oracle_check=False).tangent_dim == count
+    for v, tau in pairs:
+        count = sum(1 for tt in _reflections_times(tau) if bruhat_leq(v, tt))
+        assert opposite_invariants(v, tau, oracle_check=False).tangent_dim == count

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import brute_coset_min_max, kl_by_inversion, subword_bruhat_leq
+from oracles import brute_coset_min_max, kl_by_inversion, subword_bruhat_leq, subword_interval
 from richardson.permutations import (
     Permutation,
     bruhat_interval,
@@ -14,6 +14,7 @@ from richardson.permutations import (
     is_covexillary,
     kl_polynomial,
     length,
+    lower_covers,
     opposite_rank,
     schubert_rank,
     w_j_longest_length,
@@ -91,6 +92,44 @@ def test_intervals():
     assert bruhat_interval(Permutation([2, 1, 3]), Permutation([1, 3, 2])) == []
 
 
+@pytest.fixture(scope="module")
+def subword_order():
+    """The subword Bruhat order on S4 and S5, as a table of windows."""
+    return {
+        (v.window, w.window): subword_bruhat_leq(v, w)
+        for n in (4, 5)
+        for v in Permutation.all(n)
+        for w in Permutation.all(n)
+    }
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_intervals_match_subword_oracle(n, subword_order):
+    def leq(a, b):
+        return subword_order[a.window, b.window]
+
+    elems = Permutation.all(n)
+    for v in elems:
+        for w in elems:
+            # the oracle is empty exactly when v !<= w
+            assert bruhat_interval(v, w) == subword_interval(v, w, leq)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_lower_covers_are_covers(n, subword_order):
+    for z in Permutation.all(n):
+        covers = lower_covers(z)
+        assert len(set(covers)) == len(covers)
+        for c in covers:
+            assert c.length() == z.length() - 1
+            assert subword_order[c.window, z.window]
+        # every element one shorter and below z is one of them
+        assert sorted(covers) == sorted(
+            c for c in Permutation.all(n)
+            if c.length() == z.length() - 1 and subword_order[c.window, z.window]
+        )
+
+
 def test_coset_reps_trivial():
     w = Permutation([3, 1, 4, 2])
     assert coset_reps(w, set()) == (w, w)
@@ -166,3 +205,23 @@ def test_kl_s5_spot_values():
     v = Permutation.identity(5)
     w = Permutation([4, 5, 3, 1, 2])
     assert kl_polynomial(v, w).coefficients == tuple(kl_by_inversion(v, w))
+
+
+def test_kl_matches_inversion_solver_on_s5_sample():
+    # gaps below 3 are answered without recursion; all 2439 others take
+    # minutes against the solver, so a seeded sample of them is checked
+    elems = Permutation.all(5)
+    pairs = [
+        (v, w)
+        for v in elems
+        for w in elems
+        if bruhat_leq(v, w) and w.length() - v.length() >= 3
+    ]
+    for v, w in random.Random(5).sample(pairs, 120):
+        assert kl_polynomial(v, w).coefficients == tuple(kl_by_inversion(v, w))
+
+
+def test_kl_s6_spot_values():
+    ident = Permutation.identity(6)
+    assert kl_polynomial(ident, Permutation([4, 5, 6, 1, 2, 3])).coefficients == (1, 4, 4, 1)
+    assert kl_polynomial(ident, Permutation.longest(6)).coefficients == (1,)
