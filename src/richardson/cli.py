@@ -12,10 +12,10 @@ Subcommands:
   harness; the exit status is 0 exactly when no failures occurred.
 
 Usage errors (bad flags, malformed or size-mismatched permutations, out of
-range ``--n``, ``--parabolic`` or ``--degree-bound``) exit 2 with a
-one-line message.  Identical argument vectors and seeds produce
-byte-identical JSON output; timeouts are recorded as findings and never
-affect the exit status.
+range ``--n``, ``--samples``, ``--parabolic`` or ``--degree-bound``, a
+fixed point off the variety) exit 2 with a one-line message.  Identical
+argument vectors and seeds produce byte-identical JSON output; timeouts are
+recorded as findings and never affect the exit status.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import signal
 import sys
 
 from .groebner import _FIELD_MAX
-from .invariants import parabolic_invariants, richardson_invariants
+from .invariants import NotOnVariety, parabolic_invariants, richardson_invariants
 from .permutations import Permutation, bruhat_leq, is_covexillary
 from .sweep import sweep_images
 from .charts import generic_matrix
@@ -158,6 +158,9 @@ def _check_usage(cfg: RunConfig) -> None:
         raise UsageError(f"--degree-bound must lie in 0..{_FIELD_MAX}, got {cfg.degree_bound}")
     if cfg.subcommand == "verify" and cfg.n < 1:
         raise UsageError(f"--n must be at least 1, got {cfg.n}")
+    # a run that samples nothing would pass having checked nothing
+    if cfg.subcommand == "verify" and cfg.samples is not None and cfg.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {cfg.samples}")
     perms = {}
     for flag in ("u", "v", "w", "sigma"):
         text = getattr(cfg, flag)
@@ -387,10 +390,14 @@ def run(argv, out: io.TextIOBase | None = None) -> int:
         v = Permutation.from_string(cfg.v)
         w = Permutation.from_string(cfg.w)
         sigma = Permutation.from_string(cfg.sigma)
-        if cfg.parabolic:
-            inv = parabolic_invariants(v, w, sigma, set(cfg.parabolic))
-        else:
-            inv = richardson_invariants(v, w, sigma)
+        try:
+            if cfg.parabolic:
+                inv = parabolic_invariants(v, w, sigma, set(cfg.parabolic))
+            else:
+                inv = richardson_invariants(v, w, sigma)
+        except NotOnVariety as e:
+            print(f"richardson: error: --sigma {sigma}: {e}", file=sys.stderr)
+            return 2
         record = {"v": str(v), "w": str(w), "sigma": str(sigma)} | inv.to_json()
         if cfg.output_format == "csv":
             cols = ["v", "w", "sigma", "dimension", "tangent_dim", "smooth", "mult", "h_poly"]

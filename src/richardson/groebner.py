@@ -4,8 +4,10 @@ Buchberger completion with the Gebauer-Moller pair criteria and normal
 selection strategy, reduced bases, normal forms, ideal equality, Krull
 dimension via independent variable sets, Hilbert series of homogeneous
 ideals by recursive splitting of the leading-term monomial ideal, tangent
-cones via homogenization, and a brute-force local Hilbert-function oracle
-used to cross-check every multiplicity the package ever reports.
+cones via homogenization, and a local Hilbert-function oracle used to
+cross-check every multiplicity the package ever reports.  The oracle shares
+no code with the Buchberger kernel it checks: it is one fraction-free
+integer elimination of the truncated Macaulay matrix of the generators.
 
 Internally monomials are packed into integers (8 bits per exponent, the
 total degree in the top field) so that multiplication is integer addition
@@ -20,10 +22,11 @@ from __future__ import annotations
 
 import heapq
 import threading
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -328,22 +331,16 @@ def _make_reducers(items, keyf, pk: _Pack):
     return monos, polys
 
 
-def _reduce_raw(work: dict, reducers, keyf, pk: _Pack, trunc_mask: int | None = None):
+def _reduce_raw(work: dict, reducers, keyf, pk: _Pack):
     """Full normal form of a packed term dict against split monic reducers.
 
     The first dividing leading term in order wins (monomial reducers
-    first), so reduction is deterministic.  With trunc_mask = degree bound
-    << degshift, terms of higher degree are dropped (valid when all
-    monomials of the next degree lie in the ideal).
+    first), so reduction is deterministic.
     """
     monos, polys = reducers
     hi = pk.himask
     degshift = pk.degshift
-    dbound = (trunc_mask >> degshift) if trunc_mask is not None else None
-    if dbound is not None:
-        work = {m: c for m, c in work.items() if (m >> degshift) <= dbound}
-    else:
-        work = dict(work)
+    work = dict(work)
     out: dict[int, Fraction] = {}
     mask_cache = pk.support_mask
     while work:
@@ -371,8 +368,6 @@ def _reduce_raw(work: dict, reducers, keyf, pk: _Pack, trunc_mask: int | None = 
         cof = m - lt
         for tm, tc in tail.items():
             mm = tm + cof
-            if dbound is not None and (mm >> degshift) > dbound:
-                continue
             acc = work.get(mm)
             if acc is None:
                 work[mm] = -c * tc
@@ -395,17 +390,13 @@ def _monic_raw(terms: dict, keyf):
 
 
 class _Completion:
-    """Shared machinery for global and degree-truncated Buchberger runs."""
+    """Buchberger completion state: basis elements, pair heap and reducers."""
 
-    def __init__(self, keyf, pk: _Pack, dbound: int | None = None):
+    def __init__(self, keyf, pk: _Pack):
         self.keyf = keyf
         self.pk = pk
-        self.dbound = dbound
-        self.trunc_mask = None if dbound is None else (dbound << pk.degshift)
         self.lts: list[int] = []
         self.tails: list[dict] = []
-        self.ltdegs: list[int] = []
-        self.mindegs: list[int | None] = []  # min tail degree; None for monomials
         self.pairs: list = []  # heap of (lcm_key, i, j, lcm)
         self.dead_pairs: set[tuple[int, int]] = set()
         self._monos: list = []  # reducer entries, kept sorted
@@ -420,40 +411,18 @@ class _Completion:
         pk = self.pk
         t = len(self.lts)
         degshift = pk.degshift
-        d = self.dbound
         new_ltdeg = lt >> degshift
-        new_mindeg = min((m >> degshift for m in tail), default=None)
         divides = pk.divides
         coprime = pk.coprime
         lcms = {}
         live = []
         blockers = []
-        new_budget = None if new_mindeg is None else d + new_ltdeg - new_mindeg if d is not None else None
         for i in range(t):
-            ltdeg_i = self.ltdegs[i]
-            if d is not None:
-                # the lcm degree is at least both leading degrees: if the
-                # S-polynomial dies under truncation regardless, skip the
-                # pair without computing the lcm
-                lb = ltdeg_i if ltdeg_i > new_ltdeg else new_ltdeg
-                mind_i = self.mindegs[i]
-                alive_i = mind_i is not None and lb <= d + ltdeg_i - mind_i
-                alive_new = new_budget is not None and lb <= new_budget
-                if not alive_i and not alive_new:
-                    continue
             l = pk.lcm(self.lts[i], lt)
             lcms[i] = l
             if coprime(self.lts[i], lt):
                 blockers.append(i)
                 continue
-            if d is not None:
-                ldeg = l >> degshift
-                mind_i = self.mindegs[i]
-                side_i = mind_i is not None and ldeg - ltdeg_i + mind_i <= d
-                side_new = new_mindeg is not None and ldeg - new_ltdeg + new_mindeg <= d
-                if not side_i and not side_new:
-                    blockers.append(i)
-                    continue
             live.append(i)
         # pairs whose S-polynomial is identically zero act only as blockers,
         # so the quadratic filter runs over the few live candidates
@@ -466,11 +435,10 @@ class _Completion:
                 divides(lcms[j], li) for j in kept
             ):
                 kept.append(i)
-        new_ltd = new_ltdeg
         for (_, i, j, l) in self.pairs:
             if (i, j) in self.dead_pairs:
                 continue
-            if new_ltd <= (l >> degshift) and divides(lt, l):
+            if new_ltdeg <= (l >> degshift) and divides(lt, l):
                 if pk.lcm(self.lts[i], lt) != l and pk.lcm(self.lts[j], lt) != l:
                     self.dead_pairs.add((i, j))
         if kept:
@@ -490,8 +458,6 @@ class _Completion:
                     heapq.heappush(self.pairs, (keyf(li), i, t, li))
         self.lts.append(lt)
         self.tails.append(tail)
-        self.ltdegs.append(new_ltdeg)
-        self.mindegs.append(new_mindeg)
         entry = (keyf(lt), t, new_ltdeg, pk.support_mask(lt), lt, tail)
         insort(self._polys if tail else self._monos, entry, key=lambda e: e[:2])
 
@@ -506,7 +472,7 @@ class _Completion:
 
     def seed(self, term_dicts):
         for terms in term_dicts:
-            r = _reduce_raw(terms, self.reducers(), self.keyf, self.pk, self.trunc_mask)
+            r = _reduce_raw(terms, self.reducers(), self.keyf, self.pk)
             if r:
                 lt, tail = _monic_raw(r, self.keyf)
                 self.add(lt, tail)
@@ -518,7 +484,7 @@ class _Completion:
                 break
             i, j, l = nxt
             s = _spoly(self.lts[i], self.tails[i], self.lts[j], self.tails[j], l)
-            r = _reduce_raw(s, self.reducers(), self.keyf, self.pk, self.trunc_mask)
+            r = _reduce_raw(s, self.reducers(), self.keyf, self.pk)
             if r:
                 lt, tail = _monic_raw(r, self.keyf)
                 self.add(lt, tail)
@@ -532,15 +498,10 @@ class _Completion:
         for i in idx:
             if not any(pk.divides(self.lts[j], self.lts[i]) for j in minimal):
                 minimal.append(i)
-        out = []
-        for i in minimal:
-            others = _make_reducers(
-                ((self.lts[j], self.tails[j]) for j in minimal if j != i), keyf, pk
-            )
-            tail = _reduce_raw(self.tails[i], others, keyf, pk, self.trunc_mask)
-            out.append((self.lts[i], tail))
-        out.sort(key=lambda it: keyf(it[0]))
-        return out
+        # one reducer set serves every element: a leading term never divides
+        # the smaller terms of its own tail
+        reducers = _make_reducers(((self.lts[i], self.tails[i]) for i in minimal), keyf, pk)
+        return [(self.lts[i], _reduce_raw(self.tails[i], reducers, keyf, pk)) for i in minimal]
 
 
 def _completion_for(ideal: IdealGens, order) -> tuple[_Completion, _Pack]:
@@ -857,111 +818,76 @@ def tangent_cone(I: IdealGens) -> IdealGens:
 _ORACLE_MEMO: dict = {}
 _ORACLE_LOCK = threading.Lock()
 
-_DEGREE_MONOMIALS_MEMO: dict = {}
 
+@lru_cache(maxsize=None)
+def _monomials_upto(nvars: int, degree_bound: int) -> tuple[int, ...]:
+    """Packed monomials of degree <= degree_bound, ascending.
 
-def _packed_monomials_of_degree(pk: _Pack, k: int) -> tuple[int, ...]:
-    hit = _DEGREE_MONOMIALS_MEMO.get((pk.n, k))
-    if hit is not None:
-        return hit
-    out: list[int] = []
-    degpart = k << pk.degshift
-
-    def rec(var: int, remaining: int, acc: int):
-        if var == pk.n - 1:
-            out.append(acc | (remaining << pk.shifts[var]) | degpart)
-            return
-        for e in range(remaining, -1, -1):
-            rec(var + 1, remaining - e, acc | (e << pk.shifts[var]))
-
-    if pk.n == 0:
-        result: tuple[int, ...] = (0,) if k == 0 else ()
-    else:
-        rec(0, k, 0)
-        result = tuple(out)
-    _DEGREE_MONOMIALS_MEMO[(pk.n, k)] = result
-    return result
-
-
-def _count_standard_upto(lts: list[Monomial], nvars: int, d: int) -> int:
-    """Monomials of degree <= d divisible by no leading term."""
-    lead = tuple(_minimal_monomials(lts))
-    ncoef = _hilbert_numerator_monomial(lead)
-    total = 0
-    for j, c in enumerate(ncoef):
-        if j > d:
-            break
-        total += c * comb(nvars + d - j, nvars)
-    return total
-
-
-def _truncated_dimension(elements, pk: _Pack, keyf, d: int) -> tuple[int, list]:
-    """dim_Q of R/(<elements> + m^{d+1}) with the monomial block implicit.
-
-    Equivalent to a Groebner basis of the generators together with every
-    monomial of degree d+1: reductions drop terms of degree > d (a valid
-    reduction against the block), and the S-pairs against block monomials
-    collapse to cofactor multiples of the tails, enumerated over the finite
-    lcm window where they survive truncation.
+    The degree sits in the top field, so ascending packed order is
+    ascending degree.
     """
-    comp = _Completion(keyf, pk, dbound=d)
-    degshift = pk.degshift
-    seed = []
-    for lt, tail in elements:
-        terms = {m: c for m, c in {lt: Fraction(1), **tail}.items() if (m >> degshift) <= d}
-        if terms:
-            seed.append(terms)
-    seed.sort(key=lambda t: keyf(max(t, key=keyf)))
-    comp.seed(seed)
-    processed: set[int] = set()
+    pk = _pack_for(nvars)
+    steps = [(1 << s) + (1 << pk.degshift) for s in pk.shifts]
+    level = {0}
+    out = [0]
+    for _ in range(degree_bound):
+        level = {m + st for m in level for st in steps}
+        out.extend(level)
+    return tuple(sorted(out))
 
-    def enqueue_windows() -> bool:
-        added = False
-        for i in range(len(comp.lts)):
-            if i in processed:
-                continue
-            processed.add(i)
-            lt, tail = comp.lts[i], comp.tails[i]
-            if not tail:
-                continue
-            ltdeg = lt >> degshift
-            by_degree: dict[int, list] = {}
-            for tm, tc in tail.items():
-                by_degree.setdefault(tm >> degshift, []).append((tm, tc))
-            mindeg = min(by_degree)
-            lo = max(1, d + 1 - ltdeg)
-            for k in range(lo, d - mindeg + 1):
-                usable = [
-                    (tm, tc)
-                    for td, items in by_degree.items()
-                    if td + k <= d
-                    for (tm, tc) in items
-                ]
-                if not usable:
-                    continue
-                for e in _packed_monomials_of_degree(pk, k):
-                    s = {tm + e: tc for tm, tc in usable}
-                    r = _reduce_raw(s, comp.reducers(), keyf, pk, comp.trunc_mask)
-                    if r:
-                        nlt, ntail = _monic_raw(r, keyf)
-                        comp.add(nlt, ntail)
-                        added = True
-        return added
 
-    comp.run()
-    while enqueue_windows():
-        comp.run()
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The integer row divided by the gcd of its coefficients."""
+    content = gcd(*row.values())
+    return {a: c // content for a, c in row.items()} if content != 1 else row
 
-    final = comp.reduced_elements()
-    lts = [pk.decode(lt) for lt, _ in final]
-    return _count_standard_upto(lts, pk.n, d), final
+
+def _integer_row(p: Polynomial, pk: _Pack) -> dict[int, int]:
+    """Packed terms of p scaled to coprime integer coefficients."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return _primitive({pk.encode(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()})
+
+
+def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
+    """Reduce an integer row (consumed) against pivot rows keyed by their smallest column.
+
+    Fraction-free: each step scales the row by the pivot coefficient over
+    their gcd.  A row left nonzero becomes a new pivot, divided by its
+    content; returns whether that happened.
+    """
+    while row:
+        p = min(row)
+        prow = pivots.get(p)
+        if prow is None:
+            pivots[p] = _primitive(row)
+            return True
+        a = row[p]
+        b = prow[p]
+        g = gcd(a, b)
+        a //= g
+        b //= g
+        if b != 1:
+            row = {m: b * c for m, c in row.items()}
+        for m, c in prow.items():
+            acc = row.get(m, 0) - a * c
+            if acc:
+                row[m] = acc
+            else:
+                del row[m]
+    return False
 
 
 def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]:
     """dim_Q of R/(<I> + m^{d+1}) for d = 0..degree_bound.
 
     First differences give the Hilbert function of the tangent cone at the
-    origin in degrees <= degree_bound.
+    origin in degrees <= degree_bound.  Independent of the Groebner kernel:
+    one exact elimination of the Macaulay matrix whose rows are the
+    monomial multiples m*g of the generators truncated at degree D =
+    degree_bound, and whose columns are the monomials of degree <= D in
+    ascending degree.  With every pivot at its row's smallest column, the
+    pivots of degree <= d span (<I> + m^{d+1}) / m^{d+1}, so
+    dim R/(<I> + m^{d+1}) = C(n+d, n) - #pivots of degree <= d.
     """
     mkey = (I.key(), degree_bound)
     with _ORACLE_LOCK:
@@ -971,19 +897,49 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]
     for g in I.generators:
         if g.constant_term() != 0:
             raise ValueError("generator with nonzero constant term at the origin")
-    ctx = I.ctx
-    pk = _pack_for(ctx.nvars)
-    keyf = pk.sort_key(DEGREVLEX, ctx)
-    gb = buchberger(I)
-    elements = []
-    for g in gb.basis:
-        raw = _to_raw(g, pk)
-        lt = max(raw, key=keyf)
-        elements.append((lt, {m: c for m, c in raw.items() if m != lt}))
-    counts: list[int] = [0] * (degree_bound + 1)
-    # descending d lets each level reuse the previous completed basis
-    for d in range(degree_bound, -1, -1):
-        counts[d], elements = _truncated_dimension(elements, pk, keyf, d)
+    n = I.ctx.nvars
+    pk = _pack_for(n)
+    degshift = pk.degshift
+    cols = _monomials_upto(n, degree_bound)
+    limit = (degree_bound + 1) << degshift  # packed monomials of degree <= D lie below
+    rows = [_integer_row(g, pk) for g in I.generators]
+    # a monomial generator is a single-entry pivot on every column it divides:
+    # those dead columns count as pivots and never enter a row
+    dead: set[int] = set()
+    for row in rows:
+        if len(row) == 1:
+            (a,) = row
+            dead.update(a + m for m in cols[: bisect_left(cols, limit - a)])
+    # m*g truncates to zero once deg m + min deg g > D, i.e. from packed m >= bound
+    polys = [
+        ((degree_bound - (min(row) >> degshift) + 1) << degshift, row)
+        for row in rows
+        if len(row) > 1
+    ]
+    stop = max((bound for bound, _ in polys), default=0)
+    live = len(cols) - len(dead)
+    pivots: dict[int, dict[int, int]] = {}
+    for m in cols:
+        if m >= stop or len(pivots) == live:
+            break
+        if m in dead:
+            continue
+        for bound, g in polys:
+            if m >= bound:
+                continue
+            row = {t: c for a, c in g.items() if (t := a + m) < limit and t not in dead}
+            if row and _eliminate(row, pivots) and len(pivots) == live:
+                break
+    per_degree = [0] * (degree_bound + 1)
+    for p in dead:
+        per_degree[p >> degshift] += 1
+    for p in pivots:
+        per_degree[p >> degshift] += 1
+    counts = []
+    rank = 0
+    for d in range(degree_bound + 1):
+        rank += per_degree[d]
+        counts.append(comb(n + d, n) - rank)
     out = tuple(counts)
     with _ORACLE_LOCK:
         out = _ORACLE_MEMO.setdefault(mkey, out)

@@ -4,9 +4,13 @@ For a point p on V(I) the record holds the Krull dimension, the tangent
 space dimension (corank of the Jacobian of the reduced basis at p),
 smoothness, the Hilbert-Samuel multiplicity, and the H-polynomial: the
 numerator of the Hilbert series of the associated graded ring of the
-local ring over (1-q)^dim.  Everything is exact; multiplicities are
-cross-checked against the truncation oracle whenever oracle checking is
-on (the default), and every such check bumps ORACLE_CHECKS.
+local ring over (1-q)^dim.  Everything is exact.  Whenever oracle checking
+is on (the default), the tangent-cone Hilbert function up to the oracle
+degree is cross-checked against groebner.local_hilbert_oracle, an
+elimination of the truncated Macaulay matrix that does not use the
+Buchberger kernel, and every such check bumps ORACLE_CHECKS.  Fixed-point
+records are memoized per oracle degree, so a record checked at one degree
+is never served to a run at another.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ ORACLE_DEGREE_DEFAULT = 6
 
 ORACLE_CHECKS = 0
 _ORACLE_COUNTER_LOCK = threading.Lock()
+
+
+class NotOnVariety(ValueError):
+    """The requested torus-fixed point does not lie on the variety."""
 
 
 @dataclass(frozen=True)
@@ -156,13 +164,15 @@ _FIXED_LOCK = threading.Lock()
 
 
 def _fixed_point_invariants(kind: str, key, builder, oracle_check: bool) -> LocalInvariants:
-    mkey = (kind, key, oracle_check)
+    # a record is only as checked as the oracle degree it was checked at
+    degree = ORACLE_DEGREE_DEFAULT if oracle_check else None
+    mkey = (kind, key, degree)
     with _FIXED_LOCK:
         hit = _FIXED_MEMO.get(mkey)
     if hit is not None:
         return hit
     ideal = builder()
-    inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names}, oracle_check)
+    inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names}, oracle_check, degree)
     with _FIXED_LOCK:
         inv = _FIXED_MEMO.setdefault(mkey, inv)
     return inv
@@ -171,7 +181,7 @@ def _fixed_point_invariants(kind: str, key, builder, oracle_check: bool) -> Loca
 def schubert_invariants(w: Permutation, sigma: Permutation, oracle_check: bool = True) -> LocalInvariants:
     """Invariants of X_w at the fixed point sigma, in the chart of sigma."""
     if not bruhat_leq(sigma, w):
-        raise ValueError("the fixed point is not on the Schubert variety")
+        raise NotOnVariety("the fixed point is not on the Schubert variety")
     return _fixed_point_invariants(
         "schubert",
         (w.window, sigma.window),
@@ -183,7 +193,7 @@ def schubert_invariants(w: Permutation, sigma: Permutation, oracle_check: bool =
 def opposite_invariants(v: Permutation, tau: Permutation, oracle_check: bool = True) -> LocalInvariants:
     """Invariants of the opposite Schubert variety X^v at the fixed point tau."""
     if not bruhat_leq(v, tau):
-        raise ValueError("the fixed point is not on the opposite Schubert variety")
+        raise NotOnVariety("the fixed point is not on the opposite Schubert variety")
     return _fixed_point_invariants(
         "opposite",
         (v.window, tau.window),
@@ -197,7 +207,7 @@ def richardson_invariants(
 ) -> LocalInvariants:
     """Invariants of X_w^v at the fixed point sigma."""
     if not (bruhat_leq(v, sigma) and bruhat_leq(sigma, w)):
-        raise ValueError("the fixed point is not on the Richardson variety")
+        raise NotOnVariety("the fixed point is not on the Richardson variety")
     return _fixed_point_invariants(
         "richardson",
         (v.window, w.window, sigma.window),
@@ -260,7 +270,7 @@ def parabolic_invariants(
         s for s in reps if bruhat_leq(v_min, s) and bruhat_leq(s, w_max)
     ]
     if not reps:
-        raise ValueError("the fixed point is not on the parabolic Richardson variety")
+        raise NotOnVariety("the fixed point is not on the parabolic Richardson variety")
     reps.sort(key=lambda s: (s.length(), s.window))
     rep = reps[0]
     up = richardson_invariants(v_min, w_max, rep, oracle_check)

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the package's optimized paths: the
 Buchberger oracle has no pair criteria, Bruhat order goes through the
 subword property on reduced words, Kazhdan-Lusztig polynomials are solved
-from the defining degree and inversion conditions via R-polynomials, and
-monomial counting is plain enumeration.
+from the defining degree and inversion conditions via R-polynomials,
+monomial counting is plain enumeration, and local quotient dimensions are
+dense Gaussian ranks, one matrix per degree.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations as itpermutations
+from fractions import Fraction
+from itertools import combinations, permutations as itpermutations, product
 
 from richardson.poly import Monomial, Polynomial
 from richardson.permutations import Permutation
@@ -281,3 +283,53 @@ def hilbert_function_by_counting(lead: list[Monomial], nvars: int, degree: int) 
     """Hilbert function of R/<lead> in degrees 0..degree by direct counting."""
     upto = [count_monomials_leq(lead, nvars, d) for d in range(degree + 1)]
     return [upto[0]] + [upto[d] - upto[d - 1] for d in range(1, degree + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Local quotient dimensions from dense truncated Macaulay matrices
+# ---------------------------------------------------------------------------
+
+
+def rank_by_fractions(rows: list[list[Fraction]]) -> int:
+    """Rank of a dense matrix by Gaussian elimination over Fraction."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / top[col]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def truncated_quotient_dims(gens, nvars: int, degree_bound: int) -> list[int]:
+    """dim R/(<gens> + m^{d+1}) for d = 0..degree_bound.
+
+    For each d separately: the rows are the products x^a * g truncated at
+    degree d, the columns every exponent vector of degree <= d, and the
+    quotient dimension is the column count minus the rank.
+    """
+    out = []
+    for d in range(degree_bound + 1):
+        cols = [e for e in product(range(d + 1), repeat=nvars) if sum(e) <= d]
+        index = {e: k for k, e in enumerate(cols)}
+        rows = []
+        for g in gens:
+            terms = [(m.dense(nvars), c) for m, c in g.terms.items()]
+            for a in cols:
+                row = [Fraction(0)] * len(cols)
+                for e, c in terms:
+                    k = index.get(tuple(x + y for x, y in zip(a, e)))
+                    if k is not None:
+                        row[k] += c
+                if any(row):
+                    rows.append(row)
+        out.append(len(cols) - rank_by_fractions(rows))
+    return out

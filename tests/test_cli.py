@@ -4,6 +4,8 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from richardson.cli import RunConfig, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -173,6 +175,17 @@ def test_degree_bound_out_of_range_exits_2(capsys):
     assert "0..127" in _usage_error(
         ["verify", "mult", "--n", "3", "--degree-bound", "200"], capsys
     )
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_nonpositive_samples_exits_2(samples, capsys):
+    assert "--samples" in _usage_error(["verify", "mult", "--n", "3", "--samples", samples], capsys)
+
+
+def test_fixed_point_off_the_variety_exits_2(capsys):
+    base = ["invariants", "--v", "1234", "--w", "2134", "--sigma", "4321"]
+    assert "not on the Richardson variety" in _usage_error(base, capsys)
+    assert "parabolic Richardson" in _usage_error(base + ["--parabolic", "1"], capsys)
 
 
 def test_parabolic_out_of_range_exits_2(capsys):

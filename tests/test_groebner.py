@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import hilbert_function_by_counting, naive_buchberger
+from oracles import hilbert_function_by_counting, naive_buchberger, truncated_quotient_dims
 from richardson.groebner import (
     IdealGens,
     buchberger,
@@ -219,6 +219,51 @@ def test_oracle_matches_cone_hilbert_function_randomized():
         assert krull_dimension(cone) == krull_dimension(I)
         cases += 1
     assert cases >= 10
+
+
+def _random_local_ideal(ctx, rng, npolys, nmonos):
+    gens = []
+    for _ in range(npolys):
+        g = random_poly(ctx, rng, max_terms=4, max_deg=2)
+        gens.append(g - ctx.const(g.constant_term()))
+    for _ in range(nmonos):
+        exps = tuple(
+            (i, rng.randint(1, 2))
+            for i in sorted(rng.sample(range(ctx.nvars), rng.randint(1, ctx.nvars)))
+        )
+        gens.append(Polynomial(ctx, {Monomial(exps): Fraction(rng.randint(1, 5), rng.randint(1, 3))}))
+    return IdealGens(ctx, gens)
+
+
+def test_oracle_matches_dense_macaulay_ranks():
+    # shapes: polynomial only, monomials mixed in, all monomial, empty
+    rng = random.Random(43)
+    shapes = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (0, 1), (0, 2), (0, 3), (0, 0)]
+    fractional = 0
+    for trial in range(40):
+        npolys, nmonos = shapes[trial % len(shapes)]
+        ctx = CTX if trial % 3 == 0 else CTX3
+        D = trial % 5 if ctx is CTX3 else 6 - trial % 7
+        I = _random_local_ideal(ctx, rng, npolys, nmonos)
+        fractional += any(c.denominator != 1 for g in I.generators for c in g.terms.values())
+        expected = truncated_quotient_dims(I.generators, ctx.nvars, D)
+        assert local_hilbert_oracle(I, D) == tuple(expected), f"trial {trial}: {I.generators}"
+    assert fractional >= 10
+
+
+def test_oracle_never_reaches_the_groebner_kernel(monkeypatch):
+    import richardson.groebner as gr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the Groebner kernel it checks")
+
+    for name in ("buchberger", "_Completion", "_reduce_raw"):
+        monkeypatch.setattr(gr, name, refuse)
+    monkeypatch.setattr(gr, "_ORACLE_MEMO", {})
+    assert local_hilbert_oracle(IdealGens(CTX, [Y - X * X, Y * Y]), 6) == (1, 2, 3, 4, 4, 4, 4)
+    x, y, z = CTX3.gens()
+    gens = [x * y, z * z - x * y * y, y ** 3]
+    assert local_hilbert_oracle(IdealGens(CTX3, gens), 4) == tuple(truncated_quotient_dims(gens, 3, 4))
 
 
 def test_tangent_cone_dimension_matches_oracle_cross_check():

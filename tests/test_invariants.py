@@ -181,6 +181,20 @@ def test_oracle_counter_increments():
     assert rinv.ORACLE_CHECKS == before + 1
 
 
+def test_fixed_point_memo_is_keyed_on_the_oracle_degree(monkeypatch):
+    import richardson.invariants as rinv
+
+    v, w, sigma = Permutation([1, 2, 3]), Permutation([3, 2, 1]), Permutation([2, 1, 3])
+    monkeypatch.setattr(rinv, "ORACLE_DEGREE_DEFAULT", 2)
+    first = richardson_invariants(v, w, sigma)
+    before = rinv.ORACLE_CHECKS
+    monkeypatch.setattr(rinv, "ORACLE_DEGREE_DEFAULT", 5)
+    assert richardson_invariants(v, w, sigma) == first
+    assert rinv.ORACLE_CHECKS == before + 1
+    assert richardson_invariants(v, w, sigma) == first
+    assert rinv.ORACLE_CHECKS == before + 1
+
+
 def test_parabolic_trivial_cases():
     v = Permutation([1, 3, 2, 4])
     w = Permutation([4, 2, 3, 1])
