@@ -11,7 +11,7 @@ Run:  python demos/singular_loci.py
 """
 
 from richardson import Permutation, bruhat_interval, schubert_invariants
-from richardson.verify import pattern_smooth, verify_singular_locus
+from richardson.verify import pattern_smooth, verify_factorization
 
 print("w in S4 | smooth everywhere (computed) | avoids 4231 & 3412")
 print("-" * 60)
@@ -27,6 +27,6 @@ for w in Permutation.all(4):
 print()
 v = Permutation.from_string("1234")
 w = Permutation.from_string("3412")
-rep = verify_singular_locus(v, w)
+rep = verify_factorization(v, w, "smooth")
 print(f"singular-locus conjunction on [{v}, {w}]: "
       f"{rep.cases} fixed points, {len(rep.failures)} failures")

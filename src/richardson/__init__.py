@@ -75,12 +75,10 @@ from .invariants import (
 )
 from .verify import (
     VerificationReport,
+    product_iso_report,
     schubert_smoothness_table,
-    verify_hpoly_factorization,
+    verify_factorization,
     verify_kl_vs_h,
-    verify_mult_factorization,
-    verify_product_iso,
-    verify_singular_locus,
     verify_theorem_at_points,
 )
 
@@ -104,7 +102,6 @@ __all__ = [
     "LocalInvariants", "localize", "tangent_dim_at", "local_invariants_at",
     "schubert_invariants", "opposite_invariants", "richardson_invariants",
     "richardson_invariants_at_point", "parabolic_invariants",
-    "VerificationReport", "verify_product_iso", "verify_mult_factorization",
-    "verify_hpoly_factorization", "verify_singular_locus",
+    "VerificationReport", "product_iso_report", "verify_factorization",
     "verify_theorem_at_points", "verify_kl_vs_h", "schubert_smoothness_table",
 ]

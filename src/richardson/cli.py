@@ -8,14 +8,18 @@ Subcommands:
   two sweeps.
 * ``klpoly --v V --w W`` prints a Kazhdan-Lusztig polynomial.
 * ``verify {product-iso|mult|hpoly|singlocus|points|kl-vs-h|smooth-table|
-  dimension} --n N [--seed S] [--exhaustive | --samples K]`` runs the
-  harness; the exit status is 0 exactly when no failures occurred.
+  dimension} --n N [--seed S] [--exhaustive | --samples K]`` runs one check
+  of the harness over its case list.  CHECKS holds every check once, with
+  its default sample count, its case generator and its runner; it feeds
+  the argument parser, case generation and dispatch alike.
 
-Usage errors (bad flags, malformed or size-mismatched permutations, out of
-range ``--n``, ``--samples``, ``--parabolic`` or ``--degree-bound``, a
-fixed point off the variety) exit 2 with a one-line message.  Identical
-argument vectors and seeds produce byte-identical JSON output; timeouts are
-recorded as findings and never affect the exit status.
+Exit status: 0 when the command ran and, for verify, no law failed on the
+cases checked; 1 when a law failed; 2 for a usage error (bad flags,
+malformed or size-mismatched permutations, out of range ``--n``,
+``--samples``, ``--parabolic`` or ``--degree-bound``, a fixed point off
+the variety), with a one-line message; 3 when a verify run checked no
+case because its cases timed out.  A timeout is recorded as a finding per
+case.  Identical argument vectors and seeds produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -28,34 +32,22 @@ import os
 import random
 import signal
 import sys
+from typing import Callable
 
+from . import invariants
+from .charts import generic_matrix
 from .groebner import _FIELD_MAX
 from .invariants import NotOnVariety, parabolic_invariants, richardson_invariants
-from .permutations import Permutation, bruhat_leq, is_covexillary
+from .permutations import Permutation, bruhat_leq, is_covexillary, kl_polynomial
 from .sweep import sweep_images
-from .charts import generic_matrix
 from .verify import (
     VerificationReport,
     product_iso_report,
     schubert_smoothness_table,
     verify_dimension_law,
-    verify_hpoly_factorization,
+    verify_factorization,
     verify_kl_vs_h,
-    verify_mult_factorization,
-    verify_singular_locus,
     verify_theorem_at_points,
-)
-from .permutations import kl_polynomial
-
-VERIFY_CHECKS = (
-    "product-iso",
-    "mult",
-    "hpoly",
-    "singlocus",
-    "points",
-    "kl-vs-h",
-    "smooth-table",
-    "dimension",
 )
 
 
@@ -115,7 +107,7 @@ def _parser() -> argparse.ArgumentParser:
     kl.add_argument("--format", default="json", choices=("json", "text"))
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("check", choices=VERIFY_CHECKS)
+    ver.add_argument("check", choices=CHECKS)
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--seed", type=int, default=0)
     group = ver.add_mutually_exclusive_group()
@@ -205,91 +197,82 @@ def _bruhat_pairs(n: int):
     return [(v, w) for v in elems for w in elems if bruhat_leq(v, w)]
 
 
-def _sampled_pairs(n: int, k: int, seed: int):
-    pairs = _bruhat_pairs(n)
-    rng = random.Random(seed)
-    return [pairs[rng.randrange(len(pairs))] for _ in range(k)]
+def _pair_cases(cfg: RunConfig, k: int):
+    pairs = _bruhat_pairs(cfg.n)
+    if not cfg.exhaustive:
+        rng = random.Random(cfg.seed)
+        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(k)]
+    return [(str(v), str(w)) for (v, w) in pairs]
 
 
-def _verify_cases(cfg: RunConfig):
-    """(case key, picklable case spec) list for the requested suite."""
-    n = cfg.n
-    check = cfg.check
-    cases = []
-    if check == "smooth-table":
-        cases.append((("table", str(n)), ("smooth-table", n)))
-        return cases
-    if check == "kl-vs-h":
-        for w in Permutation.all(n):
-            if is_covexillary(w):
-                cases.append(((str(w),), ("kl-vs-h", str(w))))
-        return cases
-    if check == "product-iso":
-        if cfg.exhaustive:
-            triples = [
-                (u, v, w)
-                for u in Permutation.all(n)
-                for (v, w) in _bruhat_pairs(n)
-            ]
-        else:
-            k = cfg.samples if cfg.samples is not None else 50
-            rng = random.Random(cfg.seed)
-            pairs = _bruhat_pairs(n)
-            elems = Permutation.all(n)
-            triples = [
-                (elems[rng.randrange(len(elems))],) + pairs[rng.randrange(len(pairs))]
-                for _ in range(k)
-            ]
-        for (u, v, w) in triples:
-            cases.append(
-                ((str(u), str(v), str(w)), ("product-iso", str(u), str(v), str(w)))
-            )
-        return cases
-    # pairwise checks
+def _iso_cases(cfg: RunConfig, k: int):
+    elems, pairs = Permutation.all(cfg.n), _bruhat_pairs(cfg.n)
     if cfg.exhaustive:
-        pairs = _bruhat_pairs(n)
+        triples = [(u, v, w) for u in elems for (v, w) in pairs]
     else:
-        k = cfg.samples if cfg.samples is not None else 20
-        pairs = _sampled_pairs(n, k, cfg.seed)
-    if check not in ("mult", "hpoly", "singlocus", "dimension", "points"):
-        raise ValueError(f"unknown check {check!r}")
-    for (v, w) in pairs:
-        cases.append(((str(v), str(w)), (check, str(v), str(w), cfg.trials, cfg.seed)))
-    return cases
+        rng = random.Random(cfg.seed)
+        triples = [
+            (elems[rng.randrange(len(elems))],) + pairs[rng.randrange(len(pairs))]
+            for _ in range(k)
+        ]
+    return [tuple(map(str, t)) for t in triples]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Check:
+    """One verify check: its default sample count, case keys and runner."""
+
+    samples: int | None  # None: the check takes no samples
+    cases: Callable[[RunConfig, int | None], list]  # (cfg, sample count) -> case keys
+    run: Callable[..., VerificationReport]  # (cfg, *case key) -> report
+
+
+_P = Permutation.from_string
+
+# runners name the checkers through the module globals at call time, so a
+# checker rebound on this module is the one that runs
+CHECKS = {
+    "product-iso": _Check(
+        50, _iso_cases, lambda cfg, u, v, w: product_iso_report(_P(u), _P(v), _P(w))
+    ),
+    "mult": _Check(20, _pair_cases, lambda cfg, v, w: verify_factorization(_P(v), _P(w), "mult")),
+    "hpoly": _Check(20, _pair_cases, lambda cfg, v, w: verify_factorization(_P(v), _P(w), "h")),
+    "singlocus": _Check(
+        20, _pair_cases, lambda cfg, v, w: verify_factorization(_P(v), _P(w), "smooth")
+    ),
+    "points": _Check(
+        20,
+        _pair_cases,
+        lambda cfg, v, w: verify_theorem_at_points(_P(v), _P(w), trials=cfg.trials, seed=cfg.seed),
+    ),
+    "kl-vs-h": _Check(
+        None,
+        lambda cfg, k: [(str(w),) for w in Permutation.all(cfg.n) if is_covexillary(w)],
+        lambda cfg, w: verify_kl_vs_h(_P(w)),
+    ),
+    "smooth-table": _Check(
+        None,
+        lambda cfg, k: [("table", str(cfg.n))],
+        lambda cfg, _, n: schubert_smoothness_table(cfg.n, full_scan=cfg.n <= 4),
+    ),
+    "dimension": _Check(20, _pair_cases, lambda cfg, v, w: verify_dimension_law(_P(v), _P(w))),
+}
+
+
+def _verify_cases(cfg: RunConfig) -> list:
+    """The sorted case keys of the requested check."""
+    check = CHECKS[cfg.check]
+    return sorted(check.cases(cfg, check.samples if cfg.samples is None else cfg.samples))
 
 
 def _dispatch_case(job):
-    """Run one picklable case spec under its timeout.
+    """Run one case under the timeout: ("ok", report) or ("timeout", None).
 
-    Returns ("ok", report) or ("timeout", None); module-level so a worker
-    pool can execute cases.
+    Module-level so that a worker pool can execute cases.
     """
-    spec, timeout = job
-    kind = spec[0]
-
-    def go():
-        if kind == "smooth-table":
-            n = spec[1]
-            return schubert_smoothness_table(n, full_scan=n <= 4)
-        if kind == "kl-vs-h":
-            return verify_kl_vs_h(Permutation.from_string(spec[1]))
-        if kind == "product-iso":
-            u, v, w = (Permutation.from_string(s) for s in spec[1:])
-            return product_iso_report(u, v, w)
-        v = Permutation.from_string(spec[1])
-        w = Permutation.from_string(spec[2])
-        if kind == "mult":
-            return verify_mult_factorization(v, w)
-        if kind == "hpoly":
-            return verify_hpoly_factorization(v, w)
-        if kind == "singlocus":
-            return verify_singular_locus(v, w)
-        if kind == "dimension":
-            return verify_dimension_law(v, w)
-        return verify_theorem_at_points(v, w, trials=spec[3], seed=spec[4])
-
+    key, cfg = job
     try:
-        return ("ok", _run_with_timeout(go, timeout))
+        return ("ok", _run_with_timeout(lambda: CHECKS[cfg.check].run(cfg, *key), cfg.timeout))
     except _CaseTimeout:
         return ("timeout", None)
 
@@ -309,9 +292,8 @@ def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
             "samples": cfg.samples,
         },
     )
-    cases = _verify_cases(cfg)
-    cases.sort(key=lambda c: c[0])
-    jobs = [(spec, cfg.timeout) for _, spec in cases]
+    keys = _verify_cases(cfg)
+    jobs = [(key, cfg) for key in keys]
     workers = _pool_size(cfg.jobs, len(jobs))
     if workers > 1:
         # case order, not completion order, fixes the output
@@ -322,30 +304,99 @@ def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
             outcomes = list(pool.imap(_dispatch_case, jobs))
     else:
         outcomes = [_dispatch_case(job) for job in jobs]
-    for (key, _), (status, rep) in zip(cases, outcomes):
+    timeouts = 0
+    for key, (status, rep) in zip(keys, outcomes):
         if status == "timeout":
+            timeouts += 1
             total.findings.append({"kind": "timeout", "case": list(key)})
         else:
             total.merge(rep)
+    # a run whose every case timed out checked nothing: it must not pass
+    nothing_checked = timeouts > 0 and total.cases == 0
+    if nothing_checked:
+        total.failures.append({"kind": "all-cases-timed-out", "timeouts": timeouts})
     if cfg.output_format == "text":
         out.write(total.to_text() + "\n")
     else:
         out.write(total.to_json() + "\n")
+    if nothing_checked:
+        return 3
     return 0 if total.ok else 1
 
 
-def _matrices_payload(u: Permutation):
+def _run_sweep(cfg: RunConfig, out: io.TextIOBase) -> int:
+    u = Permutation.from_string(cfg.u)
     x = generic_matrix(u)
     up, down = sweep_images(u)
-    return x, up, down
+    if cfg.output_format == "latex":
+        out.write("x =\n" + x.to_latex() + "\n")
+        out.write("eta1(x) =\n" + up.to_latex() + "\n")
+        out.write("eta2(x) =\n" + down.to_latex() + "\n")
+    else:
+        payload = {
+            "u": str(u),
+            "x": x.to_strings(),
+            "eta1": up.to_strings(),
+            "eta2": down.to_strings(),
+        }
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    return 0
+
+
+def _run_klpoly(cfg: RunConfig, out: io.TextIOBase) -> int:
+    v = Permutation.from_string(cfg.v)
+    w = Permutation.from_string(cfg.w)
+    kl = kl_polynomial(v, w)
+    if cfg.output_format == "text":
+        out.write(f"P[{v},{w}] = {kl}\n")
+    else:
+        payload = {"v": str(v), "w": str(w), "coefficients": list(kl.coefficients)}
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    return 0
+
+
+def _run_invariants(cfg: RunConfig, out: io.TextIOBase) -> int:
+    v = Permutation.from_string(cfg.v)
+    w = Permutation.from_string(cfg.w)
+    sigma = Permutation.from_string(cfg.sigma)
+    try:
+        if cfg.parabolic:
+            inv = parabolic_invariants(v, w, sigma, set(cfg.parabolic))
+        else:
+            inv = richardson_invariants(v, w, sigma)
+    except NotOnVariety as e:
+        print(f"richardson: error: --sigma {sigma}: {e}", file=sys.stderr)
+        return 2
+    record = {"v": str(v), "w": str(w), "sigma": str(sigma)} | inv.to_json()
+    if cfg.output_format == "csv":
+        cols = ["v", "w", "sigma", "dimension", "tangent_dim", "smooth", "mult", "h_poly"]
+        vals = [
+            str(record[c]) if c != "h_poly" else ";".join(map(str, record[c]))
+            for c in cols
+        ]
+        out.write(",".join(cols) + "\n" + ",".join(vals) + "\n")
+    elif cfg.output_format == "text":
+        for k in ("v", "w", "sigma", "dimension", "tangent_dim", "smooth", "mult"):
+            out.write(f"{k}: {record[k]}\n")
+        out.write(f"h_poly: {inv.h_polynomial}\n")
+    else:
+        out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    return 0
+
+
+_COMMANDS = {
+    "invariants": _run_invariants,
+    "sweep": _run_sweep,
+    "klpoly": _run_klpoly,
+    "verify": _run_verify,
+}
 
 
 def run(argv, out: io.TextIOBase | None = None) -> int:
     """Entry point; returns the process exit status."""
     out = out if out is not None else sys.stdout
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -354,71 +405,13 @@ def run(argv, out: io.TextIOBase | None = None) -> int:
     except UsageError as e:
         print(f"richardson: error: {e}", file=sys.stderr)
         return 2
-    import richardson.invariants as _rinv
-
-    _rinv.ORACLE_DEGREE_DEFAULT = cfg.degree_bound
-
-    if cfg.subcommand == "sweep":
-        u = Permutation.from_string(cfg.u)
-        x, up, down = _matrices_payload(u)
-        if cfg.output_format == "latex":
-            out.write("x =\n" + x.to_latex() + "\n")
-            out.write("eta1(x) =\n" + up.to_latex() + "\n")
-            out.write("eta2(x) =\n" + down.to_latex() + "\n")
-        else:
-            payload = {
-                "u": str(u),
-                "x": x.to_strings(),
-                "eta1": up.to_strings(),
-                "eta2": down.to_strings(),
-            }
-            out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-        return 0
-
-    if cfg.subcommand == "klpoly":
-        v = Permutation.from_string(cfg.v)
-        w = Permutation.from_string(cfg.w)
-        kl = kl_polynomial(v, w)
-        if cfg.output_format == "text":
-            out.write(f"P[{v},{w}] = {kl}\n")
-        else:
-            payload = {"v": str(v), "w": str(w), "coefficients": list(kl.coefficients)}
-            out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-        return 0
-
-    if cfg.subcommand == "invariants":
-        v = Permutation.from_string(cfg.v)
-        w = Permutation.from_string(cfg.w)
-        sigma = Permutation.from_string(cfg.sigma)
-        try:
-            if cfg.parabolic:
-                inv = parabolic_invariants(v, w, sigma, set(cfg.parabolic))
-            else:
-                inv = richardson_invariants(v, w, sigma)
-        except NotOnVariety as e:
-            print(f"richardson: error: --sigma {sigma}: {e}", file=sys.stderr)
-            return 2
-        record = {"v": str(v), "w": str(w), "sigma": str(sigma)} | inv.to_json()
-        if cfg.output_format == "csv":
-            cols = ["v", "w", "sigma", "dimension", "tangent_dim", "smooth", "mult", "h_poly"]
-            vals = [
-                str(record[c]) if c != "h_poly" else ";".join(map(str, record[c]))
-                for c in cols
-            ]
-            out.write(",".join(cols) + "\n" + ",".join(vals) + "\n")
-        elif cfg.output_format == "text":
-            for k in ("v", "w", "sigma", "dimension", "tangent_dim", "smooth", "mult"):
-                out.write(f"{k}: {record[k]}\n")
-            out.write(f"h_poly: {inv.h_polynomial}\n")
-        else:
-            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-        return 0
-
-    if cfg.subcommand == "verify":
-        return _run_verify(cfg, out)
-
-    parser.error(f"unknown subcommand {cfg.subcommand!r}")
-    return 2
+    # the oracle degree holds for this command only
+    previous = invariants.ORACLE_DEGREE_DEFAULT
+    invariants.ORACLE_DEGREE_DEFAULT = cfg.degree_bound
+    try:
+        return _COMMANDS[cfg.subcommand](cfg, out)
+    finally:
+        invariants.ORACLE_DEGREE_DEFAULT = previous
 
 
 def main() -> None:

@@ -87,16 +87,15 @@ def localize(I: IdealGens, p) -> IdealGens:
     return IdealGens(I.ctx, [g.translate(p) for g in I.generators])
 
 
+def _jacobian_corank(gb, n: int) -> int:
+    """n minus the rank of the linear parts of a basis localized at the origin."""
+    rows = [[g.linear_coefficient(i) for i in range(n)] for g in gb.basis]
+    return n - rational_rank(rows) if rows else n
+
+
 def tangent_dim_at(I: IdealGens, p) -> int:
     """Chart dimension minus the Jacobian rank of the reduced basis at p."""
-    I0 = localize(I, p)
-    gb = buchberger(I0)
-    n = I.ctx.nvars
-    rows = [
-        [g.linear_coefficient(i) for i in range(n)]
-        for g in gb.basis
-    ]
-    return n - rational_rank(rows) if rows else n
+    return _jacobian_corank(buchberger(localize(I, p)), I.ctx.nvars)
 
 
 def local_invariants_at(
@@ -127,8 +126,7 @@ def local_invariants_at(
     mult = sum(h)
     if mult <= 0:
         raise RuntimeError("nonpositive multiplicity; dimension bug")
-    rows = [[g.linear_coefficient(i) for i in range(n)] for g in gb.basis]
-    tangent = n - rational_rank(rows) if rows else n
+    tangent = _jacobian_corank(gb, n)
     if oracle_check:
         _concordance_check(I0, hd, oracle_degree)
     return LocalInvariants(

@@ -118,6 +118,8 @@ def test_verify_text_format():
 
 
 def test_timeout_records_finding_not_failure():
+    # each timed-out case is a finding; a run that checked nothing because
+    # every case timed out also fails, with its own exit status
     import richardson.groebner as gr
     import richardson.invariants as rinv
 
@@ -126,9 +128,47 @@ def test_timeout_records_finding_not_failure():
         rinv._FIXED_MEMO.clear()
     argv = ["verify", "mult", "--n", "4", "--samples", "2", "--seed", "0", "--timeout", "0.005"]
     status, out = capture(argv)
-    assert status == 0
+    assert status == 3
     payload = json.loads(out)
     assert any(f["kind"] == "timeout" for f in payload["findings"])
+    assert payload["cases"] == 0 and payload["ok"] is False
+    assert payload["failures"] == [{"kind": "all-cases-timed-out", "timeouts": 2}]
+
+
+def test_one_timed_out_case_of_two_still_passes(monkeypatch):
+    from richardson import cli
+
+    calls = []
+
+    def first_times_out(fn, timeout):
+        calls.append(timeout)
+        if len(calls) == 1:
+            raise cli._CaseTimeout()
+        return fn()
+
+    monkeypatch.setattr(cli, "_run_with_timeout", first_times_out)
+    status, out = capture(["verify", "mult", "--n", "3", "--samples", "2", "--seed", "0"])
+    assert status == 0 and len(calls) == 2
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["failures"] == [] and payload["cases"] > 0
+    assert [f["kind"] for f in payload["findings"]] == ["timeout"]
+
+
+def test_oracle_degree_restored_after_run():
+    import richardson.invariants as rinv
+
+    before = rinv.ORACLE_DEGREE_DEFAULT
+    argv = ["invariants", "--v", "1234", "--w", "3412", "--sigma", "1234", "--degree-bound", "2"]
+    status, _ = capture(argv)
+    assert status == 0
+    assert rinv.ORACLE_DEGREE_DEFAULT == before
+
+
+def test_verify_reports_match_golden():
+    golden = json.loads((GOLDEN / "verify_reports.json").read_text())
+    for argv, expected in golden.items():
+        status, out = capture(argv.split())
+        assert (status, out) == (expected["status"], expected["stdout"]), argv
 
 
 def test_bad_flags_exit_2():

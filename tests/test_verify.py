@@ -1,9 +1,14 @@
 """The verification harness at small scale."""
 
+import dataclasses
+import io
 import json
 
 import pytest
 
+from richardson import verify
+from richardson.cli import run
+from richardson.groebner import IdealGens, _q_poly
 from richardson.permutations import Permutation
 from richardson.verify import (
     pattern_smooth,
@@ -142,3 +147,84 @@ def test_report_merge_and_text():
     assert a.cases == cases
     text = a.to_text()
     assert "status: PASS" in text
+
+
+# ---------------------------------------------------------------------------
+# Failure paths: a patched record or chart ideal breaks one law, and the
+# report must say so exactly as the reference reports below do
+# ---------------------------------------------------------------------------
+
+
+def _verify_json(argv):
+    buf = io.StringIO()
+    return run(argv.split(), buf), buf.getvalue()
+
+
+_BROKEN_TRIPLE = ("123", "321", "132")
+
+_FIXED_POINT_FAILURES = {
+    "mult": '{"cases":44,"check":"mult","failures":[{"case":{"sigma":"132","v":"123","w":"321"},"opposite_mult":1,"richardson_mult":2,"schubert_mult":1}],"findings":[],"ok":false,"params":{"exhaustive":true,"n":3,"samples":null,"seed":0}}\n',
+    "hpoly": '{"cases":44,"check":"hpoly","failures":[{"case":{"sigma":"132","v":"123","w":"321"},"opposite_h":[1],"richardson_h":[1,-1],"schubert_h":[1]}],"findings":[{"case":{"sigma":"132","v":"123","w":"321"},"h":[1,-1],"kind":"negative-h-coefficient"}],"ok":false,"params":{"exhaustive":true,"n":3,"samples":null,"seed":0}}\n',
+    "singlocus": '{"cases":44,"check":"singlocus","failures":[{"case":{"sigma":"132","v":"123","w":"321"},"opposite_smooth":true,"richardson_smooth":false,"schubert_smooth":true}],"findings":[],"ok":false,"params":{"exhaustive":true,"n":3,"samples":null,"seed":0}}\n',
+}
+
+
+@pytest.mark.parametrize("check", sorted(_FIXED_POINT_FAILURES))
+def test_fixed_point_law_failure_report(check, monkeypatch):
+    real = verify.richardson_invariants
+
+    def broken(v, w, sigma):
+        rec = real(v, w, sigma)
+        if (str(v), str(w), str(sigma)) != _BROKEN_TRIPLE:
+            return rec
+        # wrong in every law at once; H = 1 - q also has a negative coefficient
+        return dataclasses.replace(
+            rec, multiplicity=rec.multiplicity + 1, smooth=not rec.smooth,
+            h_polynomial=_q_poly([1, -1]),
+        )
+
+    monkeypatch.setattr(verify, "richardson_invariants", broken)
+    assert _verify_json(f"verify {check} --n 3 --exhaustive") == (1, _FIXED_POINT_FAILURES[check])
+
+
+_POINTS_FAILURE = '{"cases":1,"check":"points","failures":[{"at_point":1,"case":{"point":{"z21":"-2/3"},"sigma":"312","tau":"213","v":"213","w":"312"},"property":"mult","via_fixed_points":2,"via_point_factors":1},{"at_point":[1],"case":{"point":{"z21":"-2/3"},"sigma":"312","tau":"213","v":"213","w":"312"},"property":"h","via_fixed_points":[1,1],"via_point_factors":[1]},{"at_point":true,"case":{"point":{"z21":"-2/3"},"sigma":"312","tau":"213","v":"213","w":"312"},"property":"smooth","via_fixed_points":false,"via_point_factors":true}],"findings":[],"ok":false,"params":{"exhaustive":false,"n":3,"samples":1,"seed":0}}\n'
+
+
+def test_points_law_failure_report(monkeypatch):
+    real = verify.schubert_invariants
+
+    def broken(w, sigma):
+        rec = real(w, sigma)
+        return dataclasses.replace(
+            rec, multiplicity=rec.multiplicity + 1, smooth=not rec.smooth,
+            h_polynomial=rec.h_polynomial * _q_poly([1, 1]),
+        )
+
+    monkeypatch.setattr(verify, "schubert_invariants", broken)
+    argv = "verify points --n 3 --samples 1 --trials 1 --seed 0"
+    assert _verify_json(argv) == (1, _POINTS_FAILURE)
+
+
+def test_product_iso_failure_report(monkeypatch):
+    real = verify.richardson_ideal_in_chart
+
+    def one_generator_short(v, w, u):
+        ideal = real(v, w, u)
+        return IdealGens(ideal.ctx, ideal.generators[:-1])
+
+    monkeypatch.setattr(verify, "richardson_ideal_in_chart", one_generator_short)
+    u, v, w = (Permutation.from_string(s) for s in ("123", "123", "213"))
+    assert product_iso_report(u, v, w).to_json() == (
+        '{"cases":1,"check":"product-iso","failures":[{"case":{"u":"123","v":"123","w":"213"},'
+        '"pullback_basis":["z32","z31"],"pullback_in_richardson":false,'
+        '"richardson_basis":["z31","z21*z32"],"richardson_in_pullback":true}],'
+        '"findings":[],"ok":false,"params":{"n":3,"u":"123","v":"123","w":"213"}}'
+    )
+    assert verify_product_iso(u, v, w) is False
+
+
+def test_product_iso_size_mismatch():
+    with pytest.raises(ValueError):
+        verify_product_iso(Permutation.identity(3), Permutation.identity(4), Permutation.identity(4))
+    with pytest.raises(ValueError):
+        product_iso_report(Permutation.identity(3), Permutation.identity(4), Permutation.identity(4))
