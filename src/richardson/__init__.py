@@ -46,7 +46,6 @@ from .permutations import (
 from .charts import (
     Chart,
     ChartMatrix,
-    fixed_points_of_richardson,
     generic_matrix,
     identify_cells,
     opposite_ideal_in_chart,
@@ -96,7 +95,7 @@ __all__ = [
     "contains_pattern", "kl_polynomial",
     "Chart", "ChartMatrix", "generic_matrix", "schubert_ideal_in_chart",
     "opposite_ideal_in_chart", "richardson_ideal_in_chart",
-    "identify_cells", "fixed_points_of_richardson", "sample_richardson_point",
+    "identify_cells", "sample_richardson_point",
     "eta1", "eta2", "sweep_images", "claim_structure_check", "recover",
     "eta_on_point",
     "LocalInvariants", "localize", "tangent_dim_at", "local_invariants_at",

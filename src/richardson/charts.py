@@ -11,6 +11,14 @@ Schubert, opposite Schubert, and Richardson varieties meet a chart in the
 vanishing locus of justified minors of the generic chart matrix; the
 emitted generators are the essential rank conditions (a regression test
 pins them against the full unpruned list).
+
+The opposite side is derived from the Schubert side.  The opposite
+Schubert variety is a translate, X^v = w0 X_{w0 v}, and left
+multiplication by w0 reverses the rows of a matrix.  So the upper-left
+rank conditions of v at (i, j) are the lower-left conditions of w0 v at
+(n+1-i, j), with r'_v(i,j) = j - r_v(i+1,j) = r_{w0 v}(n+1-i,j), and
+the opposite cell of a matrix is w0 times the Schubert cell of its
+row reversal.
 """
 
 from __future__ import annotations
@@ -23,10 +31,7 @@ from itertools import combinations
 from .groebner import IdealGens
 from .permutations import (
     Permutation,
-    bruhat_interval,
     bruhat_leq,
-    opposite_rank,
-    permutation_from_opposite_rank,
     permutation_from_schubert_rank,
     schubert_rank,
 )
@@ -78,10 +83,6 @@ class Chart:
 
     def var_name(self, i: int, j: int) -> str:
         return _var_name(i, j)
-
-    def position_of(self, name: str) -> tuple[int, int]:
-        k = self.ctx.index(name)
-        return self.free_positions[k]
 
     def origin(self) -> dict[str, Fraction]:
         return {nm: Fraction(0) for nm in self.ctx.names}
@@ -209,57 +210,37 @@ def _essential_schubert_conditions(w: Permutation, prune: bool = True):
     return out
 
 
-def _essential_opposite_conditions(v: Permutation, prune: bool = True):
-    """Non-vacuous (i, j, bound) triples for upper-left rank conditions."""
-    n = v.n
-    r = opposite_rank(v)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            b = r[i - 1][j - 1]
-            if b >= min(i, j):
-                continue
-            if prune:
-                if i < n and r[i][j - 1] == b:
-                    continue
-                if j < n and r[i - 1][j] == b:
-                    continue
-            out.append((i, j, b))
-    return out
+def _minors(matrix: ChartMatrix, conditions) -> list[Polynomial]:
+    """Every (b+1)-minor on rows from `rows` and columns 1..j, for each
+    (rows, j, b); zeros and repeats are left to IdealGens."""
+    return [
+        matrix.minor(r, c)
+        for rows, j, b in conditions
+        for r in combinations(rows, b + 1)
+        for c in combinations(range(1, j + 1), b + 1)
+    ]
 
 
 def schubert_minors(matrix: ChartMatrix, w: Permutation, prune: bool = True) -> list[Polynomial]:
-    """All (bound+1)-minors of rows i..n, columns 1..j for the conditions of w."""
+    """The (bound+1)-minors of rows i..n, columns 1..j for the conditions of w."""
     n = w.n
-    out = []
-    seen = set()
-    for (i, j, b) in _essential_schubert_conditions(w, prune):
-        for rows in combinations(range(i, n + 1), b + 1):
-            for cols in combinations(range(1, j + 1), b + 1):
-                m = matrix.minor(rows, cols)
-                if m.is_zero():
-                    continue
-                k = m.key()
-                if k not in seen:
-                    seen.add(k)
-                    out.append(m)
-    return out
+    return _minors(
+        matrix, [(range(i, n + 1), j, b) for i, j, b in _essential_schubert_conditions(w, prune)]
+    )
 
 
 def opposite_minors(matrix: ChartMatrix, v: Permutation, prune: bool = True) -> list[Polynomial]:
-    out = []
-    seen = set()
-    for (i, j, b) in _essential_opposite_conditions(v, prune):
-        for rows in combinations(range(1, i + 1), b + 1):
-            for cols in combinations(range(1, j + 1), b + 1):
-                m = matrix.minor(rows, cols)
-                if m.is_zero():
-                    continue
-                k = m.key()
-                if k not in seen:
-                    seen.add(k)
-                    out.append(m)
-    return out
+    """The (bound+1)-minors of rows 1..i, columns 1..j for the conditions of v.
+
+    They are the conditions of w0 v read on the row-reversed matrix, put
+    back in (i, j) order.
+    """
+    n = v.n
+    conditions = sorted(
+        (n + 1 - i, j, b)
+        for i, j, b in _essential_schubert_conditions(Permutation.longest(n) * v, prune)
+    )
+    return _minors(matrix, [(range(1, i + 1), j, b) for i, j, b in conditions])
 
 
 def schubert_ideal_in_chart(w: Permutation, u: Permutation, prune: bool = True) -> IdealGens:
@@ -278,22 +259,12 @@ def opposite_ideal_in_chart(v: Permutation, u: Permutation, prune: bool = True) 
     return IdealGens(x.chart.ctx, opposite_minors(x, v, prune))
 
 
-def richardson_ideal_in_chart(
-    v: Permutation, w: Permutation, u: Permutation, prune: bool = True
-) -> IdealGens:
+def richardson_ideal_in_chart(v: Permutation, w: Permutation, u: Permutation) -> IdealGens:
     """Defining ideal of X_w^v = X_w meet X^v in the chart of u."""
     if not (v.n == w.n == u.n):
         raise ValueError("size mismatch")
     x = generic_matrix(u)
-    gens = schubert_minors(x, w, prune) + opposite_minors(x, v, prune)
-    seen = set()
-    out = []
-    for g in gens:
-        k = g.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(g)
-    return IdealGens(x.chart.ctx, out)
+    return IdealGens(x.chart.ctx, schubert_minors(x, w) + opposite_minors(x, v))
 
 
 # ---------------------------------------------------------------------------
@@ -333,31 +304,27 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def _schubert_cell(x: list[list[Fraction]]) -> Permutation:
+    """The Schubert cell of an invertible matrix, read off its lower-left ranks."""
+    n = len(x)
+    return permutation_from_schubert_rank(
+        [
+            [rational_rank([row[:j] for row in x[i - 1:]]) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+    )
+
+
 def identify_cells(x: list[list[Fraction]]) -> tuple[Permutation, Permutation]:
     """The (Schubert cell, opposite cell) pair of an invertible matrix.
 
-    sigma is read off the lower-left justified ranks, tau off the
-    upper-left ones.
+    sigma is read off the lower-left justified ranks; tau is w0 times the
+    Schubert cell of the row-reversed matrix.
     """
     n = len(x)
     if rational_rank(x) < n:
         raise ValueError("singular matrix")
-    lower = [
-        [rational_rank([row[:j] for row in x[i - 1:]]) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    upper = [
-        [rational_rank([row[:j] for row in x[:i]]) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    sigma = permutation_from_schubert_rank(lower)
-    tau = permutation_from_opposite_rank(upper)
-    return sigma, tau
-
-
-def fixed_points_of_richardson(v: Permutation, w: Permutation) -> list[Permutation]:
-    """The torus-fixed points of X_w^v: the Bruhat interval [v, w]."""
-    return bruhat_interval(v, w)
+    return _schubert_cell(x), Permutation.longest(n) * _schubert_cell(x[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +386,11 @@ def sample_richardson_point(
                 row.append(ctx.zero())
         rows.append(row)
     cellm = ChartMatrix(ch, rows)  # chart only supplies n; ctx differs
-    system = opposite_minors(cellm, tau, prune=True)
+    system = IdealGens(ctx, opposite_minors(cellm, tau)).generators
     rng = random.Random(seed)
 
     for _ in range(max(1, attempts)):
-        gens = [g for g in system]
+        gens = list(system)
         substitutions: list[tuple[str, Polynomial]] = []
         assignment: dict[str, Fraction] = {}
         feasible = True

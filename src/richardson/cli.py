@@ -16,10 +16,11 @@ Subcommands:
 Exit status: 0 when the command ran and, for verify, no law failed on the
 cases checked; 1 when a law failed; 2 for a usage error (bad flags,
 malformed or size-mismatched permutations, out of range ``--n``,
-``--samples``, ``--parabolic`` or ``--degree-bound``, a fixed point off
-the variety), with a one-line message; 3 when a verify run checked no
-case because its cases timed out.  A timeout is recorded as a finding per
-case.  Identical argument vectors and seeds produce byte-identical JSON.
+``--samples``, ``--parabolic`` or ``--degree-bound``, ``smooth-table``
+past its largest n, a fixed point off the variety), with a one-line
+message; 3 when a verify run checked no case because its cases timed
+out.  A timeout is recorded as a finding per case.  Identical argument
+vectors and seeds produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .invariants import NotOnVariety, parabolic_invariants, richardson_invariant
 from .permutations import Permutation, bruhat_leq, is_covexillary, kl_polynomial
 from .sweep import sweep_images
 from .verify import (
+    SMOOTH_TABLE_MAX_N,
     VerificationReport,
     product_iso_report,
     schubert_smoothness_table,
@@ -150,6 +152,8 @@ def _check_usage(cfg: RunConfig) -> None:
         raise UsageError(f"--degree-bound must lie in 0..{_FIELD_MAX}, got {cfg.degree_bound}")
     if cfg.subcommand == "verify" and cfg.n < 1:
         raise UsageError(f"--n must be at least 1, got {cfg.n}")
+    if cfg.check == "smooth-table" and cfg.n > SMOOTH_TABLE_MAX_N:
+        raise UsageError(f"smooth-table needs --n at most {SMOOTH_TABLE_MAX_N}, got {cfg.n}")
     # a run that samples nothing would pass having checked nothing
     if cfg.subcommand == "verify" and cfg.samples is not None and cfg.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {cfg.samples}")

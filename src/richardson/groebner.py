@@ -40,17 +40,18 @@ from .poly import (
 
 
 class IdealGens:
-    """A generator list for an ideal; zero generators are dropped."""
+    """A generator list for an ideal; zero and repeated generators are
+    dropped, keeping first occurrences in order."""
 
     __slots__ = ("ctx", "generators")
 
     def __init__(self, ctx: Context, generators: Iterable[Polynomial]):
-        gens = []
+        gens = {}
         for g in generators:
             if g.ctx != ctx:
                 raise ValueError("generator context mismatch")
             if not g.is_zero():
-                gens.append(g)
+                gens.setdefault(g, None)
         self.ctx = ctx
         self.generators = tuple(gens)
 
@@ -94,6 +95,8 @@ class HilbertData:
         """Coefficients 0..upto of the power-series expansion."""
         k = self.num_vars
         ncoef = _q_coeffs(self.numerator)
+        if k == 0:  # no (1-q) to expand: the series is the numerator
+            return (ncoef + [0] * upto)[:upto + 1]
         out = []
         for d in range(upto + 1):
             total = 0
@@ -703,33 +706,10 @@ class _ConeOrder:
     lowest-degree form of its dehomogenization.
     """
 
-    __slots__ = ("t_index", "_memo")
-    tag = "cone"
-    priority = None
+    __slots__ = ("t_index",)
 
     def __init__(self, t_index: int):
         self.t_index = t_index
-        self._memo: dict = {}
-
-    def sort_key(self, ctx: Context):
-        cache = self._memo.get(ctx.names)
-        if cache is None:
-            cache = {}
-            self._memo[ctx.names] = cache
-        n = ctx.nvars
-        ti = self.t_index
-
-        def key(m: Monomial):
-            k = cache.get(m)
-            if k is None:
-                d = m.dense(n)
-                t = d[ti]
-                rest = tuple(d[i] for i in range(n) if i != ti)
-                k = (t, m.degree - t) + tuple(-x for x in reversed(rest))
-                cache[m] = k
-            return k
-
-        return key
 
 
 def _fresh_name(ctx: Context, base: str) -> str:
@@ -781,7 +761,6 @@ def tangent_cone(I: IdealGens) -> IdealGens:
     comp.run()
 
     out = []
-    seen = set()
     fm = pk_big.fmask
     for lt, tail in comp.reduced_elements():
         # dehomogenize (t -> 1) and take the lowest-degree form
@@ -803,11 +782,7 @@ def tangent_cone(I: IdealGens) -> IdealGens:
         low_deg = min(a >> degshift_b for a in terms)
         low = {a: c for a, c in terms.items() if (a >> degshift_b) == low_deg}
         poly = _to_poly(low, pk_big, big)  # decode; exponent layout matches small ctx
-        poly = Polynomial(ctx, dict(poly.terms))
-        k = poly.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(poly)
+        out.append(Polynomial(ctx, dict(poly.terms)))
     return IdealGens(ctx, out)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import (
-    chart,
+    generic_matrix,
     identify_cells,
     opposite_ideal_in_chart,
     rational_rank,
@@ -35,8 +35,6 @@ from .groebner import (
     local_hilbert_oracle,
     tangent_cone,
     _q_coeffs,
-    _strip_one_minus_q,
-    _q_poly,
 )
 from .permutations import (
     Permutation,
@@ -115,15 +113,13 @@ def local_invariants_at(
     dim = krull_dimension(I0)
     cone = tangent_cone(I0)
     hd = hilbert_numerator(cone)
-    ncoef = _q_coeffs(hd.numerator)
-    h, cancels = _strip_one_minus_q(list(ncoef))
-    if cancels != n - dim:
+    if hd.dimension != dim:
         raise RuntimeError(
-            f"H-polynomial division mismatch: {cancels} factors of (1-q) "
+            f"H-polynomial division mismatch: {n - hd.dimension} factors of (1-q) "
             f"cancelled, expected {n - dim}"
         )
-    h_poly = _q_poly(h)
-    mult = sum(h)
+    h_poly = hd.cancelled_numerator
+    mult = sum(_q_coeffs(h_poly))
     if mult <= 0:
         raise RuntimeError("nonpositive multiplicity; dimension bug")
     tangent = _jacobian_corank(gb, n)
@@ -225,23 +221,9 @@ def richardson_invariants_at_point(
     (Schubert cell, opposite cell) pair of the point."""
     ideal = richardson_ideal_in_chart(v, w, u)
     point = {nm: Fraction(point.get(nm, 0)) for nm in ideal.ctx.names}
-    x = generic_point_matrix(u, point)
-    sigma, tau = identify_cells(x)
+    sigma, tau = identify_cells(generic_matrix(u).evaluate(point))
     inv = local_invariants_at(ideal, point, oracle_check)
     return inv, sigma, tau
-
-
-def generic_point_matrix(u: Permutation, point) -> list[list[Fraction]]:
-    """The chart matrix of u with coordinates specialized to a point."""
-    ch = chart(u)
-    n = u.n
-    uinv = u.inverse()
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        out[u(j) - 1][j - 1] = Fraction(1)
-    for (i, j) in ch.free_positions:
-        out[i - 1][j - 1] = Fraction(point.get(ch.var_name(i, j), 0))
-    return out
 
 
 def parabolic_invariants(

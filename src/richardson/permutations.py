@@ -9,7 +9,9 @@ polynomials via the classical descent recursion.
 Rank-matrix convention, fixed package-wide: the permutation matrix of w
 has a 1 in row w(k), column k.  Schubert conditions bound ranks of
 lower-left justified submatrices (rows i..n, columns 1..j); opposite
-conditions bound upper-left submatrices.
+conditions bound upper-left submatrices.  Reversing the rows (left
+multiplication by w0) swaps the two, so the opposite table is read off
+the Schubert one: r'_v(i,j) = j - r_v(i+1,j), with row n+1 zero.
 """
 
 from __future__ import annotations
@@ -168,11 +170,15 @@ def schubert_rank(w: Permutation) -> tuple[tuple[int, ...], ...]:
 
 
 def opposite_rank(v: Permutation) -> tuple[tuple[int, ...], ...]:
-    """r'_v(i,j) = #{k <= j : v(k) <= i} (upper-left justified ranks)."""
+    """r'_v(i,j) = #{k <= j : v(k) <= i} (upper-left justified ranks).
+
+    The columns 1..j hold j ones, r_v(i+1,j) of them in rows below i, so
+    r'_v(i,j) = j - r_v(i+1,j) with row n+1 zero.
+    """
     n = v.n
+    flat = _rank_table(v) + (0,) * n
     return tuple(
-        tuple(sum(1 for k in range(1, j + 1) if v(k) <= i) for j in range(1, n + 1))
-        for i in range(1, n + 1)
+        tuple(j + 1 - flat[i * n + j] for j in range(n)) for i in range(1, n + 1)
     )
 
 
@@ -259,24 +265,6 @@ def permutation_from_schubert_rank(rank) -> Permutation:
     if schubert_rank(w) != tuple(tuple(r) for r in rank):
         raise ValueError("rank table is not a permutation rank matrix")
     return w
-
-
-def permutation_from_opposite_rank(rank) -> Permutation:
-    n = len(rank)
-    window = []
-    for j in range(1, n + 1):
-        hits = [
-            i
-            for i in range(1, n + 1)
-            if rank[i - 1][j - 1] - (rank[i - 1][j - 2] if j > 1 else 0) == 1
-        ]
-        if not hits:
-            raise ValueError("rank table is not a permutation rank matrix")
-        window.append(min(hits))
-    v = Permutation(window)
-    if opposite_rank(v) != tuple(tuple(r) for r in rank):
-        raise ValueError("rank table is not a permutation rank matrix")
-    return v
 
 
 def coset_reps(w: Permutation, J: frozenset[int] | set[int]) -> tuple[Permutation, Permutation]:

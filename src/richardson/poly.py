@@ -472,9 +472,6 @@ class Polynomial:
         d = self.min_degree()
         return Polynomial(self.ctx, {m: c for m, c in self.terms.items() if m.degree == d})
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial(self.ctx, {m: c for m, c in self.terms.items() if m.degree == d})
-
     def linear_coefficient(self, var_index: int) -> Fraction:
         return self.terms.get(Monomial(((var_index, 1),)), Fraction(0))
 
@@ -573,32 +570,3 @@ def _latex_frac(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}"
-
-
-# -- the operation contracts as plain functions ---------------------------
-
-def poly_arith(op: str, a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact ring arithmetic dispatcher: op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def substitute(f: Polynomial, assignment) -> Polynomial:
-    return f.substitute(assignment)
-
-
-def evaluate(f: Polynomial, point) -> Fraction:
-    return f.evaluate(point)
-
-
-def translate(f: Polynomial, center) -> Polynomial:
-    return f.translate(center)
-
-
-def lowest_degree_form(f: Polynomial) -> Polynomial:
-    return f.lowest_degree_form()

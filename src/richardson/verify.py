@@ -123,15 +123,7 @@ def pullback_ideal(u: Permutation, v: Permutation, w: Permutation) -> IdealGens:
     the product (chart of u) meet X_w  x  (chart of u) meet X^v.
     """
     up, down = sweep_images(u)
-    gens = schubert_minors(up, w) + opposite_minors(down, v)
-    seen = set()
-    out = []
-    for g in gens:
-        k = g.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(g)
-    return IdealGens(up.ctx, out)
+    return IdealGens(up.ctx, schubert_minors(up, w) + opposite_minors(down, v))
 
 
 def product_iso_report(u: Permutation, v: Permutation, w: Permutation) -> VerificationReport:
@@ -363,6 +355,10 @@ def pattern_smooth(w: Permutation) -> bool:
     return not (contains_pattern(w, PATTERN_4231) or contains_pattern(w, PATTERN_3412))
 
 
+# largest n the smoothness table runs on (it covers all of S_n)
+SMOOTH_TABLE_MAX_N = 5
+
+
 def schubert_smoothness_table(n: int, full_scan: bool = True) -> VerificationReport:
     """Compare computed global smoothness of X_w with pattern avoidance.
 
@@ -371,8 +367,8 @@ def schubert_smoothness_table(n: int, full_scan: bool = True) -> VerificationRep
     stable under the Borel group, so a singular Schubert variety is
     already singular at the identity.
     """
-    if n > 5:
-        raise ValueError("table is desk-scale only (n <= 5)")
+    if n > SMOOTH_TABLE_MAX_N:
+        raise ValueError(f"table is desk-scale only (n <= {SMOOTH_TABLE_MAX_N})")
     start = time.monotonic()
     report = VerificationReport(
         check="smooth-table", params={"n": n, "full_scan": full_scan}

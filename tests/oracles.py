@@ -5,7 +5,8 @@ Buchberger oracle has no pair criteria, Bruhat order goes through the
 subword property on reduced words, Kazhdan-Lusztig polynomials are solved
 from the defining degree and inversion conditions via R-polynomials,
 monomial counting is plain enumeration, and local quotient dimensions are
-dense Gaussian ranks, one matrix per degree.
+dense Gaussian ranks, one matrix per degree.  The opposite-side
+references read upper-left ranks directly, not through w0.
 """
 
 from __future__ import annotations
@@ -332,4 +333,67 @@ def truncated_quotient_dims(gens, nvars: int, degree_bound: int) -> list[int]:
                 if any(row):
                     rows.append(row)
         out.append(len(cols) - rank_by_fractions(rows))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Opposite side read from upper-left ranks, without the w0 translate
+# ---------------------------------------------------------------------------
+
+
+def counting_opposite_rank(v: Permutation) -> tuple[tuple[int, ...], ...]:
+    """r'_v(i,j) = #{k <= j : v(k) <= i}, counted."""
+    n = v.n
+    return tuple(
+        tuple(sum(1 for k in range(1, j + 1) if v(k) <= i) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
+
+
+def upper_left_opposite_cell(x: list[list[Fraction]]) -> Permutation:
+    """The opposite cell tau of an invertible matrix, from its upper-left ranks.
+
+    Column j of the rank table steps up by one exactly in the rows
+    i >= tau(j), so tau(j) is the first such row.
+    """
+    n = len(x)
+    upper = [
+        [rank_by_fractions([row[:j] for row in x[:i]]) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    window = [
+        min(i for i in range(1, n + 1)
+            if upper[i - 1][j - 1] - (upper[i - 1][j - 2] if j > 1 else 0) == 1)
+        for j in range(1, n + 1)
+    ]
+    tau = Permutation(window)
+    if counting_opposite_rank(tau) != tuple(map(tuple, upper)):
+        raise ValueError("upper-left ranks are not those of a permutation")
+    return tau
+
+
+def upper_left_opposite_minors(matrix, v: Permutation, prune: bool = True) -> list[Polynomial]:
+    """Distinct nonzero (b+1)-minors of rows 1..i, columns 1..j, for each
+    non-vacuous upper-left condition (i, j, b) of v in (i, j) order.
+
+    Pruning drops a condition implied by the taller (i+1) or the wider
+    (j+1) submatrix with the same bound.
+    """
+    n = v.n
+    r = counting_opposite_rank(v)
+    out = []
+    seen = set()
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            b = r[i - 1][j - 1]
+            if b >= min(i, j):
+                continue
+            if prune and ((i < n and r[i][j - 1] == b) or (j < n and r[i - 1][j] == b)):
+                continue
+            for rows in combinations(range(1, i + 1), b + 1):
+                for cols in combinations(range(1, j + 1), b + 1):
+                    m = matrix.minor(rows, cols)
+                    if not m.is_zero() and m.key() not in seen:
+                        seen.add(m.key())
+                        out.append(m)
     return out

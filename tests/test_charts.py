@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import upper_left_opposite_cell, upper_left_opposite_minors
 from richardson.charts import (
     chart,
     generic_matrix,
     identify_cells,
     opposite_ideal_in_chart,
+    opposite_minors,
     rational_rank,
     richardson_ideal_in_chart,
     sample_richardson_point,
     schubert_ideal_in_chart,
-    fixed_points_of_richardson,
 )
 from richardson.groebner import IdealGens, contains_one, ideal_equal, krull_dimension
 from richardson.permutations import Permutation, bruhat_interval, bruhat_leq
@@ -149,12 +150,14 @@ def test_rational_rank():
 
 
 def test_identify_cells_permutation_matrices():
-    for sigma in Permutation.all(3):
-        m = [
-            [Fraction(1 if sigma(j) == i else 0) for j in range(1, 4)]
-            for i in range(1, 4)
-        ]
-        assert identify_cells(m) == (sigma, sigma)
+    for n in range(1, 6):
+        for sigma in Permutation.all(n):
+            m = [
+                [Fraction(1 if sigma(j) == i else 0) for j in range(1, n + 1)]
+                for i in range(1, n + 1)
+            ]
+            assert identify_cells(m) == (sigma, sigma)
+            assert upper_left_opposite_cell(m) == sigma
 
 
 def test_identify_cells_generic_point_has_tau_below_sigma():
@@ -171,15 +174,53 @@ def test_identify_cells_generic_point_has_tau_below_sigma():
         assert bruhat_leq(tau, u) and bruhat_leq(u, sigma)
 
 
+def test_identify_cells_matches_upper_left_reading():
+    # seeded chart points, zeros included so that smaller cells occur too
+    rng = random.Random(41)
+    taus = set()
+    for n in range(2, 6):
+        elems = Permutation.all(n)
+        for _ in range(40):
+            x = generic_matrix(rng.choice(elems))
+            point = {
+                nm: Fraction(rng.choice([-2, -1, 0, 0, 1, 3]), rng.choice([1, 2]))
+                for nm in x.ctx.names
+            }
+            m = x.evaluate(point)
+            tau = identify_cells(m)[1]
+            assert tau == upper_left_opposite_cell(m)
+            taus.add(tau)
+    assert len(taus) >= 30  # the seeded points reach many opposite cells
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_opposite_minors_match_upper_left_enumeration_s4(prune):
+    elems = Permutation.all(4)
+    for u in elems:
+        x = generic_matrix(u)
+        for v in elems:
+            expect = tuple(upper_left_opposite_minors(x, v, prune))
+            assert IdealGens(x.ctx, opposite_minors(x, v, prune)).generators == expect
+            assert opposite_ideal_in_chart(v, u, prune).generators == expect
+
+
 def test_identify_cells_rejects_singular():
     with pytest.raises(ValueError):
         identify_cells([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
 
 
 def test_fixed_points_are_the_interval():
+    # the fixed point sigma lies on X_w^v iff the ideal vanishes at the
+    # origin of the chart of sigma
     v = Permutation([1, 3, 2])
     w = Permutation([3, 1, 2])
-    assert fixed_points_of_richardson(v, w) == bruhat_interval(v, w)
+    on = [
+        sigma
+        for sigma in sorted(Permutation.all(3), key=lambda s: (s.length(), s.window))
+        if all(g.evaluate(chart(sigma).origin()) == 0
+               for g in richardson_ideal_in_chart(v, w, sigma).generators)
+    ]
+    assert on == bruhat_interval(v, w)
 
 
 def test_fixed_point_membership_matches_vanishing_at_origin():

@@ -111,6 +111,15 @@ def test_verify_smooth_table():
     assert json.loads(out)["cases"] == 6
 
 
+@pytest.mark.parametrize("check", ["mult", "hpoly", "singlocus"])
+def test_fixed_point_checks_at_n_1(check):
+    # the chart of S1 has no variables
+    status, out = capture(["verify", check, "--n", "1", "--exhaustive"])
+    assert status == 0
+    report = json.loads(out)
+    assert report["ok"] and report["cases"] == 1 and report["failures"] == []
+
+
 def test_verify_text_format():
     status, out = capture(["verify", "dimension", "--n", "3", "--exhaustive", "--format", "text"])
     assert status == 0
@@ -226,6 +235,16 @@ def test_fixed_point_off_the_variety_exits_2(capsys):
     base = ["invariants", "--v", "1234", "--w", "2134", "--sigma", "4321"]
     assert "not on the Richardson variety" in _usage_error(base, capsys)
     assert "parabolic Richardson" in _usage_error(base + ["--parabolic", "1"], capsys)
+
+
+def test_smooth_table_past_its_bound_exits_2(capsys):
+    from richardson.verify import SMOOTH_TABLE_MAX_N, schubert_smoothness_table
+
+    n = str(SMOOTH_TABLE_MAX_N + 1)
+    err = _usage_error(["verify", "smooth-table", "--n", n], capsys)
+    assert f"at most {SMOOTH_TABLE_MAX_N}, got {n}" in err
+    with pytest.raises(ValueError):
+        schubert_smoothness_table(SMOOTH_TABLE_MAX_N + 1)
 
 
 def test_parabolic_out_of_range_exits_2(capsys):

@@ -7,6 +7,8 @@ import pytest
 
 from oracles import hilbert_function_by_counting, naive_buchberger, truncated_quotient_dims
 from richardson.groebner import (
+    Q_CONTEXT,
+    HilbertData,
     IdealGens,
     buchberger,
     contains_one,
@@ -182,6 +184,25 @@ def test_tangent_cone_needs_saturation_style_completion():
 def test_tangent_cone_rejects_nonvanishing_generator():
     with pytest.raises(ValueError):
         tangent_cone(IdealGens(CTX, [X - 1]))
+
+
+def test_ideal_gens_drop_zeros_and_repeats_keeping_first_occurrences():
+    gens = [Y, CTX.zero(), X * Y, Y, X - X, Y * X, X, Y + 0]
+    assert IdealGens(CTX, gens).generators == (Y, X * Y, X)
+    assert IdealGens(CTX, [X, Y]).generators == (X, Y)
+    assert IdealGens(CTX, [Y, X]).generators == (Y, X)
+
+
+def test_series_prefix_of_a_ring_without_variables():
+    q = Q_CONTEXT.var("q")
+    hd = HilbertData(
+        numerator=1 + 2 * q, num_vars=0, dimension=0, cancelled_numerator=1 + 2 * q
+    )
+    assert hd.series_prefix(0) == [1]
+    assert hd.series_prefix(3) == [1, 2, 0, 0]
+    point = IdealGens(Context(()), [])
+    assert hilbert_numerator(point).series_prefix(4) == [1, 0, 0, 0, 0]
+    assert local_hilbert_oracle(point, 4) == (1, 1, 1, 1, 1)
 
 
 def test_oracle_trivial_cases():

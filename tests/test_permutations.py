@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from oracles import brute_coset_min_max, kl_by_inversion, subword_bruhat_leq, subword_interval
+from oracles import (
+    brute_coset_min_max,
+    counting_opposite_rank,
+    kl_by_inversion,
+    subword_bruhat_leq,
+    subword_interval,
+)
 from richardson.permutations import (
     Permutation,
     bruhat_interval,
@@ -54,6 +60,12 @@ def test_rank_matrices():
     s2 = Permutation([2, 1])
     assert schubert_rank(s2)[1][0] == 1
     assert schubert_rank(Permutation([1, 2]))[1][0] == 0
+
+
+def test_opposite_rank_matches_counting_s1_to_s5():
+    for n in range(1, 6):
+        for v in Permutation.all(n):
+            assert opposite_rank(v) == counting_opposite_rank(v)
 
 
 def test_bruhat_basics():

@@ -13,8 +13,6 @@ from richardson.poly import (
     MONOMIAL_ONE,
     Monomial,
     Polynomial,
-    lowest_degree_form,
-    poly_arith,
 )
 
 CTX = Context(("x", "y", "z"))
@@ -44,7 +42,7 @@ def test_monomial_product():
 def test_multiplicative_identity():
     f = X - Y * Z
     assert f * CTX.one() == f
-    assert poly_arith("mul", f, CTX.one()) == f
+    assert CTX.one() * f == f
 
 
 def test_canonical_string_matches_contract():
@@ -131,14 +129,14 @@ def test_translate_round_trip():
 
 def test_lowest_degree_form():
     f = Y * Y - X * X * X
-    assert lowest_degree_form(f) == Y * Y
+    assert f.lowest_degree_form() == Y * Y
     g = X * Y + Y * Z
-    assert lowest_degree_form(g) == g
+    assert g.lowest_degree_form() == g
     ctx = Context(("z11", "z21", "z22"))
     h = ctx.var("z21") - ctx.var("z11") * ctx.var("z22")
-    assert lowest_degree_form(h) == ctx.var("z21")
+    assert h.lowest_degree_form() == ctx.var("z21")
     with pytest.raises(ValueError):
-        lowest_degree_form(CTX.zero())
+        CTX.zero().lowest_degree_form()
 
 
 def test_context_mismatch_rejected():
