@@ -18,9 +18,9 @@ cases checked; 1 when a law failed; 2 for a usage error (bad flags,
 malformed or size-mismatched permutations, out of range ``--n``,
 ``--samples``, ``--parabolic`` or ``--degree-bound``, ``smooth-table``
 past its largest n, a fixed point off the variety), with a one-line
-message; 3 when a verify run checked no case because its cases timed
-out.  A timeout is recorded as a finding per case.  Identical argument
-vectors and seeds produce byte-identical JSON.
+message; 3 when a verify run checked no case, because its cases timed
+out or had nothing to check.  A timeout is recorded as a finding per
+case.  Identical argument vectors and seeds produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -315,10 +315,14 @@ def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
             total.findings.append({"kind": "timeout", "case": list(key)})
         else:
             total.merge(rep)
-    # a run whose every case timed out checked nothing: it must not pass
-    nothing_checked = timeouts > 0 and total.cases == 0
+    # a run that checked nothing must not pass, whether its cases timed out
+    # or none of them had anything to check
+    nothing_checked = total.cases == 0
     if nothing_checked:
-        total.failures.append({"kind": "all-cases-timed-out", "timeouts": timeouts})
+        if timeouts:
+            total.failures.append({"kind": "all-cases-timed-out", "timeouts": timeouts})
+        else:
+            total.failures.append({"kind": "no-cases-checked"})
     if cfg.output_format == "text":
         out.write(total.to_text() + "\n")
     else:

@@ -6,8 +6,10 @@ dimension via independent variable sets, Hilbert series of homogeneous
 ideals by recursive splitting of the leading-term monomial ideal, tangent
 cones via homogenization, and a local Hilbert-function oracle used to
 cross-check every multiplicity the package ever reports.  The oracle shares
-no code with the Buchberger kernel it checks: it is one fraction-free
-integer elimination of the truncated Macaulay matrix of the generators.
+no code with the Buchberger kernel it checks: it solves away every variable
+a generator is linear in by truncated power-series substitution, then runs
+one fraction-free integer elimination of the truncated Macaulay matrix of
+what is left.
 
 Internally monomials are packed into integers (8 bits per exponent, the
 total degree in the top field) so that multiplication is integer addition
@@ -817,10 +819,116 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {a: c // content for a, c in row.items()} if content != 1 else row
 
 
-def _integer_row(p: Polynomial, pk: _Pack) -> dict[int, int]:
-    """Packed terms of p scaled to coprime integer coefficients."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return _primitive({pk.encode(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()})
+def _powers(series: dict, upto: int, limit: int) -> list[dict]:
+    """series^0 .. series^upto truncated below limit, ending early at a zero power."""
+    out = [{0: 1}]
+    while len(out) <= upto:
+        nxt: dict = {}
+        for a, c in out[-1].items():
+            for b, d in series.items():
+                t = a + b
+                if t < limit:
+                    nxt[t] = nxt.get(t, 0) + c * d
+        nxt = {t: c for t, c in nxt.items() if c}
+        if not nxt:
+            break
+        out.append(nxt)
+    return out
+
+
+def _substitute(f: dict, shift: int, powers: list[dict], pk: _Pack, limit: int) -> dict:
+    """f with the variable at field `shift` replaced by a series, truncated below limit.
+
+    powers[e] is the e-th power of the series; a power past the list is
+    zero below limit (the series has no constant term).
+    """
+    fm = pk.fmask
+    degshift = pk.degshift
+    out: dict = {}
+    for a, c in f.items():
+        e = (a >> shift) & fm
+        if not e:
+            out[a] = out.get(a, 0) + c
+        elif e < len(powers):
+            base = a - (e << shift) - (e << degshift)
+            for b, d in powers[e].items():
+                t = base + b
+                if t < limit:
+                    out[t] = out.get(t, 0) + c * d
+    return {t: c for t, c in out.items() if c}
+
+
+def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) -> list[int]:
+    """Remove, in place, every variable some generator is linear in; return the rest.
+
+    gens are packed series truncated at degree D = degree_bound, with no
+    constant term.  While some g = c*x + h has a linear term c*x, g = 0 is
+    solved for x as a series x = -h/c truncated at D (when x occurs in h,
+    by D rounds of fixed-point substitution, each fixing one more degree);
+    the series replaces x in the other generators, and g and x are
+    dropped.  By the formal inverse function theorem the completions of
+    R/I and R'/I' at the origin are isomorphic with m onto m', and
+    dim R/(I + m^{d+1}) for d <= D depends only on the generators mod
+    m^{D+1}, so every truncated quotient dimension is unchanged.  Each step
+    is a Gaussian elimination step on the linear parts, so
+    n - rank(linear parts) variables are left.
+    """
+    fm = pk.fmask
+    limit = (degree_bound + 1) << pk.degshift
+    linear = {(1 << s) | (1 << pk.degshift): v for v, s in enumerate(pk.shifts)}
+    live = list(range(pk.n))
+    while True:
+        # prefer x absent from h (one substitution), then the shortest g
+        best = None
+        for k, g in enumerate(gens):
+            for a in g:
+                v = linear.get(a)
+                if v is not None:
+                    shift = pk.shifts[v]
+                    rank = (any(b != a and (b >> shift) & fm for b in g), len(g))
+                    if best is None or rank < best[0]:
+                        best = (rank, k, a, v)
+        if best is None:
+            return live
+        _, k, a, v = best
+        h = gens.pop(k)
+        shift = pk.shifts[v]
+        c = h.pop(a)
+        scale = -c if c in (1, -1) else -1 / Fraction(c)
+        # x = scale * h(x) by rounds from x = 0: each round fixes one more
+        # degree, and when x is not in h the second round confirms the first
+        top = max(((b >> shift) & fm for b in h), default=0)
+        series: dict = {}
+        for _ in range(degree_bound):
+            powers = _powers(series, top, limit)
+            nxt = {b: scale * d for b, d in _substitute(h, shift, powers, pk, limit).items()}
+            if nxt == series:
+                break
+            series = nxt
+        hit = [j for j, f in enumerate(gens) if any((b >> shift) & fm for b in f)]
+        if hit:
+            top = max((b >> shift) & fm for j in hit for b in gens[j])
+            powers = _powers(series, top, limit)
+            for j in hit:
+                gens[j] = _substitute(gens[j], shift, powers, pk, limit)
+        gens[:] = [f for f in gens if f]
+        live.remove(v)
+
+
+def _integer_rows(gens: list[dict], pk: _Pack, live: list[int]) -> tuple[list[dict[int, int]], _Pack]:
+    """The generators repacked over the live variables, scaled to coprime integers."""
+    small = _pack_for(len(live))
+    fm = pk.fmask
+    moves = [(pk.shifts[v], small.shifts[k]) for k, v in enumerate(live)]
+    rows = []
+    for g in gens:
+        den = lcm(*(c.denominator for c in g.values()))
+        rows.append(_primitive({
+            sum(((a >> s) & fm) << t for s, t in moves) | ((a >> pk.degshift) << small.degshift):
+                c.numerator * (den // c.denominator)
+            for a, c in g.items()
+        }))
+    return rows, small
 
 
 def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
@@ -856,13 +964,17 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]
     """dim_Q of R/(<I> + m^{d+1}) for d = 0..degree_bound.
 
     First differences give the Hilbert function of the tangent cone at the
-    origin in degrees <= degree_bound.  Independent of the Groebner kernel:
-    one exact elimination of the Macaulay matrix whose rows are the
-    monomial multiples m*g of the generators truncated at degree D =
-    degree_bound, and whose columns are the monomials of degree <= D in
-    ascending degree.  With every pivot at its row's smallest column, the
-    pivots of degree <= d span (<I> + m^{d+1}) / m^{d+1}, so
-    dim R/(<I> + m^{d+1}) = C(n+d, n) - #pivots of degree <= d.
+    origin in degrees <= degree_bound.  Independent of the Groebner kernel.
+    First every variable some generator is linear in is solved for and
+    substituted away, as a power series truncated at degree D =
+    degree_bound (_eliminate_linear_variables); that leaves
+    n' = n - rank(linear parts) variables and the same quotient dimensions.
+    Then one exact elimination of the Macaulay matrix whose rows are the
+    monomial multiples m*g of the remaining generators truncated at degree
+    D, and whose columns are the monomials of degree <= D in the n'
+    variables, in ascending degree.  With every pivot at its row's smallest
+    column, the pivots of degree <= d span (<I> + m^{d+1}) / m^{d+1}, so
+    dim R/(<I> + m^{d+1}) = C(n'+d, n') - #pivots of degree <= d.
     """
     mkey = (I.key(), degree_bound)
     with _ORACLE_LOCK:
@@ -872,12 +984,22 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]
     for g in I.generators:
         if g.constant_term() != 0:
             raise ValueError("generator with nonzero constant term at the origin")
-    n = I.ctx.nvars
-    pk = _pack_for(n)
+    pk = _pack_for(I.ctx.nvars)
+    gens = []
+    for g in I.generators:
+        terms = {
+            pk.encode(m): c.numerator if c.denominator == 1 else c
+            for m, c in g.terms.items()
+            if m.degree <= degree_bound
+        }
+        if terms:
+            gens.append(terms)
+    kept = _eliminate_linear_variables(gens, pk, degree_bound)
+    rows, pk = _integer_rows(gens, pk, kept)
+    n = len(kept)
     degshift = pk.degshift
     cols = _monomials_upto(n, degree_bound)
     limit = (degree_bound + 1) << degshift  # packed monomials of degree <= D lie below
-    rows = [_integer_row(g, pk) for g in I.generators]
     # a monomial generator is a single-entry pivot on every column it divides:
     # those dead columns count as pivots and never enter a row
     dead: set[int] = set()

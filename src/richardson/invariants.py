@@ -8,9 +8,14 @@ local ring over (1-q)^dim.  Everything is exact.  Whenever oracle checking
 is on (the default), the tangent-cone Hilbert function up to the oracle
 degree is cross-checked against groebner.local_hilbert_oracle, an
 elimination of the truncated Macaulay matrix that does not use the
-Buchberger kernel, and every such check bumps ORACLE_CHECKS.  Fixed-point
-records are memoized per oracle degree, so a record checked at one degree
-is never served to a run at another.
+Buchberger kernel, and every such check bumps ORACLE_CHECKS.
+
+A record at a torus-fixed point is computed at the origin of the point's
+chart, where localize has nothing to translate.  Its dimension and
+tangent dimension are then checked against Bruhat order, l(w) - l(v) and
+#{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
+mismatch raises.  Fixed-point records are memoized per oracle degree, so
+a record checked at one degree is never served to a run at another.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from .poly import Polynomial
 ORACLE_DEGREE_DEFAULT = 6
 
 ORACLE_CHECKS = 0
-_ORACLE_COUNTER_LOCK = threading.Lock()
+TANGENT_CHECKS = 0
+_COUNTER_LOCK = threading.Lock()
 
 
 class NotOnVariety(ValueError):
@@ -78,7 +84,15 @@ class LocalInvariants:
 
 
 def localize(I: IdealGens, p) -> IdealGens:
-    """Translate the generators so that p becomes the origin."""
+    """Translate the generators so that p becomes the origin.
+
+    At the origin itself (every fixed-point record) there is nothing to
+    translate: I comes back unchanged once no generator has a constant term.
+    """
+    if all(p.get(nm) == 0 for nm in I.ctx.names):
+        if any(g.constant_term() != 0 for g in I.generators):
+            raise ValueError("point is not on the variety")
+        return I
     for g in I.generators:
         if g.evaluate(p) != 0:
             raise ValueError("point is not on the variety")
@@ -145,7 +159,7 @@ def _concordance_check(I0: IdealGens, hd, oracle_degree: int) -> None:
             f"tangent-cone Hilbert function {hf} disagrees with the "
             f"truncation oracle differences {diffs}"
         )
-    with _ORACLE_COUNTER_LOCK:
+    with _COUNTER_LOCK:
         ORACLE_CHECKS += 1
 
 
@@ -157,19 +171,50 @@ _FIXED_MEMO: dict = {}
 _FIXED_LOCK = threading.Lock()
 
 
-def _fixed_point_invariants(kind: str, key, builder, oracle_check: bool) -> LocalInvariants:
+def _fixed_point_invariants(kind: str, v, w, sigma, builder, oracle_check: bool) -> LocalInvariants:
+    """The record of X_w^v at sigma in the chart ideal builder() gives, memoized.
+
+    A Schubert record is the case v = id, an opposite record w = w0.
+    """
     # a record is only as checked as the oracle degree it was checked at
     degree = ORACLE_DEGREE_DEFAULT if oracle_check else None
-    mkey = (kind, key, degree)
+    mkey = (kind, v.window, w.window, sigma.window, degree)
     with _FIXED_LOCK:
         hit = _FIXED_MEMO.get(mkey)
     if hit is not None:
         return hit
     ideal = builder()
     inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names}, oracle_check, degree)
+    _bruhat_check(inv, v, w, sigma)
     with _FIXED_LOCK:
         inv = _FIXED_MEMO.setdefault(mkey, inv)
     return inv
+
+
+def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: Permutation) -> None:
+    """Dimension and tangent dimension of X_w^v at sigma must match Bruhat order.
+
+    The T-weights on T_sigma(G/B) are distinct, and T_sigma X_w^v is spanned
+    by those of the transpositions t with v <= t sigma <= w
+    (Lakshmibai-Seshadri), so its dimension is #{t : v <= t sigma <= w};
+    the variety has dimension l(w) - l(v).  Neither count uses the Groebner
+    kernel.
+    """
+    global TANGENT_CHECKS
+    n = sigma.n
+    tangent = 0
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            ts = sigma.swap_values(a, b)
+            tangent += bruhat_leq(v, ts) and bruhat_leq(ts, w)
+    expected = (w.length() - v.length(), tangent)
+    if (inv.dimension, inv.tangent_dim) != expected:
+        raise RuntimeError(
+            f"record of X_{w}^{v} at {sigma} has (dimension, tangent_dim) "
+            f"{(inv.dimension, inv.tangent_dim)}; Bruhat order gives {expected}"
+        )
+    with _COUNTER_LOCK:
+        TANGENT_CHECKS += 1
 
 
 def schubert_invariants(w: Permutation, sigma: Permutation, oracle_check: bool = True) -> LocalInvariants:
@@ -178,7 +223,9 @@ def schubert_invariants(w: Permutation, sigma: Permutation, oracle_check: bool =
         raise NotOnVariety("the fixed point is not on the Schubert variety")
     return _fixed_point_invariants(
         "schubert",
-        (w.window, sigma.window),
+        Permutation.identity(w.n),
+        w,
+        sigma,
         lambda: schubert_ideal_in_chart(w, sigma),
         oracle_check,
     )
@@ -190,7 +237,9 @@ def opposite_invariants(v: Permutation, tau: Permutation, oracle_check: bool = T
         raise NotOnVariety("the fixed point is not on the opposite Schubert variety")
     return _fixed_point_invariants(
         "opposite",
-        (v.window, tau.window),
+        v,
+        Permutation.longest(v.n),
+        tau,
         lambda: opposite_ideal_in_chart(v, tau),
         oracle_check,
     )
@@ -204,7 +253,9 @@ def richardson_invariants(
         raise NotOnVariety("the fixed point is not on the Richardson variety")
     return _fixed_point_invariants(
         "richardson",
-        (v.window, w.window, sigma.window),
+        v,
+        w,
+        sigma,
         lambda: richardson_ideal_in_chart(v, w, sigma),
         oracle_check,
     )

@@ -144,6 +144,38 @@ def test_timeout_records_finding_not_failure():
     assert payload["failures"] == [{"kind": "all-cases-timed-out", "timeouts": 2}]
 
 
+def test_run_with_nothing_to_check_does_not_pass():
+    # every case of points on S1 has no stratum to sample: nothing is checked
+    status, out = capture(["verify", "points", "--n", "1"])
+    assert status == 3
+    payload = json.loads(out)
+    assert payload["cases"] == 0 and payload["ok"] is False
+    assert payload["failures"] == [{"kind": "no-cases-checked"}]
+    assert payload["findings"] and {f["kind"] for f in payload["findings"]} == {"no-strata"}
+
+
+def test_off_by_one_tangent_space_is_caught(monkeypatch):
+    # the error shifts the Richardson record and both factor records alike,
+    # so the product law alone still holds; the Bruhat-order check does not
+    import richardson.invariants as rinv
+
+    corank = rinv._jacobian_corank
+    monkeypatch.setattr(rinv, "_jacobian_corank", lambda gb, n: corank(gb, n) + 1)
+    monkeypatch.setattr(rinv, "_FIXED_MEMO", {})
+    with pytest.raises(RuntimeError, match="Bruhat order"):
+        capture(["verify", "singlocus", "--n", "3", "--exhaustive"])
+
+
+def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
+    import runpy
+
+    monkeypatch.setattr("sys.argv", ["richardson", "klpoly", "--v", "1324", "--w", "3412"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("richardson", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == [1, 1]
+
+
 def test_one_timed_out_case_of_two_still_passes(monkeypatch):
     from richardson import cli
 

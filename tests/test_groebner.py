@@ -256,20 +256,64 @@ def _random_local_ideal(ctx, rng, npolys, nmonos):
     return IdealGens(ctx, gens)
 
 
+def _random_linear_ideal(ctx, rng, npolys):
+    """Generators with random, often fractional, linear parts over higher terms
+    that reuse the same variables."""
+    gens = []
+    for _ in range(npolys):
+        g = random_poly(ctx, rng, max_terms=3, max_deg=2)
+        g = g - ctx.const(g.constant_term())
+        for x in ctx.gens():
+            if rng.random() < 0.4:
+                g = g + Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) * x
+        gens.append(g)
+    return IdealGens(ctx, gens)
+
+
 def test_oracle_matches_dense_macaulay_ranks():
     # shapes: polynomial only, monomials mixed in, all monomial, empty
     rng = random.Random(43)
     shapes = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (0, 1), (0, 2), (0, 3), (0, 0)]
-    fractional = 0
+    ideals = []
     for trial in range(40):
         npolys, nmonos = shapes[trial % len(shapes)]
         ctx = CTX if trial % 3 == 0 else CTX3
         D = trial % 5 if ctx is CTX3 else 6 - trial % 7
-        I = _random_local_ideal(ctx, rng, npolys, nmonos)
+        ideals.append((_random_local_ideal(ctx, rng, npolys, nmonos), D))
+    # linear parts, which the oracle eliminates before building its matrix
+    ctx4 = Context(("x", "y", "z", "w"))
+    for trial in range(40):
+        ctx = CTX3 if trial % 2 else ctx4
+        D = trial % 6 if ctx is CTX3 else trial % 4
+        ideals.append((_random_linear_ideal(ctx, rng, 1 + trial % 3), D))
+    x, y, z = CTX3.gens()
+    half = Fraction(1, 2)
+    for gens, D in [
+        ([x - x * y - x * x, y ** 3 - x * z], 5),  # x also occurs in the higher terms
+        ([x - x ** 3 + y * y], 6),
+        ([x + x * x * z - y * z, z - x * y - z * z], 5),
+        ([Fraction(2, 3) * x + y * y, half * y - x * z + z ** 3], 5),  # fractional
+        ([Fraction(-3, 2) * x + half * x * x - y ** 3], 6),
+        ([x - y + z * z, y - z * x * x, x * x + z ** 3], 5),  # chains of eliminations
+        ([x - y - y * y, x + z ** 3], 6),
+        ([x - y, x - z * z, y * z], 4),
+        # the solved series must be exact: these cancel up to degree 5
+        ([2 * x - y * y, x - half * y * y + z ** 3], 5),
+        ([x - y * y - x * y, x * x - y ** 4 - 2 * y ** 5], 6),
+        # x = y + y^2 + ... needs all D rounds before it cancels the second
+        ([x - y - x * y, x - sum(y ** k for k in range(1, 7)) + x * x * z ** 4 - y * y * z ** 4], 6),
+        ([x - y * z, y + x * x], 0),  # D = 0
+        ([x + y], 0),
+        ([x + y * y, y * z], 1),
+    ]:
+        ideals.append((IdealGens(CTX3, gens), D))
+    fractional = linear = 0
+    for I, D in ideals:
         fractional += any(c.denominator != 1 for g in I.generators for c in g.terms.values())
-        expected = truncated_quotient_dims(I.generators, ctx.nvars, D)
-        assert local_hilbert_oracle(I, D) == tuple(expected), f"trial {trial}: {I.generators}"
-    assert fractional >= 10
+        linear += any(g.linear_coefficient(i) for g in I.generators for i in range(I.ctx.nvars))
+        expected = truncated_quotient_dims(I.generators, I.ctx.nvars, D)
+        assert local_hilbert_oracle(I, D) == tuple(expected), f"D = {D}: {I.generators}"
+    assert fractional >= 30 and linear >= 40
 
 
 def test_oracle_never_reaches_the_groebner_kernel(monkeypatch):

@@ -33,6 +33,13 @@ def test_localize():
     assert localize(K, {"x": 0, "y": 0}).generators == K.generators
     with pytest.raises(ValueError):
         localize(I, {"x": 0, "y": 0})
+    # at the origin the ideal comes back as it is, after the constant-term check
+    origin = {"x": 0, "y": 0}
+    L = IdealGens(CTX, [Y - X * X, X * Y + Fraction(1, 2) * Y ** 3])
+    assert localize(L, origin) is L
+    for gens in ([X * Y + 3], [X, Y - Fraction(1, 2)]):
+        with pytest.raises(ValueError):
+            localize(IdealGens(CTX, gens), origin)
 
 
 def test_tangent_dim():
@@ -193,6 +200,33 @@ def test_fixed_point_memo_is_keyed_on_the_oracle_degree(monkeypatch):
     assert rinv.ORACLE_CHECKS == before + 1
     assert richardson_invariants(v, w, sigma) == first
     assert rinv.ORACLE_CHECKS == before + 1
+
+
+def test_fixed_point_records_are_checked_against_bruhat_order(monkeypatch):
+    import richardson.invariants as rinv
+
+    v, w, sigma = Permutation([1, 3, 2, 4]), Permutation([4, 2, 3, 1]), Permutation([2, 4, 1, 3])
+    monkeypatch.setattr(rinv, "_FIXED_MEMO", {})
+    before = rinv.TANGENT_CHECKS
+    oracle_before = rinv.ORACLE_CHECKS
+    richardson_invariants(v, w, sigma)
+    schubert_invariants(w, sigma, oracle_check=False)
+    opposite_invariants(v, sigma)
+    richardson_invariants(v, w, sigma)  # a memo hit is not checked again
+    assert rinv.TANGENT_CHECKS == before + 3
+    assert rinv.ORACLE_CHECKS == oracle_before + 2
+
+    # a tangent space one too large is caught at every kind of record
+    corank = rinv._jacobian_corank
+    monkeypatch.setattr(rinv, "_jacobian_corank", lambda gb, n: corank(gb, n) + 1)
+    monkeypatch.setattr(rinv, "_FIXED_MEMO", {})
+    for record in (
+        lambda: richardson_invariants(v, w, sigma),
+        lambda: schubert_invariants(w, sigma),
+        lambda: opposite_invariants(v, sigma, oracle_check=False),
+    ):
+        with pytest.raises(RuntimeError, match="Bruhat order"):
+            record()
 
 
 def test_parabolic_trivial_cases():
