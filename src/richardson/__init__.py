@@ -9,6 +9,7 @@ chart into a product of cells and a harness that machine-checks the
 resulting product laws for those invariants on desk-scale ranges.
 """
 
+from .memo import clear_memos
 from .poly import (
     Context,
     DEGLEX,
@@ -84,6 +85,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "clear_memos",
     "Context", "Monomial", "MonomialOrder", "Polynomial",
     "LEX", "DEGLEX", "DEGREVLEX",
     "IdealGens", "GroebnerBasis", "HilbertData",

@@ -24,11 +24,11 @@ row reversal.
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
 from itertools import combinations
 
 from .groebner import IdealGens
+from .memo import memoized
 from .permutations import (
     Permutation,
     bruhat_leq,
@@ -38,22 +38,22 @@ from .permutations import (
 from .poly import Context, Polynomial
 
 
-def _var_name(i: int, j: int) -> str:
+def _var_name(i: int, j: int, prefix: str = "z") -> str:
     if i <= 9 and j <= 9:
-        return f"z{i}{j}"
-    return f"z{i}_{j}"
+        return f"{prefix}{i}{j}"
+    return f"{prefix}{i}_{j}"
 
 
-def _latex_name(i: int, j: int) -> str:
+def _latex_name(i: int, j: int, prefix: str = "z") -> str:
     if i <= 9 and j <= 9:
-        return f"z_{{{i}{j}}}"
-    return f"z_{{{i},{j}}}"
+        return f"{prefix}_{{{i}{j}}}"
+    return f"{prefix}_{{{i},{j}}}"
 
 
 class Chart:
     """The affine chart of the flag variety attached to u."""
 
-    __slots__ = ("u", "free_positions", "d_up", "d_down", "ctx", "_position_index")
+    __slots__ = ("u", "free_positions", "d_up", "d_down", "ctx")
 
     def __init__(self, u: Permutation):
         n = u.n
@@ -72,7 +72,6 @@ class Chart:
             tuple(_var_name(i, j) for (i, j) in free),
             tuple(_latex_name(i, j) for (i, j) in free),
         )
-        self._position_index = {pos: k for k, pos in enumerate(free)}
 
     @property
     def n(self) -> int:
@@ -88,17 +87,9 @@ class Chart:
         return {nm: Fraction(0) for nm in self.ctx.names}
 
 
-_CHART_MEMO: dict = {}
-_CHART_LOCK = threading.Lock()
-
-
+@memoized(lambda u: u.window)
 def chart(u: Permutation) -> Chart:
-    with _CHART_LOCK:
-        hit = _CHART_MEMO.get(u.window)
-        if hit is None:
-            hit = Chart(u)
-            _CHART_MEMO[u.window] = hit
-        return hit
+    return Chart(u)
 
 
 class ChartMatrix:
@@ -114,15 +105,6 @@ class ChartMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.rows[i - 1][j - 1]
-
-    def support(self) -> set[tuple[int, int]]:
-        n = self.chart.n
-        return {
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if not self.rows[i - 1][j - 1].is_zero()
-        }
 
     def minor(self, row_idx: tuple[int, ...], col_idx: tuple[int, ...]) -> Polynomial:
         """Determinant of the square submatrix, memoized across conditions."""

@@ -35,13 +35,13 @@ import signal
 import sys
 from typing import Callable
 
-from . import invariants
 from .charts import generic_matrix
 from .groebner import _FIELD_MAX
-from .invariants import NotOnVariety, parabolic_invariants, richardson_invariants
+from .invariants import ORACLE_DEGREE, NotOnVariety, parabolic_invariants, richardson_invariants
 from .permutations import Permutation, bruhat_leq, is_covexillary, kl_polynomial
 from .sweep import sweep_images
 from .verify import (
+    LAWS,
     SMOOTH_TABLE_MAX_N,
     VerificationReport,
     product_iso_report,
@@ -65,7 +65,7 @@ class RunConfig:
     w: str | None = None
     sigma: str | None = None
     parabolic: tuple[int, ...] = ()
-    degree_bound: int = 6
+    degree_bound: int = ORACLE_DEGREE
     trials: int = 5
     seed: int = 0
     exhaustive: bool = False
@@ -95,7 +95,7 @@ def _parser() -> argparse.ArgumentParser:
     inv.add_argument("--w", required=True)
     inv.add_argument("--sigma", required=True)
     inv.add_argument("--parabolic", default="", help="comma-separated simple reflections")
-    inv.add_argument("--degree-bound", type=int, default=6, dest="degree_bound",
+    inv.add_argument("--degree-bound", type=int, default=ORACLE_DEGREE, dest="degree_bound",
                      help="truncation oracle degree bound D")
     inv.add_argument("--format", default="json", choices=("json", "text", "csv"))
 
@@ -116,7 +116,7 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--exhaustive", action="store_true")
     group.add_argument("--samples", type=int)
     ver.add_argument("--trials", type=int, default=5, help="point trials per pair (points only)")
-    ver.add_argument("--degree-bound", type=int, default=6, dest="degree_bound",
+    ver.add_argument("--degree-bound", type=int, default=ORACLE_DEGREE, dest="degree_bound",
                      help="truncation oracle degree bound D")
     ver.add_argument("--timeout", type=float, default=300.0, help="seconds per case")
     ver.add_argument("--jobs", type=int, default=1)
@@ -239,25 +239,32 @@ CHECKS = {
     "product-iso": _Check(
         50, _iso_cases, lambda cfg, u, v, w: product_iso_report(_P(u), _P(v), _P(w))
     ),
-    "mult": _Check(20, _pair_cases, lambda cfg, v, w: verify_factorization(_P(v), _P(w), "mult")),
-    "hpoly": _Check(20, _pair_cases, lambda cfg, v, w: verify_factorization(_P(v), _P(w), "h")),
-    "singlocus": _Check(
-        20, _pair_cases, lambda cfg, v, w: verify_factorization(_P(v), _P(w), "smooth")
-    ),
+    **{  # mult, hpoly, singlocus: one product law each
+        spec.check: _Check(
+            20,
+            _pair_cases,
+            lambda cfg, v, w, law=law: verify_factorization(_P(v), _P(w), law, cfg.degree_bound),
+        )
+        for law, spec in LAWS.items()
+    },
     "points": _Check(
         20,
         _pair_cases,
-        lambda cfg, v, w: verify_theorem_at_points(_P(v), _P(w), trials=cfg.trials, seed=cfg.seed),
+        lambda cfg, v, w: verify_theorem_at_points(
+            _P(v), _P(w), trials=cfg.trials, seed=cfg.seed, oracle=cfg.degree_bound
+        ),
     ),
     "kl-vs-h": _Check(
         None,
         lambda cfg, k: [(str(w),) for w in Permutation.all(cfg.n) if is_covexillary(w)],
-        lambda cfg, w: verify_kl_vs_h(_P(w)),
+        lambda cfg, w: verify_kl_vs_h(_P(w), cfg.degree_bound),
     ),
     "smooth-table": _Check(
         None,
         lambda cfg, k: [("table", str(cfg.n))],
-        lambda cfg, _, n: schubert_smoothness_table(cfg.n, full_scan=cfg.n <= 4),
+        lambda cfg, _, n: schubert_smoothness_table(
+            cfg.n, full_scan=cfg.n <= 4, oracle=cfg.degree_bound
+        ),
     ),
     "dimension": _Check(20, _pair_cases, lambda cfg, v, w: verify_dimension_law(_P(v), _P(w))),
 }
@@ -369,9 +376,9 @@ def _run_invariants(cfg: RunConfig, out: io.TextIOBase) -> int:
     sigma = Permutation.from_string(cfg.sigma)
     try:
         if cfg.parabolic:
-            inv = parabolic_invariants(v, w, sigma, set(cfg.parabolic))
+            inv = parabolic_invariants(v, w, sigma, set(cfg.parabolic), cfg.degree_bound)
         else:
-            inv = richardson_invariants(v, w, sigma)
+            inv = richardson_invariants(v, w, sigma, cfg.degree_bound)
     except NotOnVariety as e:
         print(f"richardson: error: --sigma {sigma}: {e}", file=sys.stderr)
         return 2
@@ -413,13 +420,7 @@ def run(argv, out: io.TextIOBase | None = None) -> int:
     except UsageError as e:
         print(f"richardson: error: {e}", file=sys.stderr)
         return 2
-    # the oracle degree holds for this command only
-    previous = invariants.ORACLE_DEGREE_DEFAULT
-    invariants.ORACLE_DEGREE_DEFAULT = cfg.degree_bound
-    try:
-        return _COMMANDS[cfg.subcommand](cfg, out)
-    finally:
-        invariants.ORACLE_DEGREE_DEFAULT = previous
+    return _COMMANDS[cfg.subcommand](cfg, out)
 
 
 def main() -> None:

@@ -16,21 +16,21 @@ total degree in the top field) so that multiplication is integer addition
 and divisibility is one masked subtraction; the public types keep the
 sparse tuple form.
 
-Distinct computations may run concurrently: the basis memo behaves as a
-single atomic get-or-compute map.
+The basis, Hilbert and oracle memos are tables of richardson.memo:
+distinct computations may run concurrently, and every caller of one key
+gets the first result stored.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
+from .memo import memoized
 from .poly import (
     Context,
     DEGREVLEX,
@@ -69,7 +69,6 @@ class GroebnerBasis:
     basis: tuple[Polynomial, ...]
     order: MonomialOrder
     ctx: Context
-    reduced: bool = True
 
     def contains_one(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
@@ -260,15 +259,10 @@ class _Pack:
         return key
 
 
-_PACKS: dict[int, _Pack] = {}
-
-
+# the packs carry their support-mask caches, so clearing this table drops those too
+@memoized()
 def _pack_for(nvars: int) -> _Pack:
-    p = _PACKS.get(nvars)
-    if p is None:
-        p = _Pack(nvars)
-        _PACKS[nvars] = p
-    return p
+    return _Pack(nvars)
 
 
 def _to_raw(p: Polynomial, pk: _Pack) -> dict[int, Fraction]:
@@ -282,17 +276,6 @@ def _to_poly(raw: dict[int, Fraction], pk: _Pack, ctx: Context) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Buchberger completion
 # ---------------------------------------------------------------------------
-
-_GB_MEMO: dict = {}
-_GB_LOCK = threading.Lock()
-
-
-def clear_memos() -> None:
-    with _GB_LOCK:
-        _GB_MEMO.clear()
-    with _ORACLE_LOCK:
-        _ORACLE_MEMO.clear()
-
 
 def _spoly(lt1: int, tail1: dict, lt2: int, tail2: dict, lcm: int):
     """S-polynomial of two monic packed elements."""
@@ -522,27 +505,16 @@ def _completion_for(ideal: IdealGens, order) -> tuple[_Completion, _Pack]:
     return comp, pk
 
 
-def buchberger(ideal: IdealGens, order: MonomialOrder | None = None, memo: bool = True) -> GroebnerBasis:
+@memoized(lambda ideal, order=DEGREVLEX: (ideal.key(), order.tag))
+def buchberger(ideal: IdealGens, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis; deterministic for fixed input and order."""
-    order = order if order is not None else DEGREVLEX
     ctx = ideal.ctx
-    mkey = None
-    if memo:
-        mkey = (ideal.key(), order.tag)
-        with _GB_LOCK:
-            hit = _GB_MEMO.get(mkey)
-        if hit is not None:
-            return hit
     comp, pk = _completion_for(ideal, order)
     comp.run()
     basis = tuple(
         _to_poly({lt: Fraction(1), **tail}, pk, ctx) for lt, tail in comp.reduced_elements()
     )
-    gb = GroebnerBasis(basis=basis, order=order, ctx=ctx)
-    if memo:
-        with _GB_LOCK:
-            gb = _GB_MEMO.setdefault(mkey, gb)
-    return gb
+    return GroebnerBasis(basis=basis, order=order, ctx=ctx)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -565,7 +537,7 @@ def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
     return normal_form(f, gb).is_zero()
 
 
-def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder | None = None) -> bool:
+def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder = DEGREVLEX) -> bool:
     """Mutual membership of generators against both reduced bases."""
     if I.ctx != J.ctx:
         raise ValueError("context mismatch")
@@ -613,15 +585,9 @@ def krull_dimension(I: IdealGens) -> int:
     return 0
 
 
-_HILB_MEMO: dict = {}
-
-
+@memoized(lambda gens: tuple(sorted(m.exps for m in gens)))
 def _hilbert_numerator_monomial(gens: tuple[Monomial, ...]) -> tuple[int, ...]:
     """Numerator coefficients of Hilb(R/M) * (1-q)^n for a monomial ideal M."""
-    key = tuple(sorted(m.exps for m in gens))
-    hit = _HILB_MEMO.get(key)
-    if hit is not None:
-        return hit
     if not gens:
         out = (1,)
     elif all(len(m.exps) == 1 for m in gens):
@@ -653,7 +619,6 @@ def _hilbert_numerator_monomial(gens: tuple[Monomial, ...]) -> tuple[int, ...]:
         for i, c in enumerate(b):
             nxt[i + 1] += c
         out = tuple(nxt)
-    _HILB_MEMO[key] = out
     return out
 
 
@@ -792,11 +757,7 @@ def tangent_cone(I: IdealGens) -> IdealGens:
 # Local Hilbert-function oracle
 # ---------------------------------------------------------------------------
 
-_ORACLE_MEMO: dict = {}
-_ORACLE_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=None)
+@memoized(lambda nvars, degree_bound: (nvars, degree_bound))
 def _monomials_upto(nvars: int, degree_bound: int) -> tuple[int, ...]:
     """Packed monomials of degree <= degree_bound, ascending.
 
@@ -960,6 +921,7 @@ def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
     return False
 
 
+@memoized(lambda I, degree_bound=6: (I.key(), degree_bound))
 def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]:
     """dim_Q of R/(<I> + m^{d+1}) for d = 0..degree_bound.
 
@@ -976,11 +938,6 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]
     column, the pivots of degree <= d span (<I> + m^{d+1}) / m^{d+1}, so
     dim R/(<I> + m^{d+1}) = C(n'+d, n') - #pivots of degree <= d.
     """
-    mkey = (I.key(), degree_bound)
-    with _ORACLE_LOCK:
-        hit = _ORACLE_MEMO.get(mkey)
-    if hit is not None:
-        return hit
     for g in I.generators:
         if g.constant_term() != 0:
             raise ValueError("generator with nonzero constant term at the origin")
@@ -1037,7 +994,4 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]
     for d in range(degree_bound + 1):
         rank += per_degree[d]
         counts.append(comb(n + d, n) - rank)
-    out = tuple(counts)
-    with _ORACLE_LOCK:
-        out = _ORACLE_MEMO.setdefault(mkey, out)
-    return out
+    return tuple(counts)

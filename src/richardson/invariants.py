@@ -8,14 +8,17 @@ local ring over (1-q)^dim.  Everything is exact.  Whenever oracle checking
 is on (the default), the tangent-cone Hilbert function up to the oracle
 degree is cross-checked against groebner.local_hilbert_oracle, an
 elimination of the truncated Macaulay matrix that does not use the
-Buchberger kernel, and every such check bumps ORACLE_CHECKS.
+Buchberger kernel, and every such check bumps ORACLE_CHECKS.  The oracle
+degree is an explicit parameter, ORACLE_DEGREE by default, and None turns
+the check off.
 
 A record at a torus-fixed point is computed at the origin of the point's
 chart, where localize has nothing to translate.  Its dimension and
 tangent dimension are then checked against Bruhat order, l(w) - l(v) and
 #{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
-mismatch raises.  Fixed-point records are memoized per oracle degree, so
-a record checked at one degree is never served to a run at another.
+mismatch raises.  Fixed-point records are memoized (see memo) per oracle
+degree, so a record checked at one degree, or not checked at all, is never
+served to a call that asks for another.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .groebner import (
     tangent_cone,
     _q_coeffs,
 )
+from .memo import memoized
 from .permutations import (
     Permutation,
     bruhat_leq,
@@ -49,7 +53,8 @@ from .permutations import (
 )
 from .poly import Polynomial
 
-ORACLE_DEGREE_DEFAULT = 6
+# the degree up to which every record's tangent cone is checked by the oracle
+ORACLE_DEGREE = 6
 
 ORACLE_CHECKS = 0
 TANGENT_CHECKS = 0
@@ -110,15 +115,12 @@ def tangent_dim_at(I: IdealGens, p) -> int:
     return _jacobian_corank(buchberger(localize(I, p)), I.ctx.nvars)
 
 
-def local_invariants_at(
-    I: IdealGens,
-    p,
-    oracle_check: bool = True,
-    oracle_degree: int | None = None,
-) -> LocalInvariants:
-    """The full invariant record of V(I) at the point p of its chart."""
-    if oracle_degree is None:
-        oracle_degree = ORACLE_DEGREE_DEFAULT
+def local_invariants_at(I: IdealGens, p, oracle: int | None = ORACLE_DEGREE) -> LocalInvariants:
+    """The full invariant record of V(I) at the point p of its chart.
+
+    The tangent cone is checked by the oracle up to degree oracle; None
+    skips the check.
+    """
     I0 = localize(I, p)
     gb = buchberger(I0)
     if gb.contains_one():
@@ -137,8 +139,8 @@ def local_invariants_at(
     if mult <= 0:
         raise RuntimeError("nonpositive multiplicity; dimension bug")
     tangent = _jacobian_corank(gb, n)
-    if oracle_check:
-        _concordance_check(I0, hd, oracle_degree)
+    if oracle is not None:
+        _concordance_check(I0, hd, oracle)
     return LocalInvariants(
         dimension=dim,
         tangent_dim=tangent,
@@ -148,11 +150,11 @@ def local_invariants_at(
     )
 
 
-def _concordance_check(I0: IdealGens, hd, oracle_degree: int) -> None:
+def _concordance_check(I0: IdealGens, hd, degree: int) -> None:
     """First differences of the truncation oracle must match the cone."""
     global ORACLE_CHECKS
-    counts = local_hilbert_oracle(I0, oracle_degree)
-    hf = hd.series_prefix(oracle_degree)
+    counts = local_hilbert_oracle(I0, degree)
+    hf = hd.series_prefix(degree)
     diffs = [counts[0]] + [counts[d] - counts[d - 1] for d in range(1, len(counts))]
     if diffs != hf:
         raise RuntimeError(
@@ -167,27 +169,26 @@ def _concordance_check(I0: IdealGens, hd, oracle_degree: int) -> None:
 # Invariants at torus-fixed points, memoized
 # ---------------------------------------------------------------------------
 
-_FIXED_MEMO: dict = {}
-_FIXED_LOCK = threading.Lock()
+# the chart ideal of each kind of record at (v, w, sigma); the charts
+# functions are named through the module globals at call time, so a
+# rebound function is the one that runs
+_CHART_IDEALS = {
+    "schubert": lambda v, w, sigma: schubert_ideal_in_chart(w, sigma),
+    "opposite": lambda v, w, sigma: opposite_ideal_in_chart(v, sigma),
+    "richardson": lambda v, w, sigma: richardson_ideal_in_chart(v, w, sigma),
+}
 
 
-def _fixed_point_invariants(kind: str, v, w, sigma, builder, oracle_check: bool) -> LocalInvariants:
-    """The record of X_w^v at sigma in the chart ideal builder() gives, memoized.
+# a record is only as checked as the oracle degree it was checked at
+@memoized(lambda kind, v, w, sigma, oracle: (kind, v.window, w.window, sigma.window, oracle))
+def _fixed_point_invariants(kind: str, v, w, sigma, oracle: int | None) -> LocalInvariants:
+    """The record of X_w^v at sigma in the chart ideal of its kind, memoized.
 
     A Schubert record is the case v = id, an opposite record w = w0.
     """
-    # a record is only as checked as the oracle degree it was checked at
-    degree = ORACLE_DEGREE_DEFAULT if oracle_check else None
-    mkey = (kind, v.window, w.window, sigma.window, degree)
-    with _FIXED_LOCK:
-        hit = _FIXED_MEMO.get(mkey)
-    if hit is not None:
-        return hit
-    ideal = builder()
-    inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names}, oracle_check, degree)
+    ideal = _CHART_IDEALS[kind](v, w, sigma)
+    inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names}, oracle)
     _bruhat_check(inv, v, w, sigma)
-    with _FIXED_LOCK:
-        inv = _FIXED_MEMO.setdefault(mkey, inv)
     return inv
 
 
@@ -217,48 +218,31 @@ def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: P
         TANGENT_CHECKS += 1
 
 
-def schubert_invariants(w: Permutation, sigma: Permutation, oracle_check: bool = True) -> LocalInvariants:
+def schubert_invariants(
+    w: Permutation, sigma: Permutation, oracle: int | None = ORACLE_DEGREE
+) -> LocalInvariants:
     """Invariants of X_w at the fixed point sigma, in the chart of sigma."""
     if not bruhat_leq(sigma, w):
         raise NotOnVariety("the fixed point is not on the Schubert variety")
-    return _fixed_point_invariants(
-        "schubert",
-        Permutation.identity(w.n),
-        w,
-        sigma,
-        lambda: schubert_ideal_in_chart(w, sigma),
-        oracle_check,
-    )
+    return _fixed_point_invariants("schubert", Permutation.identity(w.n), w, sigma, oracle)
 
 
-def opposite_invariants(v: Permutation, tau: Permutation, oracle_check: bool = True) -> LocalInvariants:
+def opposite_invariants(
+    v: Permutation, tau: Permutation, oracle: int | None = ORACLE_DEGREE
+) -> LocalInvariants:
     """Invariants of the opposite Schubert variety X^v at the fixed point tau."""
     if not bruhat_leq(v, tau):
         raise NotOnVariety("the fixed point is not on the opposite Schubert variety")
-    return _fixed_point_invariants(
-        "opposite",
-        v,
-        Permutation.longest(v.n),
-        tau,
-        lambda: opposite_ideal_in_chart(v, tau),
-        oracle_check,
-    )
+    return _fixed_point_invariants("opposite", v, Permutation.longest(v.n), tau, oracle)
 
 
 def richardson_invariants(
-    v: Permutation, w: Permutation, sigma: Permutation, oracle_check: bool = True
+    v: Permutation, w: Permutation, sigma: Permutation, oracle: int | None = ORACLE_DEGREE
 ) -> LocalInvariants:
     """Invariants of X_w^v at the fixed point sigma."""
     if not (bruhat_leq(v, sigma) and bruhat_leq(sigma, w)):
         raise NotOnVariety("the fixed point is not on the Richardson variety")
-    return _fixed_point_invariants(
-        "richardson",
-        v,
-        w,
-        sigma,
-        lambda: richardson_ideal_in_chart(v, w, sigma),
-        oracle_check,
-    )
+    return _fixed_point_invariants("richardson", v, w, sigma, oracle)
 
 
 def richardson_invariants_at_point(
@@ -266,14 +250,14 @@ def richardson_invariants_at_point(
     w: Permutation,
     u: Permutation,
     point,
-    oracle_check: bool = True,
+    oracle: int | None = ORACLE_DEGREE,
 ) -> tuple[LocalInvariants, Permutation, Permutation]:
     """Invariants of X_w^v at a rational point of the chart of u, plus the
     (Schubert cell, opposite cell) pair of the point."""
     ideal = richardson_ideal_in_chart(v, w, u)
     point = {nm: Fraction(point.get(nm, 0)) for nm in ideal.ctx.names}
     sigma, tau = identify_cells(generic_matrix(u).evaluate(point))
-    inv = local_invariants_at(ideal, point, oracle_check)
+    inv = local_invariants_at(ideal, point, oracle)
     return inv, sigma, tau
 
 
@@ -282,7 +266,7 @@ def parabolic_invariants(
     w: Permutation,
     sigma: Permutation,
     J,
-    oracle_check: bool = True,
+    oracle: int | None = ORACLE_DEGREE,
 ) -> LocalInvariants:
     """Invariants of the Richardson variety in G/P at a fixed point.
 
@@ -304,7 +288,7 @@ def parabolic_invariants(
         raise NotOnVariety("the fixed point is not on the parabolic Richardson variety")
     reps.sort(key=lambda s: (s.length(), s.window))
     rep = reps[0]
-    up = richardson_invariants(v_min, w_max, rep, oracle_check)
+    up = richardson_invariants(v_min, w_max, rep, oracle)
     return LocalInvariants(
         dimension=up.dimension - fiber,
         tangent_dim=up.tangent_dim - fiber,

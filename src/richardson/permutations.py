@@ -16,9 +16,10 @@ the Schubert one: r'_v(i,j) = j - r_v(i+1,j), with row n+1 zero.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations, permutations as _itperms
+
+from .memo import memoized
 
 
 class Permutation:
@@ -144,28 +145,23 @@ def length(w: Permutation) -> int:
     return w.length()
 
 
-# window -> flat rank table; at most n! entries for each size n in use
-_RANK_TABLES: dict = {}
-
-
-def _rank_table(w: Permutation) -> tuple[int, ...]:
-    """schubert_rank(w) flattened row by row, computed once per window."""
-    table = _RANK_TABLES.get(w.window)
-    if table is None:
-        flat = []
-        for i in range(1, w.n + 1):
-            count = 0
-            for x in w.window:
-                count += x >= i
-                flat.append(count)
-        table = _RANK_TABLES.setdefault(w.window, tuple(flat))
-    return table
+# at most n! tables for each size n in use
+@memoized()
+def _rank_table(window: tuple[int, ...]) -> tuple[int, ...]:
+    """schubert_rank of the window flattened row by row, computed once per window."""
+    flat = []
+    for i in range(1, len(window) + 1):
+        count = 0
+        for x in window:
+            count += x >= i
+            flat.append(count)
+    return tuple(flat)
 
 
 def schubert_rank(w: Permutation) -> tuple[tuple[int, ...], ...]:
     """r_w(i,j) = #{k <= j : w(k) >= i} (lower-left justified ranks)."""
     n = w.n
-    flat = _rank_table(w)
+    flat = _rank_table(w.window)
     return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
@@ -176,7 +172,7 @@ def opposite_rank(v: Permutation) -> tuple[tuple[int, ...], ...]:
     r'_v(i,j) = j - r_v(i+1,j) with row n+1 zero.
     """
     n = v.n
-    flat = _rank_table(v) + (0,) * n
+    flat = _rank_table(v.window) + (0,) * n
     return tuple(
         tuple(j + 1 - flat[i * n + j] for j in range(n)) for i in range(1, n + 1)
     )
@@ -192,7 +188,7 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     """
     if v.n != w.n:
         raise ValueError("size mismatch")
-    return all(map(int.__le__, _rank_table(v), _rank_table(w)))
+    return all(map(int.__le__, _rank_table(v.window), _rank_table(w.window)))
 
 
 def lower_covers(z: Permutation) -> list[Permutation]:
@@ -392,16 +388,8 @@ def _poly_scale(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(c * x for x in a)
 
 
-_KL_MEMO: dict = {}
-_KL_LOCK = threading.Lock()
-
-
+@memoized(lambda v, w: (v.window, w.window))
 def _kl_coeffs(v: Permutation, w: Permutation) -> tuple[int, ...]:
-    key = (v.window, w.window)
-    with _KL_LOCK:
-        hit = _KL_MEMO.get(key)
-    if hit is not None:
-        return hit
     if not bruhat_leq(v, w):
         out = (0,)
     elif w.length() - v.length() <= 2:
@@ -431,8 +419,6 @@ def _kl_coeffs(v: Permutation, w: Permutation) -> tuple[int, ...]:
                 continue
             corr = _poly_scale(_poly_shift(_kl_coeffs(v, z), (lw - lz) // 2), -mu)
             out = _poly_add(out, corr)
-    with _KL_LOCK:
-        out = _KL_MEMO.setdefault(key, out)
     return out
 
 

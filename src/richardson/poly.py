@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .memo import memoized
+
 Coeff = Union[Fraction, int]
 
 
@@ -154,10 +156,6 @@ class Monomial:
                 a[v] = e
         return Monomial(tuple(sorted(a.items())))
 
-    def coprime(self, other: "Monomial") -> bool:
-        b = {v for v, _ in other.exps}
-        return all(v not in b for v, _ in self.exps)
-
     def dense(self, nvars: int) -> tuple[int, ...]:
         out = [0] * nvars
         for v, e in self.exps:
@@ -182,7 +180,7 @@ class MonomialOrder:
     significant; by default the context order is used.
     """
 
-    __slots__ = ("kind", "priority", "_memo")
+    __slots__ = ("kind", "priority")
 
     KINDS = ("lex", "deglex", "degrevlex")
 
@@ -191,7 +189,6 @@ class MonomialOrder:
             raise ValueError(f"unknown monomial order kind {kind!r}")
         self.kind = kind
         self.priority = tuple(priority) if priority is not None else None
-        self._memo: dict = {}
 
     @property
     def tag(self) -> str:
@@ -201,10 +198,7 @@ class MonomialOrder:
 
     def sort_key(self, ctx: Context):
         """Memoized monomial -> sortable key function (ascending = smaller)."""
-        cache = self._memo.get(ctx.names)
-        if cache is None:
-            cache = {}
-            self._memo[ctx.names] = cache
+        cache = _sort_keys(self.tag, ctx.names)
         n = ctx.nvars
         prio = self.priority if self.priority is not None else tuple(range(n))
         if sorted(prio) != list(range(n)):
@@ -229,6 +223,12 @@ class MonomialOrder:
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.tag!r})"
+
+
+@memoized(lambda tag, names: (tag, names))
+def _sort_keys(tag: str, names: tuple[str, ...]) -> dict:
+    """The monomial -> sort key cache that every order tagged tag shares on a context."""
+    return {}
 
 
 DEGREVLEX = MonomialOrder("degrevlex")

@@ -16,10 +16,10 @@ recovery, implemented symbolically in :func:`recover`.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
-from .charts import Chart, ChartMatrix, chart, generic_matrix
+from .charts import Chart, ChartMatrix, _latex_name, _var_name, chart, generic_matrix
+from .memo import memoized
 from .permutations import Permutation
 from .poly import Context, Polynomial
 
@@ -50,22 +50,13 @@ def _sweep_rows(rows, u: Permutation, upward: bool):
     return rows
 
 
-_SWEEP_MEMO: dict = {}
-_SWEEP_LOCK = threading.Lock()
-
-
+@memoized(lambda u: u.window)
 def sweep_images(u: Permutation) -> tuple[ChartMatrix, ChartMatrix]:
     """(eta1(x), eta2(x)) for the generic matrix x of the chart of u."""
-    with _SWEEP_LOCK:
-        hit = _SWEEP_MEMO.get(u.window)
-    if hit is not None:
-        return hit
     x = generic_matrix(u)
     up = ChartMatrix(x.chart, _sweep_rows(x.rows, u, upward=True))
     down = ChartMatrix(x.chart, _sweep_rows(x.rows, u, upward=False))
-    with _SWEEP_LOCK:
-        hit = _SWEEP_MEMO.setdefault(u.window, (up, down))
-    return hit
+    return up, down
 
 
 def eta1(x: ChartMatrix) -> ChartMatrix:
@@ -135,15 +126,11 @@ def claim_structure_check(u: Permutation) -> bool:
 def image_context(u: Permutation) -> Context:
     """Fresh variables for the swept entries: a_ij on D_up, b_ij on D_down."""
     ch = chart(u)
-    names = []
-    latex = []
-    for (i, j) in sorted(ch.d_up):
-        names.append(f"a{i}{j}" if max(i, j) <= 9 else f"a{i}_{j}")
-        latex.append(f"a_{{{i}{j}}}" if max(i, j) <= 9 else f"a_{{{i},{j}}}")
-    for (i, j) in sorted(ch.d_down):
-        names.append(f"b{i}{j}" if max(i, j) <= 9 else f"b{i}_{j}")
-        latex.append(f"b_{{{i}{j}}}" if max(i, j) <= 9 else f"b_{{{i},{j}}}")
-    return Context(tuple(names), tuple(latex))
+    cells = [("a", p) for p in sorted(ch.d_up)] + [("b", p) for p in sorted(ch.d_down)]
+    return Context(
+        tuple(_var_name(i, j, prefix) for prefix, (i, j) in cells),
+        tuple(_latex_name(i, j, prefix) for prefix, (i, j) in cells),
+    )
 
 
 def recover(u: Permutation) -> dict[tuple[int, int], Polynomial]:
@@ -157,11 +144,6 @@ def recover(u: Permutation) -> dict[tuple[int, int], Polynomial]:
     ch = chart(u)
     up, down = sweep_images(u)
     img = image_context(u)
-
-    def img_var(prefix: str, i: int, j: int) -> Polynomial:
-        nm = f"{prefix}{i}{j}" if max(i, j) <= 9 else f"{prefix}{i}_{j}"
-        return img.var(nm)
-
     known: dict[str, Polynomial] = {}
     out: dict[tuple[int, int], Polynomial] = {}
     n = u.n
@@ -170,12 +152,12 @@ def recover(u: Permutation) -> dict[tuple[int, int], Polynomial]:
         col_up = sorted((i for (i, jj) in ch.d_up if jj == j), reverse=True)
         for i in col_down:
             f = down.entry(i, j) - ch.var(i, j)
-            expr = img_var("b", i, j) - _express(f, ch, known)
+            expr = img.var(_var_name(i, j, "b")) - _express(f, ch, known)
             known[ch.var_name(i, j)] = expr
             out[(i, j)] = expr
         for i in col_up:
             f = up.entry(i, j) - ch.var(i, j)
-            expr = img_var("a", i, j) - _express(f, ch, known)
+            expr = img.var(_var_name(i, j, "a")) - _express(f, ch, known)
             known[ch.var_name(i, j)] = expr
             out[(i, j)] = expr
     return out
@@ -199,13 +181,8 @@ def recovery_round_trip(u: Permutation) -> bool:
     ch = chart(u)
     up, down = sweep_images(u)
     rec = recover(u)
-    images = {}
-    for (i, j) in sorted(ch.d_up):
-        nm = f"a{i}{j}" if max(i, j) <= 9 else f"a{i}_{j}"
-        images[nm] = up.entry(i, j)
-    for (i, j) in sorted(ch.d_down):
-        nm = f"b{i}{j}" if max(i, j) <= 9 else f"b{i}_{j}"
-        images[nm] = down.entry(i, j)
+    images = {_var_name(i, j, "a"): up.entry(i, j) for (i, j) in ch.d_up}
+    images |= {_var_name(i, j, "b"): down.entry(i, j) for (i, j) in ch.d_down}
     for (i, j), expr in rec.items():
         back = expr.substitute({nm: images[nm] for nm in (expr.ctx.names[k] for k in expr.variables())})
         if back != ch.var(i, j):

@@ -37,6 +37,7 @@ from .charts import (
 )
 from .groebner import IdealGens, _q_coeffs, buchberger, in_ideal, krull_dimension
 from .invariants import (
+    ORACLE_DEGREE,
     LocalInvariants,
     local_invariants_at,
     richardson_invariants,
@@ -181,8 +182,13 @@ LAWS = {
 }
 
 
-def verify_factorization(v: Permutation, w: Permutation, law: str) -> VerificationReport:
-    """LAWS[law] for X_w^v = X_w meet X^v at every fixed point sigma in [v, w]."""
+def verify_factorization(
+    v: Permutation, w: Permutation, law: str, oracle: int | None = ORACLE_DEGREE
+) -> VerificationReport:
+    """LAWS[law] for X_w^v = X_w meet X^v at every fixed point sigma in [v, w].
+
+    Every record is checked by the oracle up to degree oracle (None: not at all).
+    """
     start = time.monotonic()
     spec = LAWS[law]
     report = VerificationReport(check=spec.check, params={"n": v.n, "v": str(v), "w": str(w)})
@@ -192,9 +198,9 @@ def verify_factorization(v: Permutation, w: Permutation, law: str) -> Verificati
         rich, schub, opp = (
             spec.read(record)
             for record in (
-                richardson_invariants(v, w, sigma),
-                schubert_invariants(w, sigma),
-                opposite_invariants(v, sigma),
+                richardson_invariants(v, w, sigma, oracle),
+                schubert_invariants(w, sigma, oracle),
+                opposite_invariants(v, sigma, oracle),
             )
         )
         if rich != spec.combine(schub, opp):
@@ -232,6 +238,7 @@ def verify_theorem_at_points(
     trials: int = 10,
     seed: int = 0,
     properties: tuple[str, ...] = tuple(LAWS),
+    oracle: int | None = ORACLE_DEGREE,
 ) -> VerificationReport:
     """The laws named in properties at sampled points that are not fixed.
 
@@ -281,13 +288,11 @@ def verify_theorem_at_points(
         point = {
             ch.var_name(i, j): point_matrix[i - 1][j - 1] for (i, j) in ch.free_positions
         }
-        rich_p = local_invariants_at(
-            richardson_ideal_in_chart(v, w, sigma), point
-        )
-        schub_fix = schubert_invariants(w, sigma)
-        opp_fix = opposite_invariants(v, tau)
-        schub_p = local_invariants_at(schubert_ideal_in_chart(w, sigma), point)
-        opp_p = local_invariants_at(opposite_ideal_in_chart(v, sigma), point)
+        rich_p = local_invariants_at(richardson_ideal_in_chart(v, w, sigma), point, oracle)
+        schub_fix = schubert_invariants(w, sigma, oracle)
+        opp_fix = opposite_invariants(v, tau, oracle)
+        schub_p = local_invariants_at(schubert_ideal_in_chart(w, sigma), point, oracle)
+        opp_p = local_invariants_at(opposite_ideal_in_chart(v, sigma), point, oracle)
         case = {
             "v": str(v),
             "w": str(w),
@@ -319,7 +324,7 @@ def verify_theorem_at_points(
 # ---------------------------------------------------------------------------
 
 
-def verify_kl_vs_h(w: Permutation) -> VerificationReport:
+def verify_kl_vs_h(w: Permutation, oracle: int | None = ORACLE_DEGREE) -> VerificationReport:
     """Coefficientwise P_{v,w} <= H at vB in X_w, for covexillary w."""
     if not is_covexillary(w):
         raise ValueError("the comparison is only asserted for 3412-avoiding w")
@@ -328,7 +333,7 @@ def verify_kl_vs_h(w: Permutation) -> VerificationReport:
     for v in bruhat_interval(Permutation.identity(w.n), w):
         report.cases += 1
         kl = kl_polynomial(v, w)
-        h = schubert_invariants(w, v).h_coefficients()
+        h = schubert_invariants(w, v, oracle).h_coefficients()
         for d, c in enumerate(kl.coefficients):
             hc = h[d] if d < len(h) else 0
             if c > hc:
@@ -359,7 +364,9 @@ def pattern_smooth(w: Permutation) -> bool:
 SMOOTH_TABLE_MAX_N = 5
 
 
-def schubert_smoothness_table(n: int, full_scan: bool = True) -> VerificationReport:
+def schubert_smoothness_table(
+    n: int, full_scan: bool = True, oracle: int | None = ORACLE_DEGREE
+) -> VerificationReport:
     """Compare computed global smoothness of X_w with pattern avoidance.
 
     full_scan checks every fixed point sigma <= w.  Without it only the
@@ -378,11 +385,11 @@ def schubert_smoothness_table(n: int, full_scan: bool = True) -> VerificationRep
         report.cases += 1
         if full_scan:
             computed = all(
-                schubert_invariants(w, sigma).smooth
+                schubert_invariants(w, sigma, oracle).smooth
                 for sigma in bruhat_interval(ident, w)
             )
         else:
-            computed = schubert_invariants(w, ident).smooth
+            computed = schubert_invariants(w, ident, oracle).smooth
         expected = pattern_smooth(w)
         if computed != expected:
             report.failures.append(

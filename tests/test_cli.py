@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from richardson import clear_memos
 from richardson.cli import RunConfig, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -128,14 +129,10 @@ def test_verify_text_format():
 
 def test_timeout_records_finding_not_failure():
     # each timed-out case is a finding; a run that checked nothing because
-    # every case timed out also fails, with its own exit status
-    import richardson.groebner as gr
-    import richardson.invariants as rinv
-
-    gr.clear_memos()
-    with rinv._FIXED_LOCK:
-        rinv._FIXED_MEMO.clear()
-    argv = ["verify", "mult", "--n", "4", "--samples", "2", "--seed", "0", "--timeout", "0.005"]
+    # every case timed out also fails, with its own exit status; the budget
+    # lies well below the ~3 ms the cheapest case takes with cold memos
+    clear_memos()
+    argv = ["verify", "mult", "--n", "4", "--samples", "2", "--seed", "0", "--timeout", "0.0005"]
     status, out = capture(argv)
     assert status == 3
     payload = json.loads(out)
@@ -161,7 +158,7 @@ def test_off_by_one_tangent_space_is_caught(monkeypatch):
 
     corank = rinv._jacobian_corank
     monkeypatch.setattr(rinv, "_jacobian_corank", lambda gb, n: corank(gb, n) + 1)
-    monkeypatch.setattr(rinv, "_FIXED_MEMO", {})
+    clear_memos()  # a record that fails its check is never stored
     with pytest.raises(RuntimeError, match="Bruhat order"):
         capture(["verify", "singlocus", "--n", "3", "--exhaustive"])
 
@@ -195,14 +192,29 @@ def test_one_timed_out_case_of_two_still_passes(monkeypatch):
     assert [f["kind"] for f in payload["findings"]] == ["timeout"]
 
 
-def test_oracle_degree_restored_after_run():
+@pytest.mark.parametrize("argv", [
+    "invariants --v 1234 --w 3412 --sigma 1234",
+    "invariants --v 1234 --w 2413 --sigma 1234 --parabolic 1,3",
+    "verify mult --n 3",
+    "verify points --n 3",
+    "verify kl-vs-h --n 3",
+    "verify smooth-table --n 3",
+])
+def test_degree_bound_reaches_every_oracle_call(argv, monkeypatch):
     import richardson.invariants as rinv
 
-    before = rinv.ORACLE_DEGREE_DEFAULT
-    argv = ["invariants", "--v", "1234", "--w", "3412", "--sigma", "1234", "--degree-bound", "2"]
-    status, _ = capture(argv)
+    real = rinv.local_hilbert_oracle
+    degrees = []
+
+    def recording(I, degree_bound=6):
+        degrees.append(degree_bound)
+        return real(I, degree_bound)
+
+    monkeypatch.setattr(rinv, "local_hilbert_oracle", recording)
+    clear_memos()
+    status, _ = capture(argv.split() + ["--degree-bound", "2"])
     assert status == 0
-    assert rinv.ORACLE_DEGREE_DEFAULT == before
+    assert degrees and set(degrees) == {2}
 
 
 def test_verify_reports_match_golden():

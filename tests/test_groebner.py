@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import hilbert_function_by_counting, naive_buchberger, truncated_quotient_dims
+from richardson import clear_memos
+from richardson.charts import chart
 from richardson.groebner import (
     Q_CONTEXT,
     HilbertData,
@@ -20,7 +22,10 @@ from richardson.groebner import (
     normal_form,
     tangent_cone,
 )
+from richardson.invariants import richardson_invariants
+from richardson.permutations import Permutation
 from richardson.poly import Context, DEGREVLEX, LEX, Monomial, Polynomial
+from richardson.sweep import sweep_images
 
 CTX = Context(("x", "y"))
 X, Y = CTX.var("x"), CTX.var("y")
@@ -58,6 +63,7 @@ def test_derived_example_matches_oracle():
 
 
 def test_engine_agrees_with_oracle_randomized():
+    clear_memos()  # every basis below is computed afresh
     rng = random.Random(7)
     for trial in range(25):
         gens = [random_poly(CTX3, rng) for _ in range(rng.randint(1, 3))]
@@ -65,16 +71,17 @@ def test_engine_agrees_with_oracle_randomized():
         if not gens:
             continue
         expected = naive_buchberger(gens, DEGREVLEX)
-        got = buchberger(IdealGens(CTX3, gens), memo=False)
+        got = buchberger(IdealGens(CTX3, gens))
         assert [str(g) for g in got.basis] == [str(g) for g in expected], f"trial {trial}"
 
 
 def test_every_spair_of_every_basis_reduces_to_zero():
+    clear_memos()  # every basis below is computed afresh
     rng = random.Random(19)
     keyf = DEGREVLEX.sort_key(CTX3)
     for _ in range(15):
         gens = [random_poly(CTX3, rng) for _ in range(rng.randint(1, 3))]
-        gb = buchberger(IdealGens(CTX3, gens), memo=False)
+        gb = buchberger(IdealGens(CTX3, gens))
         basis = list(gb.basis)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
@@ -324,7 +331,7 @@ def test_oracle_never_reaches_the_groebner_kernel(monkeypatch):
 
     for name in ("buchberger", "_Completion", "_reduce_raw"):
         monkeypatch.setattr(gr, name, refuse)
-    monkeypatch.setattr(gr, "_ORACLE_MEMO", {})
+    clear_memos()  # no count may come from an earlier call
     assert local_hilbert_oracle(IdealGens(CTX, [Y - X * X, Y * Y]), 6) == (1, 2, 3, 4, 4, 4, 4)
     x, y, z = CTX3.gens()
     gens = [x * y, z * z - x * y * y, y ** 3]
@@ -336,20 +343,57 @@ def test_tangent_cone_dimension_matches_oracle_cross_check():
     assert krull_dimension(tangent_cone(I)) == krull_dimension(I) == 0
 
 
-def test_gb_memo_is_atomic_under_threads():
+_P = Permutation.from_string
+# a memoized call, and the module and name of a function it calls once per computation
+MEMOIZED_CALLS = {
+    "buchberger": (
+        lambda: buchberger(IdealGens(CTX, [X * X - Y, Y * Y - X])), "groebner", "_completion_for"
+    ),
+    "chart": (lambda: chart(_P("3142")), "charts", "Chart"),
+    "sweep_images": (lambda: sweep_images(_P("3142")), "sweep", "generic_matrix"),
+    "richardson_invariants": (
+        lambda: richardson_invariants(_P("1324"), _P("4231"), _P("2413")),
+        "invariants",
+        "richardson_ideal_in_chart",
+    ),
+    "local_hilbert_oracle": (
+        lambda: local_hilbert_oracle(IdealGens(CTX, [Y - X * X, Y * Y]), 6),
+        "groebner",
+        "_eliminate_linear_variables",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED_CALLS))
+def test_gb_memo_is_atomic_under_threads(name, monkeypatch):
+    # 8 threads miss one cold key together: none may wait on another's
+    # computation, and every one gets the first object stored
+    import importlib
     import threading
+    import time
 
-    gens = [X * X - Y, Y * Y - X]
+    call, module, inner = MEMOIZED_CALLS[name]
+    mod = importlib.import_module(f"richardson.{module}")
+    real = getattr(mod, inner)
+    together = threading.Barrier(8, timeout=10)
+
+    def all_computing(*args, **kwargs):
+        together.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mod, inner, all_computing)
+    clear_memos()
     results = []
-
-    def work():
-        results.append(buchberger(IdealGens(CTX, gens)))
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
+    threads = [
+        threading.Thread(target=lambda: results.append(call()), daemon=True) for _ in range(8)
+    ]
     for t in threads:
         t.start()
+    deadline = time.monotonic() + 30
     for t in threads:
-        t.join()
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
     assert all(r is results[0] for r in results)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from richardson import clear_memos
 from richardson.charts import chart, schubert_ideal_in_chart
 from richardson.groebner import IdealGens
 from richardson.invariants import (
@@ -188,17 +189,18 @@ def test_oracle_counter_increments():
     assert rinv.ORACLE_CHECKS == before + 1
 
 
-def test_fixed_point_memo_is_keyed_on_the_oracle_degree(monkeypatch):
+def test_fixed_point_memo_is_keyed_on_the_oracle_degree():
     import richardson.invariants as rinv
 
     v, w, sigma = Permutation([1, 2, 3]), Permutation([3, 2, 1]), Permutation([2, 1, 3])
-    monkeypatch.setattr(rinv, "ORACLE_DEGREE_DEFAULT", 2)
-    first = richardson_invariants(v, w, sigma)
+    clear_memos()
+    first = richardson_invariants(v, w, sigma, oracle=2)
     before = rinv.ORACLE_CHECKS
-    monkeypatch.setattr(rinv, "ORACLE_DEGREE_DEFAULT", 5)
-    assert richardson_invariants(v, w, sigma) == first
+    assert richardson_invariants(v, w, sigma, oracle=5) == first
     assert rinv.ORACLE_CHECKS == before + 1
-    assert richardson_invariants(v, w, sigma) == first
+    assert richardson_invariants(v, w, sigma, oracle=5) == first
+    assert rinv.ORACLE_CHECKS == before + 1
+    assert richardson_invariants(v, w, sigma, oracle=None) == first
     assert rinv.ORACLE_CHECKS == before + 1
 
 
@@ -206,11 +208,11 @@ def test_fixed_point_records_are_checked_against_bruhat_order(monkeypatch):
     import richardson.invariants as rinv
 
     v, w, sigma = Permutation([1, 3, 2, 4]), Permutation([4, 2, 3, 1]), Permutation([2, 4, 1, 3])
-    monkeypatch.setattr(rinv, "_FIXED_MEMO", {})
+    clear_memos()
     before = rinv.TANGENT_CHECKS
     oracle_before = rinv.ORACLE_CHECKS
     richardson_invariants(v, w, sigma)
-    schubert_invariants(w, sigma, oracle_check=False)
+    schubert_invariants(w, sigma, oracle=None)
     opposite_invariants(v, sigma)
     richardson_invariants(v, w, sigma)  # a memo hit is not checked again
     assert rinv.TANGENT_CHECKS == before + 3
@@ -219,11 +221,11 @@ def test_fixed_point_records_are_checked_against_bruhat_order(monkeypatch):
     # a tangent space one too large is caught at every kind of record
     corank = rinv._jacobian_corank
     monkeypatch.setattr(rinv, "_jacobian_corank", lambda gb, n: corank(gb, n) + 1)
-    monkeypatch.setattr(rinv, "_FIXED_MEMO", {})
+    clear_memos()  # a record that fails its check is never stored
     for record in (
         lambda: richardson_invariants(v, w, sigma),
         lambda: schubert_invariants(w, sigma),
-        lambda: opposite_invariants(v, sigma, oracle_check=False),
+        lambda: opposite_invariants(v, sigma, oracle=None),
     ):
         with pytest.raises(RuntimeError, match="Bruhat order"):
             record()
@@ -280,7 +282,7 @@ def test_tangent_dim_matches_reflection_count_s4():
     assert len(pairs) == 213
     for sigma, w in pairs:
         count = sum(1 for ts in _reflections_times(sigma) if bruhat_leq(ts, w))
-        assert schubert_invariants(w, sigma, oracle_check=False).tangent_dim == count
+        assert schubert_invariants(w, sigma, oracle=None).tangent_dim == count
     for v, tau in pairs:
         count = sum(1 for tt in _reflections_times(tau) if bruhat_leq(v, tt))
-        assert opposite_invariants(v, tau, oracle_check=False).tangent_dim == count
+        assert opposite_invariants(v, tau, oracle=None).tangent_dim == count

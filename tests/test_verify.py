@@ -173,8 +173,8 @@ _FIXED_POINT_FAILURES = {
 def test_fixed_point_law_failure_report(check, monkeypatch):
     real = verify.richardson_invariants
 
-    def broken(v, w, sigma):
-        rec = real(v, w, sigma)
+    def broken(v, w, sigma, oracle):
+        rec = real(v, w, sigma, oracle)
         if (str(v), str(w), str(sigma)) != _BROKEN_TRIPLE:
             return rec
         # wrong in every law at once; H = 1 - q also has a negative coefficient
@@ -193,8 +193,8 @@ _POINTS_FAILURE = '{"cases":1,"check":"points","failures":[{"at_point":1,"case":
 def test_points_law_failure_report(monkeypatch):
     real = verify.schubert_invariants
 
-    def broken(w, sigma):
-        rec = real(w, sigma)
+    def broken(w, sigma, oracle):
+        rec = real(w, sigma, oracle)
         return dataclasses.replace(
             rec, multiplicity=rec.multiplicity + 1, smooth=not rec.smooth,
             h_polynomial=rec.h_polynomial * _q_poly([1, 1]),
