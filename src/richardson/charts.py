@@ -12,6 +12,12 @@ vanishing locus of justified minors of the generic chart matrix; the
 emitted generators are the essential rank conditions (a regression test
 pins them against the full unpruned list).
 
+One generic matrix is kept per chart (``generic_matrix`` is memoized by
+u), so its table of minors serves every Schubert, opposite and Richardson
+ideal built in that chart.  The table holds at most one entry per square
+submatrix, so at most C(2n, n) entries (252 at n = 5, 924 at n = 6), and
+``clear_memos()`` drops it with the matrix.
+
 The opposite side is derived from the Schubert side.  The opposite
 Schubert variety is a translate, X^v = w0 X_{w0 v}, and left
 multiplication by w0 reverses the rows of a matrix.  So the upper-left
@@ -149,8 +155,12 @@ class ChartMatrix:
         return [[e.evaluate(point) for e in row] for row in self.rows]
 
 
+@memoized(lambda u: u.window)
 def generic_matrix(u: Permutation) -> ChartMatrix:
-    """The generic matrix of the chart of u: 1 at (u(j), j), z_ij at free positions."""
+    """The generic matrix of the chart of u: 1 at (u(j), j), z_ij at free positions.
+
+    One matrix per chart, shared by every caller: it must not be mutated.
+    """
     ch = chart(u)
     n = u.n
     uinv = u.inverse()

@@ -146,7 +146,7 @@ _FIELD_MAX = (1 << (_FIELD_BITS - 1)) - 1  # guard bit must stay free
 class _Pack:
     """Packed-integer monomials for one variable count."""
 
-    __slots__ = ("n", "shifts", "degshift", "himask", "fmask", "_masks")
+    __slots__ = ("n", "shifts", "degshift", "himask", "fmask", "_masks", "_keys")
 
     def __init__(self, nvars: int):
         self.n = nvars
@@ -155,6 +155,7 @@ class _Pack:
         self.himask = sum(1 << (s + _FIELD_BITS - 1) for s in self.shifts)
         self.fmask = (1 << _FIELD_BITS) - 1
         self._masks: dict[int, int] = {}
+        self._keys: dict[object, dict[int, tuple]] = {}  # order tag -> monomial -> key
 
     def encode(self, m: Monomial) -> int:
         out = m.degree << self.degshift
@@ -218,10 +219,11 @@ class _Pack:
         return hit
 
     def sort_key(self, order, ctx: Context):
-        """Packed-int analogue of order.sort_key, memoized per monomial."""
-        cache: dict[int, tuple] = {}
+        """Packed-int analogue of order.sort_key, memoized per monomial in
+        one cache per order, shared by every call."""
         if isinstance(order, _ConeOrder):
             ti = order.t_index
+            cache = self._keys.setdefault(("cone", ti), {})
             rest_shifts = tuple(s for v, s in enumerate(self.shifts) if v != ti)
             tshift = self.shifts[ti]
             fm = self.fmask
@@ -237,6 +239,7 @@ class _Pack:
                 return k
 
             return key
+        cache = self._keys.setdefault(order.tag, {})
         prio = order.priority if order.priority is not None else tuple(range(self.n))
         kind = order.kind
         shifts = self.shifts
@@ -259,7 +262,8 @@ class _Pack:
         return key
 
 
-# the packs carry their support-mask caches, so clearing this table drops those too
+# the packs carry their support-mask and sort-key caches, so clearing this
+# table drops those too
 @memoized()
 def _pack_for(nvars: int) -> _Pack:
     return _Pack(nvars)
@@ -517,20 +521,20 @@ def buchberger(ideal: IdealGens, order: MonomialOrder = DEGREVLEX) -> GroebnerBa
     return GroebnerBasis(basis=basis, order=order, ctx=ctx)
 
 
+def _basis_reducers(gb: GroebnerBasis):
+    """The split monic reducers of a basis, with its order key and pack."""
+    pk = _pack_for(gb.ctx.nvars)
+    keyf = pk.sort_key(gb.order, gb.ctx)
+    reducers = _make_reducers((_monic_raw(_to_raw(g, pk), keyf) for g in gb.basis), keyf, pk)
+    return reducers, keyf, pk
+
+
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of multivariate division by the basis; zero iff f is in the ideal."""
     if f.ctx != gb.ctx:
         raise ValueError("context mismatch")
-    pk = _pack_for(f.ctx.nvars)
-    keyf = pk.sort_key(gb.order, gb.ctx)
-    items = []
-    for g in gb.basis:
-        raw = _to_raw(g, pk)
-        lt = max(raw, key=keyf)
-        lc = raw[lt]
-        items.append((lt, {m: c / lc for m, c in raw.items() if m != lt}))
-    red = _make_reducers(items, keyf, pk)
-    return _to_poly(_reduce_raw(_to_raw(f, pk), red, keyf, pk), pk, f.ctx)
+    reducers, keyf, pk = _basis_reducers(gb)
+    return _to_poly(_reduce_raw(_to_raw(f, pk), reducers, keyf, pk), pk, f.ctx)
 
 
 def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
@@ -538,13 +542,25 @@ def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
 
 
 def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder = DEGREVLEX) -> bool:
-    """Mutual membership of generators against both reduced bases."""
+    """Equality of two ideals: equal reduced bases, and every generator of
+    both reduced to zero against that one basis G.
+
+    Proof: G lies in both ideals, since completion only combines their
+    generators, and the zero remainders put every generator of I and of J
+    in (G); so I = (G) = J.  Equal ideals have equal reduced bases, which
+    are unique for a fixed order (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, 2.7).  The remainders are a certificate that does not trust
+    the completion to have kept every element; the reducers of G are built
+    once for all of them.
+    """
     if I.ctx != J.ctx:
         raise ValueError("context mismatch")
     gi = buchberger(I, order)
-    gj = buchberger(J, order)
-    return all(in_ideal(g, gj) for g in I.generators) and all(
-        in_ideal(g, gi) for g in J.generators
+    if gi.basis != buchberger(J, order).basis:
+        return False
+    reducers, keyf, pk = _basis_reducers(gi)
+    return not any(
+        _reduce_raw(_to_raw(g, pk), reducers, keyf, pk) for g in I.generators + J.generators
     )
 
 

@@ -239,12 +239,13 @@ LEX = MonomialOrder("lex")
 class Polynomial:
     """Sparse polynomial: a map from monomials to nonzero rational coefficients."""
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "terms", "_hash", "_key")
 
     def __init__(self, ctx: Context, terms: dict[Monomial, Fraction]):
         self.ctx = ctx
         self.terms = terms
         self._hash = None
+        self._key = None
 
     # -- construction helpers -------------------------------------------
 
@@ -506,11 +507,17 @@ class Polynomial:
     # -- canonical text form ----------------------------------------------
 
     def key(self) -> tuple:
-        """Canonical hashable key (used by memo tables and dedup)."""
-        return (
-            self.ctx.names,
-            tuple(sorted((m.exps, (c.numerator, c.denominator)) for m, c in self.terms.items())),
-        )
+        """Canonical hashable key (used by memo tables and dedup).
+
+        Computed once, like the hash: a polynomial is never changed after
+        construction, and a chart's minors are shared by many ideals.
+        """
+        if self._key is None:
+            self._key = (
+                self.ctx.names,
+                tuple(sorted((m.exps, (c.numerator, c.denominator)) for m, c in self.terms.items())),
+            )
+        return self._key
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order: ascending degree, earliest variables first."""

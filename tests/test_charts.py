@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import upper_left_opposite_cell, upper_left_opposite_minors
+from richardson import clear_memos
 from richardson.charts import (
     chart,
     generic_matrix,
@@ -16,6 +17,7 @@ from richardson.charts import (
     richardson_ideal_in_chart,
     sample_richardson_point,
     schubert_ideal_in_chart,
+    schubert_minors,
 )
 from richardson.groebner import IdealGens, contains_one, ideal_equal, krull_dimension
 from richardson.permutations import Permutation, bruhat_interval, bruhat_leq
@@ -158,6 +160,35 @@ def test_identify_cells_permutation_matrices():
             ]
             assert identify_cells(m) == (sigma, sigma)
             assert upper_left_opposite_cell(m) == sigma
+
+
+def test_generic_matrix_is_one_per_chart():
+    x = generic_matrix(U31542)
+    assert generic_matrix(U31542) is x
+    clear_memos()
+    assert generic_matrix(U31542) is not x
+
+
+def test_chart_ideals_match_a_fresh_matrix_s4():
+    # the one matrix of a chart serves every ideal built in it, in any order;
+    # each must get the generators a fresh matrix with no minors gives it
+    clear_memos()
+    fresh = generic_matrix.__wrapped__
+    elems = Permutation.all(4)
+    for u in elems:
+        schub, opp = {}, {}
+        for p in elems:
+            m = fresh(u)
+            schub[p] = IdealGens(m.ctx, schubert_minors(m, p)).generators
+            m = fresh(u)
+            opp[p] = IdealGens(m.ctx, opposite_minors(m, p)).generators
+        for v in elems:
+            for w in bruhat_interval(v, Permutation.longest(4)):
+                m = fresh(u)
+                rich = IdealGens(m.ctx, schubert_minors(m, w) + opposite_minors(m, v))
+                assert richardson_ideal_in_chart(v, w, u).generators == rich.generators
+                assert schubert_ideal_in_chart(w, u).generators == schub[w]
+                assert opposite_ideal_in_chart(v, u).generators == opp[v]
 
 
 def test_identify_cells_generic_point_has_tau_below_sigma():

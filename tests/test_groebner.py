@@ -7,7 +7,7 @@ import pytest
 
 from oracles import hilbert_function_by_counting, naive_buchberger, truncated_quotient_dims
 from richardson import clear_memos
-from richardson.charts import chart
+from richardson.charts import chart, generic_matrix
 from richardson.groebner import (
     Q_CONTEXT,
     HilbertData,
@@ -350,6 +350,7 @@ MEMOIZED_CALLS = {
         lambda: buchberger(IdealGens(CTX, [X * X - Y, Y * Y - X])), "groebner", "_completion_for"
     ),
     "chart": (lambda: chart(_P("3142")), "charts", "Chart"),
+    "generic_matrix": (lambda: generic_matrix(_P("3142")), "charts", "chart"),
     "sweep_images": (lambda: sweep_images(_P("3142")), "sweep", "generic_matrix"),
     "richardson_invariants": (
         lambda: richardson_invariants(_P("1324"), _P("4231"), _P("2413")),

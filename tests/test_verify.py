@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from richardson import verify
+from richardson import clear_memos, groebner, verify
 from richardson.cli import run
 from richardson.groebner import IdealGens, _q_poly
-from richardson.permutations import Permutation
+from richardson.permutations import Permutation, bruhat_leq
 from richardson.verify import (
     pattern_smooth,
     product_iso_report,
@@ -221,6 +221,28 @@ def test_product_iso_failure_report(monkeypatch):
         '"findings":[],"ok":false,"params":{"n":3,"u":"123","v":"123","w":"213"}}'
     )
     assert verify_product_iso(u, v, w) is False
+
+
+def test_product_iso_certificate_catches_a_lost_basis_element(monkeypatch):
+    # a completion that drops the last element of its basis drops it on both
+    # sides alike, so the two bases still agree on every S3 case; only the
+    # generators that no longer reduce to zero show the fault
+    real = groebner._Completion.reduced_elements
+
+    def last_dropped(self):
+        out = real(self)
+        return out[:-1] if len(out) >= 2 else out
+
+    elems = Permutation.all(3)
+    triples = [(u, v, w) for u in elems for v in elems for w in elems if bruhat_leq(v, w)]
+    assert len(triples) == 114
+    monkeypatch.setattr(groebner._Completion, "reduced_elements", last_dropped)
+    clear_memos()
+    try:
+        assert any(not product_iso_report(*t).ok for t in triples)
+    finally:
+        monkeypatch.undo()
+        clear_memos()  # no broken basis may outlive the patch
 
 
 def test_product_iso_size_mismatch():
