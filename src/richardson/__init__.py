@@ -15,7 +15,6 @@ from .poly import (
     DEGLEX,
     DEGREVLEX,
     LEX,
-    Monomial,
     MonomialOrder,
     Polynomial,
 )
@@ -86,7 +85,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "clear_memos",
-    "Context", "Monomial", "MonomialOrder", "Polynomial",
+    "Context", "MonomialOrder", "Polynomial",
     "LEX", "DEGLEX", "DEGREVLEX",
     "IdealGens", "GroebnerBasis", "HilbertData",
     "buchberger", "normal_form", "ideal_equal", "contains_one",

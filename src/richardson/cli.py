@@ -36,9 +36,9 @@ import sys
 from typing import Callable
 
 from .charts import generic_matrix
-from .groebner import _FIELD_MAX
 from .invariants import ORACLE_DEGREE, NotOnVariety, parabolic_invariants, richardson_invariants
 from .permutations import Permutation, bruhat_leq, is_covexillary, kl_polynomial
+from .poly import _FIELD_MAX
 from .sweep import sweep_images
 from .verify import (
     LAWS,
@@ -55,7 +55,7 @@ from .verify import (
 
 @dataclasses.dataclass
 class RunConfig:
-    """Parsed flags; round-trips through JSON for reproducibility."""
+    """Parsed flags."""
 
     subcommand: str
     check: str | None = None
@@ -73,17 +73,6 @@ class RunConfig:
     jobs: int = 1
     timeout: float = 300.0
     output_format: str = "json"
-
-    def to_json(self) -> str:
-        d = dataclasses.asdict(self)
-        d["parabolic"] = list(self.parabolic)
-        return json.dumps(d, sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "RunConfig":
-        d = json.loads(s)
-        d["parabolic"] = tuple(d.get("parabolic", ()))
-        return RunConfig(**d)
 
 
 def _parser() -> argparse.ArgumentParser:

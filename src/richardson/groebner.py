@@ -11,10 +11,10 @@ a generator is linear in by truncated power-series substitution, then runs
 one fraction-free integer elimination of the truncated Macaulay matrix of
 what is left.
 
-Internally monomials are packed into integers (8 bits per exponent, the
-total degree in the top field) so that multiplication is integer addition
-and divisibility is one masked subtraction; the public types keep the
-sparse tuple form.
+Every algorithm reads the terms of a Polynomial as they are: their
+monomials are the packed integers of richardson.poly, so a product is one
+integer addition and a divisibility test one masked subtraction, with no
+conversion on the way in or out.
 
 The basis, Hilbert and oracle memos are tables of richardson.memo:
 distinct computations may run concurrently, and every caller of one key
@@ -32,12 +32,16 @@ from typing import Iterable, Sequence
 
 from .memo import memoized
 from .poly import (
+    _FIELD_MASK,
+    _FIELD_MAX,
     Context,
     DEGREVLEX,
-    MONOMIAL_ONE,
-    Monomial,
     MonomialOrder,
     Polynomial,
+    _Pack,
+    _pack_for,
+    _key_cache,
+    _repacker,
 )
 
 
@@ -73,7 +77,7 @@ class GroebnerBasis:
     def contains_one(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
 
-    def leading_monomials(self) -> tuple[Monomial, ...]:
+    def leading_monomials(self) -> tuple[int, ...]:
         keyf = self.order.sort_key(self.ctx)
         return tuple(max(g.terms, key=keyf) for g in self.basis)
 
@@ -116,165 +120,19 @@ def _q_coeffs(p: Polynomial) -> list[int]:
     """Dense integer coefficient list of a polynomial in the q context."""
     if p.is_zero():
         return [0]
-    d = p.total_degree()
-    out = [0] * (d + 1)
+    out = [0] * (p.total_degree() + 1)
     for m, c in p.terms.items():
         if c.denominator != 1:
             raise ValueError("non-integer coefficient in q-polynomial")
-        out[m.degree] = c.numerator
+        out[m >> p.ctx.pack.degshift] = c.numerator
     return out
 
 
 def _q_poly(coeffs: Sequence[int]) -> Polynomial:
     return Polynomial.from_terms(
         Q_CONTEXT,
-        (
-            (MONOMIAL_ONE if d == 0 else Monomial(((0, d),)), Fraction(c))
-            for d, c in enumerate(coeffs)
-        ),
+        ((Q_CONTEXT.monomial(((0, d),) if d else ()), c) for d, c in enumerate(coeffs)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Packed monomials
-# ---------------------------------------------------------------------------
-
-_FIELD_BITS = 8
-_FIELD_MAX = (1 << (_FIELD_BITS - 1)) - 1  # guard bit must stay free
-
-
-class _Pack:
-    """Packed-integer monomials for one variable count."""
-
-    __slots__ = ("n", "shifts", "degshift", "himask", "fmask", "_masks", "_keys")
-
-    def __init__(self, nvars: int):
-        self.n = nvars
-        self.shifts = tuple(i * _FIELD_BITS for i in range(nvars))
-        self.degshift = nvars * _FIELD_BITS
-        self.himask = sum(1 << (s + _FIELD_BITS - 1) for s in self.shifts)
-        self.fmask = (1 << _FIELD_BITS) - 1
-        self._masks: dict[int, int] = {}
-        self._keys: dict[object, dict[int, tuple]] = {}  # order tag -> monomial -> key
-
-    def encode(self, m: Monomial) -> int:
-        out = m.degree << self.degshift
-        for v, e in m.exps:
-            if e > _FIELD_MAX:
-                raise OverflowError("exponent too large for packed form")
-            out |= e << self.shifts[v]
-        return out
-
-    def decode(self, a: int) -> Monomial:
-        exps = []
-        for v, s in enumerate(self.shifts):
-            e = (a >> s) & self.fmask
-            if e:
-                exps.append((v, e))
-        return Monomial(tuple(exps))
-
-    def degree(self, a: int) -> int:
-        return a >> self.degshift
-
-    def divides(self, b: int, a: int) -> bool:
-        """b | a, one masked subtraction (fields below the guard bit)."""
-        hi = self.himask
-        return ((a | hi) - b) & hi == hi
-
-    def lcm(self, a: int, b: int) -> int:
-        if a == b:
-            return a
-        fm = self.fmask
-        out = 0
-        deg = 0
-        for s in self.shifts:
-            fa = (a >> s) & fm
-            fb = (b >> s) & fm
-            f = fa if fa >= fb else fb
-            if f:
-                out |= f << s
-                deg += f
-        return out | (deg << self.degshift)
-
-    def coprime(self, a: int, b: int) -> bool:
-        fm = self.fmask
-        for s in self.shifts:
-            if (a >> s) & fm and (b >> s) & fm:
-                return False
-        return True
-
-    def dense(self, a: int) -> tuple[int, ...]:
-        fm = self.fmask
-        return tuple((a >> s) & fm for s in self.shifts)
-
-    def support_mask(self, a: int) -> int:
-        hit = self._masks.get(a)
-        if hit is None:
-            fm = self.fmask
-            hit = 0
-            for v, s in enumerate(self.shifts):
-                if (a >> s) & fm:
-                    hit |= 1 << v
-            self._masks[a] = hit
-        return hit
-
-    def sort_key(self, order, ctx: Context):
-        """Packed-int analogue of order.sort_key, memoized per monomial in
-        one cache per order, shared by every call."""
-        if isinstance(order, _ConeOrder):
-            ti = order.t_index
-            cache = self._keys.setdefault(("cone", ti), {})
-            rest_shifts = tuple(s for v, s in enumerate(self.shifts) if v != ti)
-            tshift = self.shifts[ti]
-            fm = self.fmask
-            degshift = self.degshift
-
-            def key(a: int):
-                k = cache.get(a)
-                if k is None:
-                    t = (a >> tshift) & fm
-                    rest = tuple((a >> s) & fm for s in rest_shifts)
-                    k = (t, (a >> degshift) - t) + tuple(-x for x in reversed(rest))
-                    cache[a] = k
-                return k
-
-            return key
-        cache = self._keys.setdefault(order.tag, {})
-        prio = order.priority if order.priority is not None else tuple(range(self.n))
-        kind = order.kind
-        shifts = self.shifts
-        fm = self.fmask
-        degshift = self.degshift
-
-        def key(a: int):
-            k = cache.get(a)
-            if k is None:
-                v = tuple((a >> shifts[p]) & fm for p in prio)
-                if kind == "lex":
-                    k = v
-                elif kind == "deglex":
-                    k = (a >> degshift,) + v
-                else:
-                    k = (a >> degshift,) + tuple(-x for x in reversed(v))
-                cache[a] = k
-            return k
-
-        return key
-
-
-# the packs carry their support-mask and sort-key caches, so clearing this
-# table drops those too
-@memoized()
-def _pack_for(nvars: int) -> _Pack:
-    return _Pack(nvars)
-
-
-def _to_raw(p: Polynomial, pk: _Pack) -> dict[int, Fraction]:
-    return {pk.encode(m): c for m, c in p.terms.items()}
-
-
-def _to_poly(raw: dict[int, Fraction], pk: _Pack, ctx: Context) -> Polynomial:
-    return Polynomial(ctx, {pk.decode(a): c for a, c in raw.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +185,24 @@ def _reduce_raw(work: dict, reducers, keyf, pk: _Pack):
     """Full normal form of a packed term dict against split monic reducers.
 
     The first dividing leading term in order wins (monomial reducers
-    first), so reduction is deterministic.
+    first), so reduction is deterministic.  Every term of a basis element
+    or remainder passes through here, so a term whose exponent a product
+    carried past 127 raises OverflowError here: two fields of at most 127
+    sum below 256, into the guard bit but never into the next field.
     """
     monos, polys = reducers
     hi = pk.himask
     degshift = pk.degshift
     work = dict(work)
     out: dict[int, Fraction] = {}
-    mask_cache = pk.support_mask
+    support_mask = pk.support_mask
     while work:
         m = max(work, key=keyf)
         c = work.pop(m)
+        if m & hi:
+            raise OverflowError(f"an exponent exceeds {_FIELD_MAX}")
         mdeg = m >> degshift
-        mmask = mask_cache(m)
+        mmask = support_mask(m)
         mh = m | hi
         killed = False
         for (_, _, ld, lmask, lt, _) in monos:
@@ -496,36 +359,31 @@ class _Completion:
         return [(self.lts[i], _reduce_raw(self.tails[i], reducers, keyf, pk)) for i in minimal]
 
 
-def _completion_for(ideal: IdealGens, order) -> tuple[_Completion, _Pack]:
-    ctx = ideal.ctx
-    pk = _pack_for(ctx.nvars)
-    keyf = pk.sort_key(order, ctx)
-    comp = _Completion(keyf, pk)
-    gens = sorted(
-        (_to_raw(g, pk) for g in ideal.generators),
-        key=lambda t: keyf(max(t, key=keyf)),
-    )
-    comp.seed(gens)
-    return comp, pk
+def _completion_for(ctx: Context, generators: Iterable[Polynomial], order) -> _Completion:
+    """A completion seeded with the generators, in ascending order of leading term."""
+    keyf = order.sort_key(ctx)
+    comp = _Completion(keyf, ctx.pack)
+    comp.seed(sorted((g.terms for g in generators), key=lambda t: keyf(max(t, key=keyf))))
+    return comp
 
 
 @memoized(lambda ideal, order=DEGREVLEX: (ideal.key(), order.tag))
 def buchberger(ideal: IdealGens, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis; deterministic for fixed input and order."""
     ctx = ideal.ctx
-    comp, pk = _completion_for(ideal, order)
+    comp = _completion_for(ctx, ideal.generators, order)
     comp.run()
     basis = tuple(
-        _to_poly({lt: Fraction(1), **tail}, pk, ctx) for lt, tail in comp.reduced_elements()
+        Polynomial(ctx, {lt: Fraction(1), **tail}) for lt, tail in comp.reduced_elements()
     )
     return GroebnerBasis(basis=basis, order=order, ctx=ctx)
 
 
 def _basis_reducers(gb: GroebnerBasis):
     """The split monic reducers of a basis, with its order key and pack."""
-    pk = _pack_for(gb.ctx.nvars)
-    keyf = pk.sort_key(gb.order, gb.ctx)
-    reducers = _make_reducers((_monic_raw(_to_raw(g, pk), keyf) for g in gb.basis), keyf, pk)
+    pk = gb.ctx.pack
+    keyf = gb.order.sort_key(gb.ctx)
+    reducers = _make_reducers((_monic_raw(g.terms, keyf) for g in gb.basis), keyf, pk)
     return reducers, keyf, pk
 
 
@@ -534,7 +392,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if f.ctx != gb.ctx:
         raise ValueError("context mismatch")
     reducers, keyf, pk = _basis_reducers(gb)
-    return _to_poly(_reduce_raw(_to_raw(f, pk), reducers, keyf, pk), pk, f.ctx)
+    return Polynomial(f.ctx, _reduce_raw(f.terms, reducers, keyf, pk))
 
 
 def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
@@ -560,7 +418,7 @@ def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder = DEGREVLEX) ->
         return False
     reducers, keyf, pk = _basis_reducers(gi)
     return not any(
-        _reduce_raw(_to_raw(g, pk), reducers, keyf, pk) for g in I.generators + J.generators
+        _reduce_raw(g.terms, reducers, keyf, pk) for g in I.generators + J.generators
     )
 
 
@@ -573,11 +431,11 @@ def contains_one(I: IdealGens) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _minimal_monomials(monos: Iterable[Monomial]) -> list[Monomial]:
-    monos = sorted(set(monos), key=lambda m: (m.degree, m.exps))
-    out: list[Monomial] = []
-    for m in monos:
-        if not any(g.divides(m) for g in out):
+def _minimal_monomials(monos: Iterable[int], pk: _Pack) -> list[int]:
+    # ascending packed order is ascending degree, so divisors come first
+    out: list[int] = []
+    for m in sorted(set(monos)):
+        if not any(pk.divides(g, m) for g in out):
             out.append(m)
     return out
 
@@ -587,30 +445,34 @@ def krull_dimension(I: IdealGens) -> int:
     gb = buchberger(I)
     if gb.contains_one():
         raise ValueError("unit ideal has no dimension")
-    supports = [lt.support() for lt in _minimal_monomials(gb.leading_monomials())]
+    pk = I.ctx.pack
+    supports = [pk.support_mask(lt) for lt in _minimal_monomials(gb.leading_monomials(), pk)]
     n = I.ctx.nvars
     if not supports:
         return n
     from itertools import combinations
 
+    variables = [pk.support_mask(x) for x in pk.units]
     for size in range(n, 0, -1):
-        for subset in combinations(range(n), size):
-            s = frozenset(subset)
-            if all(not supp <= s for supp in supports):
+        for subset in combinations(variables, size):
+            s = sum(subset)
+            if all(supp & ~s for supp in supports):
                 return size
     return 0
 
 
-@memoized(lambda gens: tuple(sorted(m.exps for m in gens)))
-def _hilbert_numerator_monomial(gens: tuple[Monomial, ...]) -> tuple[int, ...]:
+# a packed monomial means something only with its variable count, so that is in the key
+@memoized(lambda ctx, gens: (ctx.nvars, tuple(sorted(gens))))
+def _hilbert_numerator_monomial(ctx: Context, gens: tuple[int, ...]) -> tuple[int, ...]:
     """Numerator coefficients of Hilb(R/M) * (1-q)^n for a monomial ideal M."""
+    pk = ctx.pack
     if not gens:
         out = (1,)
-    elif all(len(m.exps) == 1 for m in gens):
+    elif all(len(ctx.exponents(m)) == 1 for m in gens):
         # pure powers of distinct variables: product of (1 - q^deg)
         out = (1,)
         for m in gens:
-            d = m.degree
+            d = m >> pk.degshift
             nxt = [0] * (len(out) + d)
             for i, c in enumerate(out):
                 nxt[i] += c
@@ -620,15 +482,16 @@ def _hilbert_numerator_monomial(gens: tuple[Monomial, ...]) -> tuple[int, ...]:
         # split on the most shared variable
         counts: dict[int, int] = {}
         for m in gens:
-            if len(m.exps) > 1:
-                for v, _ in m.exps:
+            exps = ctx.exponents(m)
+            if len(exps) > 1:
+                for v, _ in exps:
                     counts[v] = counts.get(v, 0) + 1
         pivot = min(counts, key=lambda v: (-counts[v], v))
-        pv = Monomial.var(pivot)
-        plus = _minimal_monomials([m for m in gens if not pv.divides(m)] + [pv])
-        colon = _minimal_monomials(m.divide(pv) if pv.divides(m) else m for m in gens)
-        a = _hilbert_numerator_monomial(tuple(plus))
-        b = _hilbert_numerator_monomial(tuple(colon))
+        pv = pk.units[pivot]
+        plus = _minimal_monomials([m for m in gens if not pk.divides(pv, m)] + [pv], pk)
+        colon = _minimal_monomials((m - pv if pk.divides(pv, m) else m for m in gens), pk)
+        a = _hilbert_numerator_monomial(ctx, tuple(plus))
+        b = _hilbert_numerator_monomial(ctx, tuple(colon))
         nxt = [0] * max(len(a), len(b) + 1)
         for i, c in enumerate(a):
             nxt[i] += c
@@ -665,8 +528,8 @@ def hilbert_numerator(I: IdealGens) -> HilbertData:
     gb = buchberger(I)
     if gb.contains_one():
         raise ValueError("unit ideal")
-    lead = tuple(_minimal_monomials(gb.leading_monomials()))
-    ncoef = list(_hilbert_numerator_monomial(lead))
+    lead = tuple(_minimal_monomials(gb.leading_monomials(), I.ctx.pack))
+    ncoef = list(_hilbert_numerator_monomial(I.ctx, lead))
     cancelled, e = _strip_one_minus_q(ncoef)
     n = I.ctx.nvars
     return HilbertData(
@@ -689,10 +552,30 @@ class _ConeOrder:
     lowest-degree form of its dehomogenization.
     """
 
-    __slots__ = ("t_index",)
+    __slots__ = ("t_index", "tag")
 
     def __init__(self, t_index: int):
         self.t_index = t_index
+        self.tag = f"cone:{t_index}"
+
+    def sort_key(self, ctx: Context):
+        """Packed monomial -> sortable key, cached like MonomialOrder.sort_key."""
+        cache = _key_cache(ctx.nvars, self.tag)
+        shifts = ctx.pack.shifts
+        tshift = shifts[self.t_index]
+        rest = tuple(s for v, s in enumerate(shifts) if v != self.t_index)[::-1]
+        degshift = ctx.pack.degshift
+        fm = _FIELD_MASK
+
+        def key(a: int):
+            k = cache.get(a)
+            if k is None:
+                t = (a >> tshift) & fm
+                k = (t, (a >> degshift) - t) + tuple(-((a >> s) & fm) for s in rest)
+                cache[a] = k
+            return k
+
+        return key
 
 
 def _fresh_name(ctx: Context, base: str) -> str:
@@ -718,54 +601,26 @@ def tangent_cone(I: IdealGens) -> IdealGens:
             raise ValueError("generator with nonzero constant term at the origin")
     if not I.generators:
         return I
-    tname = _fresh_name(ctx, "t")
-    big = ctx.extend((tname,))
-    ti = big.index(tname)
-    pk_small = _pack_for(ctx.nvars)
-    pk_big = _pack_for(big.nvars)
-    tshift = pk_big.shifts[ti]
-    degshift_b = pk_big.degshift
-
-    hom_raw = []
+    big = ctx.extend((_fresh_name(ctx, "t"),))
+    t = big.pack.units[ctx.nvars]
+    degshift = ctx.pack.degshift
+    up = _repacker(ctx.pack, big.pack, range(ctx.nvars))
+    hom = []
     for g in I.generators:
         d = g.total_degree()
-        raw = {}
-        for m, c in g.terms.items():
-            a = pk_big.encode(m)  # same low fields; t field empty
-            extra = d - m.degree
-            a += (extra << tshift) + (extra << degshift_b)
-            raw[a] = c
-        hom_raw.append(raw)
-
-    order = _ConeOrder(ti)
-    keyf = pk_big.sort_key(order, big)
-    comp = _Completion(keyf, pk_big)
-    comp.seed(sorted(hom_raw, key=lambda t: keyf(max(t, key=keyf))))
+        if d - g.min_degree() > _FIELD_MAX:
+            raise OverflowError(f"a power of the homogenizing variable exceeds {_FIELD_MAX}")
+        hom.append(Polynomial(big, {up(a) + (d - (a >> degshift)) * t: c for a, c in g.terms.items()}))
+    comp = _completion_for(big, hom, _ConeOrder(ctx.nvars))
     comp.run()
 
     out = []
-    fm = pk_big.fmask
+    down = _repacker(big.pack, ctx.pack, range(ctx.nvars))
     for lt, tail in comp.reduced_elements():
-        # dehomogenize (t -> 1) and take the lowest-degree form
-        terms: dict[int, Fraction] = {}
-        for a, c in list(tail.items()) + [(lt, Fraction(1))]:
-            t = (a >> tshift) & fm
-            b = a - (t << tshift) - (t << degshift_b)
-            acc = terms.get(b)
-            if acc is None:
-                terms[b] = c
-            else:
-                acc += c
-                if acc == 0:
-                    del terms[b]
-                else:
-                    terms[b] = acc
-        if not terms:
-            continue
-        low_deg = min(a >> degshift_b for a in terms)
-        low = {a: c for a, c in terms.items() if (a >> degshift_b) == low_deg}
-        poly = _to_poly(low, pk_big, big)  # decode; exponent layout matches small ctx
-        out.append(Polynomial(ctx, dict(poly.terms)))
+        # dehomogenize (t -> 1) and take the lowest-degree form; the element is
+        # homogeneous, so no two of its terms have the same part outside t
+        g = Polynomial(ctx, {down(a): c for a, c in [*tail.items(), (lt, Fraction(1))]})
+        out.append(g.lowest_degree_form())
     return IdealGens(ctx, out)
 
 
@@ -780,8 +635,7 @@ def _monomials_upto(nvars: int, degree_bound: int) -> tuple[int, ...]:
     The degree sits in the top field, so ascending packed order is
     ascending degree.
     """
-    pk = _pack_for(nvars)
-    steps = [(1 << s) + (1 << pk.degshift) for s in pk.shifts]
+    steps = _pack_for(nvars).units
     level = {0}
     out = [0]
     for _ in range(degree_bound):
@@ -819,7 +673,7 @@ def _substitute(f: dict, shift: int, powers: list[dict], pk: _Pack, limit: int) 
     powers[e] is the e-th power of the series; a power past the list is
     zero below limit (the series has no constant term).
     """
-    fm = pk.fmask
+    fm = _FIELD_MASK
     degshift = pk.degshift
     out: dict = {}
     for a, c in f.items():
@@ -850,9 +704,9 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
     is a Gaussian elimination step on the linear parts, so
     n - rank(linear parts) variables are left.
     """
-    fm = pk.fmask
+    fm = _FIELD_MASK
     limit = (degree_bound + 1) << pk.degshift
-    linear = {(1 << s) | (1 << pk.degshift): v for v, s in enumerate(pk.shifts)}
+    linear = {unit: v for v, unit in enumerate(pk.units)}
     live = list(range(pk.n))
     while True:
         # prefer x absent from h (one substitution), then the shortest g
@@ -895,16 +749,11 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
 def _integer_rows(gens: list[dict], pk: _Pack, live: list[int]) -> tuple[list[dict[int, int]], _Pack]:
     """The generators repacked over the live variables, scaled to coprime integers."""
     small = _pack_for(len(live))
-    fm = pk.fmask
-    moves = [(pk.shifts[v], small.shifts[k]) for k, v in enumerate(live)]
+    move = _repacker(pk, small, live)
     rows = []
     for g in gens:
         den = lcm(*(c.denominator for c in g.values()))
-        rows.append(_primitive({
-            sum(((a >> s) & fm) << t for s, t in moves) | ((a >> pk.degshift) << small.degshift):
-                c.numerator * (den // c.denominator)
-            for a, c in g.items()
-        }))
+        rows.append(_primitive({move(a): c.numerator * (den // c.denominator) for a, c in g.items()}))
     return rows, small
 
 
@@ -957,14 +806,11 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]
     for g in I.generators:
         if g.constant_term() != 0:
             raise ValueError("generator with nonzero constant term at the origin")
-    pk = _pack_for(I.ctx.nvars)
+    pk = I.ctx.pack
+    top = (degree_bound + 1) << pk.degshift  # terms of degree <= D lie below
     gens = []
     for g in I.generators:
-        terms = {
-            pk.encode(m): c.numerator if c.denominator == 1 else c
-            for m, c in g.terms.items()
-            if m.degree <= degree_bound
-        }
+        terms = {m: c.numerator if c.denominator == 1 else c for m, c in g.terms.items() if m < top}
         if terms:
             gens.append(terms)
     kept = _eliminate_linear_variables(gens, pk, degree_bound)

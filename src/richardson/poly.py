@@ -1,8 +1,17 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 Coefficients are `fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator), monomials are sorted tuples of (variable index,
-positive exponent) pairs.  All values are immutable after construction and
+positive denominator).  A monomial is one packed integer: the exponent of
+variable i sits in bits 8i..8i+7, whose top bit is a guard that stays clear
+(so every exponent lies in 0..127), and the total degree sits above the
+last variable's field.  A product of monomials is one integer addition,
+divisibility is one masked subtraction, and a polynomial is a map from
+packed monomials to nonzero coefficients, which the Groebner kernel and
+the oracle use as it is.  The layout depends on the variable count, so a
+monomial means something only together with its Context:
+`Context.monomial` packs sparse (variable, exponent) pairs and
+`Context.exponents` reads them back.  A product whose exponent would pass
+127 raises OverflowError.  All values are immutable after construction and
 may be shared freely between threads; every operation is a pure function
 returning a canonical result, so two equal polynomials have identical term
 maps.
@@ -17,17 +26,95 @@ golden-file tests pin that form.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .memo import memoized
 
 Coeff = Union[Fraction, int]
 
+_FIELD_BITS = 8
+_FIELD_MAX = (1 << (_FIELD_BITS - 1)) - 1  # guard bit must stay free
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+MONOMIAL_ONE = 0
+
+
+class _Pack:
+    """The packed-monomial layout for one variable count (it holds no caches)."""
+
+    __slots__ = ("n", "shifts", "degshift", "himask", "lowmask", "units")
+
+    def __init__(self, nvars: int):
+        self.n = nvars
+        self.shifts = tuple(i * _FIELD_BITS for i in range(nvars))
+        self.degshift = nvars * _FIELD_BITS
+        self.himask = sum(1 << (s + _FIELD_BITS - 1) for s in self.shifts)  # the guard bits
+        self.lowmask = sum(_FIELD_MAX << s for s in self.shifts)  # the exponent bits
+        self.units = tuple((1 << s) | (1 << self.degshift) for s in self.shifts)  # the variables
+
+    def divides(self, b: int, a: int) -> bool:
+        """b | a, one masked subtraction (fields below the guard bit)."""
+        hi = self.himask
+        return ((a | hi) - b) & hi == hi
+
+    def lcm(self, a: int, b: int) -> int:
+        if a == b:
+            return a
+        fm = _FIELD_MASK
+        out = 0
+        deg = 0
+        for s in self.shifts:
+            fa = (a >> s) & fm
+            fb = (b >> s) & fm
+            f = fa if fa >= fb else fb
+            if f:
+                out |= f << s
+                deg += f
+        return out | (deg << self.degshift)
+
+    def support_mask(self, a: int) -> int:
+        """The guard bit of every variable of a: adding 127 to a field of at
+        most 127 reaches its guard bit exactly when the field is nonzero."""
+        low = self.lowmask
+        return ((a & low) + low) & self.himask
+
+    def coprime(self, a: int, b: int) -> bool:
+        return not self.support_mask(a) & self.support_mask(b)
+
+
+# a pack holds no caches, so a Context may keep its pack past clear_memos()
+@memoized()
+def _pack_for(nvars: int) -> _Pack:
+    return _Pack(nvars)
+
+
+def _repacker(src: _Pack, dst: _Pack, live: Sequence[int]):
+    """The map of monomials from layout src to layout dst that makes variable
+    live[k] variable k and drops the others.
+
+    The degree field sits above the last variable, so one integer means
+    different monomials in packs of different sizes: a monomial changes
+    packs only through this map.
+    """
+    moves = [(src.shifts[v], dst.shifts[k]) for k, v in enumerate(live)]
+    dstdeg = dst.degshift
+    fm = _FIELD_MASK
+
+    def move(a: int) -> int:
+        out = deg = 0
+        for s, t in moves:
+            e = (a >> s) & fm
+            out |= e << t
+            deg += e
+        return out | (deg << dstdeg)
+
+    return move
+
 
 class Context:
     """An ordered tuple of variable names shared by a family of polynomials."""
 
-    __slots__ = ("names", "latex_names", "_index", "_gens")
+    __slots__ = ("names", "latex_names", "pack", "_index", "_gens")
 
     def __init__(self, names: Iterable[str], latex_names: Iterable[str] | None = None):
         self.names = tuple(names)
@@ -36,6 +123,7 @@ class Context:
         self.latex_names = tuple(latex_names) if latex_names is not None else self.names
         if len(self.latex_names) != len(self.names):
             raise ValueError("latex name count mismatch")
+        self.pack = _pack_for(len(self.names))
         self._index = {nm: k for k, nm in enumerate(self.names)}
         self._gens: tuple[Polynomial, ...] | None = None
 
@@ -49,6 +137,32 @@ class Context:
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
+    def monomial(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """The packed monomial of sparse (variable index, exponent) pairs."""
+        shifts = self.pack.shifts
+        out = deg = 0
+        for v, e in pairs:
+            if e > _FIELD_MAX:
+                raise OverflowError(f"exponent {e} exceeds {_FIELD_MAX}")
+            if e < 1 or (out >> shifts[v]) & _FIELD_MASK:
+                raise ValueError(f"bad exponent pair {(v, e)}")
+            out |= e << shifts[v]
+            deg += e
+        return out | (deg << self.pack.degshift)
+
+    def exponents(self, m: int) -> tuple[tuple[int, int], ...]:
+        """The sparse (variable index, exponent) pairs of a packed monomial."""
+        out = []
+        fields = m & self.pack.lowmask
+        v = 0
+        while fields:
+            e = fields & _FIELD_MASK
+            if e:
+                out.append((v, e))
+            fields >>= _FIELD_BITS
+            v += 1
+        return tuple(out)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Context) and self.names == other.names
 
@@ -59,8 +173,7 @@ class Context:
         return f"Context({list(self.names)!r})"
 
     def var(self, name: str) -> "Polynomial":
-        i = self.index(name)
-        return Polynomial(self, {Monomial(((i, 1),)): Fraction(1)})
+        return Polynomial(self, {self.pack.units[self.index(name)]: Fraction(1)})
 
     def gens(self) -> tuple["Polynomial", ...]:
         if self._gens is None:
@@ -83,93 +196,6 @@ class Context:
         extra = tuple(extra)
         latex_extra = tuple(latex_extra) if latex_extra is not None else extra
         return Context(self.names + extra, self.latex_names + latex_extra)
-
-
-class Monomial:
-    """A product of variable powers, stored sparsely with no zero exponents."""
-
-    __slots__ = ("exps", "degree", "_hash")
-
-    def __init__(self, exps: tuple[tuple[int, int], ...]):
-        self.exps = exps
-        self.degree = sum(e for _, e in exps)
-        self._hash = hash(exps)
-
-    @staticmethod
-    def var(i: int, e: int = 1) -> "Monomial":
-        if e <= 0:
-            raise ValueError("exponent must be positive")
-        return Monomial(((i, e),))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        if not a:
-            return other
-        if not b:
-            return self
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va < vb:
-                out.append(a[i]); i += 1
-            elif va > vb:
-                out.append(b[j]); j += 1
-            else:
-                out.append((va, ea + eb)); i += 1; j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial(tuple(out))
-
-    def divides(self, other: "Monomial") -> bool:
-        b = dict(other.exps)
-        for v, e in self.exps:
-            if b.get(v, 0) < e:
-                return False
-        return True
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """self / other; raises if not divisible."""
-        a = dict(self.exps)
-        for v, e in other.exps:
-            r = a.get(v, 0) - e
-            if r < 0:
-                raise ValueError("monomial not divisible")
-            if r == 0:
-                del a[v]
-            else:
-                a[v] = r
-        return Monomial(tuple(sorted(a.items())))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        a = dict(self.exps)
-        for v, e in other.exps:
-            if a.get(v, 0) < e:
-                a[v] = e
-        return Monomial(tuple(sorted(a.items())))
-
-    def dense(self, nvars: int) -> tuple[int, ...]:
-        out = [0] * nvars
-        for v, e in self.exps:
-            out[v] = e
-        return tuple(out)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.exps)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.exps!r})"
-
-
-MONOMIAL_ONE = Monomial(())
 
 
 class MonomialOrder:
@@ -197,26 +223,29 @@ class MonomialOrder:
         return self.kind + ":" + ",".join(map(str, self.priority))
 
     def sort_key(self, ctx: Context):
-        """Memoized monomial -> sortable key function (ascending = smaller)."""
-        cache = _sort_keys(self.tag, ctx.names)
+        """Packed monomial -> sortable key (ascending = smaller), cached per
+        variable count and order."""
         n = ctx.nvars
         prio = self.priority if self.priority is not None else tuple(range(n))
         if sorted(prio) != list(range(n)):
             raise ValueError("priority is not a permutation of the context variables")
+        cache = _key_cache(n, self.tag)
+        shifts = tuple(ctx.pack.shifts[p] for p in prio)
+        degshift = ctx.pack.degshift
         kind = self.kind
+        fm = _FIELD_MASK
 
-        def key(m: Monomial):
-            k = cache.get(m)
+        def key(a: int):
+            k = cache.get(a)
             if k is None:
-                d = m.dense(n)
-                v = tuple(d[p] for p in prio)
+                v = tuple((a >> s) & fm for s in shifts)
                 if kind == "lex":
                     k = v
                 elif kind == "deglex":
-                    k = (m.degree,) + v
+                    k = (a >> degshift,) + v
                 else:  # degrevlex: last-priority variable is cheapest
-                    k = (m.degree,) + tuple(-x for x in reversed(v))
-                cache[m] = k
+                    k = (a >> degshift,) + tuple(-x for x in reversed(v))
+                cache[a] = k
             return k
 
         return key
@@ -225,9 +254,9 @@ class MonomialOrder:
         return f"MonomialOrder({self.tag!r})"
 
 
-@memoized(lambda tag, names: (tag, names))
-def _sort_keys(tag: str, names: tuple[str, ...]) -> dict:
-    """The monomial -> sort key cache that every order tagged tag shares on a context."""
+@memoized(lambda nvars, tag: (nvars, tag))
+def _key_cache(nvars: int, tag: str) -> dict:
+    """The monomial -> sort key cache of every order tagged tag on nvars variables."""
     return {}
 
 
@@ -237,11 +266,11 @@ LEX = MonomialOrder("lex")
 
 
 class Polynomial:
-    """Sparse polynomial: a map from monomials to nonzero rational coefficients."""
+    """Sparse polynomial: a map from packed monomials to nonzero rational coefficients."""
 
     __slots__ = ("ctx", "terms", "_hash", "_key")
 
-    def __init__(self, ctx: Context, terms: dict[Monomial, Fraction]):
+    def __init__(self, ctx: Context, terms: dict[int, Fraction]):
         self.ctx = ctx
         self.terms = terms
         self._hash = None
@@ -250,8 +279,8 @@ class Polynomial:
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def from_terms(ctx: Context, items: Iterable[tuple[Monomial, Coeff]]) -> "Polynomial":
-        terms: dict[Monomial, Fraction] = {}
+    def from_terms(ctx: Context, items: Iterable[tuple[int, Coeff]]) -> "Polynomial":
+        terms: dict[int, Fraction] = {}
         for m, c in items:
             c = Fraction(c)
             if c == 0:
@@ -273,31 +302,31 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m.degree == 0 for m in self.terms)
+        return all(m == MONOMIAL_ONE for m in self.terms)
 
     def constant_term(self) -> Fraction:
         return self.terms.get(MONOMIAL_ONE, Fraction(0))
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self.terms}
-        return len(degs) <= 1
+        ds = self.ctx.pack.degshift
+        return len({m >> ds for m in self.terms}) <= 1
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(m.degree for m in self.terms)
+        return max(self.terms) >> self.ctx.pack.degshift
 
     def min_degree(self) -> int:
         if not self.terms:
             return -1
-        return min(m.degree for m in self.terms)
+        return min(self.terms) >> self.ctx.pack.degshift
 
     def variables(self) -> frozenset[int]:
-        out: set[int] = set()
+        seen = 0
         for m in self.terms:
-            out.update(v for v, _ in m.exps)
-        return frozenset(out)
+            seen |= m
+        return frozenset(v for v, _ in self.ctx.exponents(seen))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -349,10 +378,13 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, Fraction] = {}
+        hi = self.ctx.pack.himask
+        out: dict[int, Fraction] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = ma * mb
+                m = ma + mb
+                if m & hi:
+                    raise OverflowError(f"an exponent of the product exceeds {_FIELD_MAX}")
                 c = ca * cb
                 acc = out.get(m)
                 if acc is None:
@@ -423,7 +455,7 @@ class Polynomial:
         pow_cache: dict[tuple[int, int], Polynomial] = {}
         for m, c in self.terms.items():
             piece = target.const(c)
-            for v, e in m.exps:
+            for v, e in self.ctx.exponents(m):
                 p = pow_cache.get((v, e))
                 if p is None:
                     p = images[v] ** e
@@ -444,7 +476,7 @@ class Polynomial:
         total = Fraction(0)
         for m, c in self.terms.items():
             acc = c
-            for v, e in m.exps:
+            for v, e in self.ctx.exponents(m):
                 acc *= vals[v] ** e
             total += acc
         return total
@@ -471,37 +503,35 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no lowest-degree form")
         d = self.min_degree()
-        return Polynomial(self.ctx, {m: c for m, c in self.terms.items() if m.degree == d})
+        ds = self.ctx.pack.degshift
+        return Polynomial(self.ctx, {m: c for m, c in self.terms.items() if m >> ds == d})
 
     def linear_coefficient(self, var_index: int) -> Fraction:
-        return self.terms.get(Monomial(((var_index, 1),)), Fraction(0))
+        return self.terms.get(self.ctx.pack.units[var_index], Fraction(0))
 
     def degree_in(self, var_index: int) -> int:
-        d = 0
-        for m in self.terms:
-            for v, e in m.exps:
-                if v == var_index and e > d:
-                    d = e
-        return d
+        s = self.ctx.pack.shifts[var_index]
+        return max(((m >> s) & _FIELD_MASK for m in self.terms), default=0)
 
     def coefficient_of_var(self, var_index: int) -> "Polynomial":
         """Coefficient polynomial of var^1 (input must have degree <= 1 in var)."""
-        out: dict[Monomial, Fraction] = {}
+        s = self.ctx.pack.shifts[var_index]
+        unit = self.ctx.pack.units[var_index]
+        out: dict[int, Fraction] = {}
         for m, c in self.terms.items():
-            exps = dict(m.exps)
-            e = exps.pop(var_index, 0)
+            e = (m >> s) & _FIELD_MASK
             if e == 0:
                 continue
             if e > 1:
                 raise ValueError("degree in variable exceeds 1")
-            out[Monomial(tuple(sorted(exps.items())))] = c
+            out[m - unit] = c
         return Polynomial(self.ctx, out)
 
     def drop_var(self, var_index: int) -> "Polynomial":
         """Terms not involving the given variable."""
+        s = self.ctx.pack.shifts[var_index]
         return Polynomial(
-            self.ctx,
-            {m: c for m, c in self.terms.items() if all(v != var_index for v, _ in m.exps)},
+            self.ctx, {m: c for m, c in self.terms.items() if not (m >> s) & _FIELD_MASK}
         )
 
     # -- canonical text form ----------------------------------------------
@@ -515,16 +545,17 @@ class Polynomial:
         if self._key is None:
             self._key = (
                 self.ctx.names,
-                tuple(sorted((m.exps, (c.numerator, c.denominator)) for m, c in self.terms.items())),
+                tuple(sorted((m, c.numerator, c.denominator) for m, c in self.terms.items())),
             )
         return self._key
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[int, Fraction]]:
         """Terms in canonical order: ascending degree, earliest variables first."""
-        n = self.ctx.nvars
+        ds = self.ctx.pack.degshift
+        shifts = self.ctx.pack.shifts
         return sorted(
             self.terms.items(),
-            key=lambda it: (it[0].degree, tuple(-x for x in it[0].dense(n))),
+            key=lambda it: (it[0] >> ds, tuple(-((it[0] >> s) & _FIELD_MASK) for s in shifts)),
         )
 
     def __str__(self) -> str:
@@ -534,7 +565,7 @@ class Polynomial:
         for m, c in self.sorted_terms():
             mono = "*".join(
                 self.ctx.names[v] if e == 1 else f"{self.ctx.names[v]}^{e}"
-                for v, e in m.exps
+                for v, e in self.ctx.exponents(m)
             )
             if not mono:
                 body = str(abs(c))
@@ -555,7 +586,7 @@ class Polynomial:
         for m, c in self.sorted_terms():
             mono = "".join(
                 self.ctx.latex_names[v] if e == 1 else f"{self.ctx.latex_names[v]}^{{{e}}}"
-                for v, e in m.exps
+                for v, e in self.ctx.exponents(m)
             )
             if not mono:
                 body = _latex_frac(abs(c))

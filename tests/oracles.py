@@ -1,21 +1,85 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here deliberately avoids the package's optimized paths: the
-Buchberger oracle has no pair criteria, Bruhat order goes through the
-subword property on reduced words, Kazhdan-Lusztig polynomials are solved
-from the defining degree and inversion conditions via R-polynomials,
-monomial counting is plain enumeration, and local quotient dimensions are
-dense Gaussian ranks, one matrix per degree.  The opposite-side
+Everything here deliberately avoids the package's optimized paths.
+Monomials are read only as dense exponent tuples, through
+Context.exponents and Context.monomial, and divisibility, lcm, quotients
+and the term orders are defined on those tuples, so the Buchberger oracle
+shares no monomial arithmetic or order key with the kernel; it also has
+no pair criteria.  Bruhat order goes through the subword property on
+reduced words, Kazhdan-Lusztig polynomials are solved from the defining
+degree and inversion conditions via R-polynomials, monomial counting is
+plain enumeration, and local quotient dimensions are dense Gaussian
+ranks, one matrix per degree.  The opposite-side
 references read upper-left ranks directly, not through w0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, permutations as itpermutations, product
 
-from richardson.poly import Monomial, Polynomial
+from richardson.poly import Context, Polynomial
 from richardson.permutations import Permutation
+
+
+# ---------------------------------------------------------------------------
+# monomials as dense exponent tuples, compared by the textbook definitions
+# ---------------------------------------------------------------------------
+
+
+def dense(ctx: Context, m) -> tuple[int, ...]:
+    """The exponent vector of a monomial of ctx, read through Context.exponents."""
+    out = [0] * ctx.nvars
+    for v, e in ctx.exponents(m):
+        out[v] = e
+    return tuple(out)
+
+
+def packed(ctx: Context, exps: tuple[int, ...]):
+    """The monomial of ctx with exponent vector exps, made by Context.monomial."""
+    return ctx.monomial([(v, e) for v, e in enumerate(exps) if e])
+
+
+def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a / b for b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def compare(order, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """-1, 0 or 1 as a <, = or > b (Cox-Little-O'Shea 2.2), after permuting
+    the variables into the order's priority.
+
+    lex: a > b when the leftmost nonzero entry of a - b is positive.
+    deglex: the higher degree wins, then lex.  degrevlex: the higher
+    degree wins, then a > b when the rightmost nonzero entry of a - b is
+    negative.
+    """
+    if order.priority is not None:
+        a = tuple(a[p] for p in order.priority)
+        b = tuple(b[p] for p in order.priority)
+    if order.kind != "lex" and sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    if not diff:
+        return 0
+    if order.kind == "degrevlex":
+        return 1 if diff[-1] < 0 else -1
+    return 1 if diff[0] > 0 else -1
+
+
+def monomial_key(ctx: Context, order):
+    """A sort key on the monomials of ctx that follows compare."""
+    cmp = cmp_to_key(lambda a, b: compare(order, a, b))
+    return lambda m: cmp(dense(ctx, m))
 
 
 # ---------------------------------------------------------------------------
@@ -27,15 +91,18 @@ def _lt(p: Polynomial, keyf):
     return max(p.terms, key=keyf)
 
 
+def _term(ctx: Context, exps: tuple[int, ...], c) -> Polynomial:
+    return Polynomial(ctx, {packed(ctx, exps): c})
+
+
 def _divide_once(p: Polynomial, basis, keyf):
+    ctx = p.ctx
     for g in basis:
         ltg = _lt(g, keyf)
         ltp = _lt(p, keyf)
-        if ltg.divides(ltp):
-            cof = ltp.divide(ltg)
+        if divides(dense(ctx, ltg), dense(ctx, ltp)):
             c = p.terms[ltp] / g.terms[ltg]
-            cofpoly = Polynomial(p.ctx, {cof: c})
-            return p - cofpoly * g
+            return p - _term(ctx, quotient(dense(ctx, ltp), dense(ctx, ltg)), c) * g
     return None
 
 
@@ -58,17 +125,17 @@ def naive_buchberger(gens, order) -> list[Polynomial]:
     if not gens:
         return []
     ctx = gens[0].ctx
-    keyf = order.sort_key(ctx)
+    keyf = monomial_key(ctx, order)
     basis = list(gens)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop(0)
         f, g = basis[i], basis[j]
-        ltf, ltg = _lt(f, keyf), _lt(g, keyf)
-        lcm = ltf.lcm(ltg)
+        ltf, ltg = dense(ctx, _lt(f, keyf)), dense(ctx, _lt(g, keyf))
+        l = lcm(ltf, ltg)
         s = (
-            Polynomial(ctx, {lcm.divide(ltf): 1 / f.terms[ltf]}) * f
-            - Polynomial(ctx, {lcm.divide(ltg): 1 / g.terms[ltg]}) * g
+            _term(ctx, quotient(l, ltf), 1 / f.terms[_lt(f, keyf)]) * f
+            - _term(ctx, quotient(l, ltg), 1 / g.terms[_lt(g, keyf)]) * g
         )
         r = naive_normal_form(s, basis, keyf)
         if not r.is_zero():
@@ -83,7 +150,9 @@ def naive_buchberger(gens, order) -> list[Polynomial]:
     for g in monic:
         lt = _lt(g, keyf)
         others = [h for h in monic if h is not g]
-        if not any(_lt(h, keyf).divides(lt) for h in others if _lt(h, keyf) != lt):
+        if not any(
+            divides(dense(ctx, _lt(h, keyf)), dense(ctx, lt)) for h in others if _lt(h, keyf) != lt
+        ):
             if all(_lt(h, keyf) != lt or h is g for h in minimal + others[: 0]):
                 minimal.append(g)
     # drop duplicates with equal leading terms
@@ -260,15 +329,14 @@ def brute_coset_min_max(w: Permutation, J):
     return lo, hi
 
 
-def count_monomials_leq(lead: list[Monomial], nvars: int, degree: int) -> int:
-    """Monomials of degree <= degree not divisible by any leading monomial."""
+def count_monomials_leq(lead: list[tuple[int, ...]], nvars: int, degree: int) -> int:
+    """Exponent vectors of degree <= degree divisible by no leading exponent vector."""
     count = 0
 
     def rec(var, remaining, exps):
         nonlocal count
         if var == nvars:
-            m = Monomial(tuple((i, e) for i, e in enumerate(exps) if e))
-            if not any(l.divides(m) for l in lead):
+            if not any(divides(l, tuple(exps)) for l in lead):
                 count += 1
             return
         for e in range(remaining + 1):
@@ -280,7 +348,7 @@ def count_monomials_leq(lead: list[Monomial], nvars: int, degree: int) -> int:
     return count
 
 
-def hilbert_function_by_counting(lead: list[Monomial], nvars: int, degree: int) -> list[int]:
+def hilbert_function_by_counting(lead: list[tuple[int, ...]], nvars: int, degree: int) -> list[int]:
     """Hilbert function of R/<lead> in degrees 0..degree by direct counting."""
     upto = [count_monomials_leq(lead, nvars, d) for d in range(degree + 1)]
     return [upto[0]] + [upto[d] - upto[d - 1] for d in range(1, degree + 1)]
@@ -323,7 +391,7 @@ def truncated_quotient_dims(gens, nvars: int, degree_bound: int) -> list[int]:
         index = {e: k for k, e in enumerate(cols)}
         rows = []
         for g in gens:
-            terms = [(m.dense(nvars), c) for m, c in g.terms.items()]
+            terms = [(dense(g.ctx, m), c) for m, c in g.terms.items()]
             for a in cols:
                 row = [Fraction(0)] * len(cols)
                 for e, c in terms:

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from richardson import clear_memos
-from richardson.cli import RunConfig, run
+from richardson.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -229,19 +229,6 @@ def test_bad_flags_exit_2():
     assert status == 2
     status, _ = capture(["sweep"])
     assert status == 2
-
-
-def test_runconfig_roundtrip():
-    cfg = RunConfig(
-        subcommand="verify",
-        check="mult",
-        n=4,
-        seed=7,
-        exhaustive=True,
-        parabolic=(1, 3),
-        output_format="text",
-    )
-    assert RunConfig.from_json(cfg.to_json()) == cfg
 
 
 def _usage_error(argv, capsys):

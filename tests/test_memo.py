@@ -9,7 +9,7 @@ from richardson.charts import chart
 from richardson.groebner import IdealGens, buchberger
 from richardson.invariants import richardson_invariants
 from richardson.permutations import Permutation
-from richardson.poly import Context
+from richardson.poly import DEGREVLEX, Context, _key_cache
 from richardson.sweep import sweep_images
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "richardson"
@@ -79,3 +79,15 @@ def test_no_memo_outside_the_helper():
             if set(names) & {"lru_cache", "cache", "cached_property"}:
                 found.append(f"{path.name}:{node.lineno}: functools cache")
     assert found == []
+
+
+def test_sort_key_caches_live_in_memo_tables():
+    # a Context keeps its packed layout past clear_memos(), so the layout
+    # holds no cache; the sort-key cache of an order is a memo table
+    ctx = Context(("x", "y", "z"))
+    assert not any(isinstance(getattr(ctx.pack, s), dict) for s in ctx.pack.__slots__)
+    keyf = DEGREVLEX.sort_key(ctx)
+    keyf(ctx.monomial(((0, 2), (2, 1))))
+    assert _key_cache(3, DEGREVLEX.tag)
+    clear_memos()
+    assert _key_cache(3, DEGREVLEX.tag) == {}

@@ -1,19 +1,24 @@
 """Exact polynomial arithmetic: contracts, canonical form, ring axioms."""
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import compare, dense
 from richardson.poly import (
     Context,
     DEGLEX,
     DEGREVLEX,
     LEX,
     MONOMIAL_ONE,
-    Monomial,
+    MonomialOrder,
     Polynomial,
 )
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 CTX = Context(("x", "y", "z"))
 X, Y, Z = (CTX.var(n) for n in ("x", "y", "z"))
@@ -27,7 +32,7 @@ def random_poly(ctx, rng, max_terms=5, max_deg=3, zero_ok=True):
             for i in sorted(rng.sample(range(ctx.nvars), rng.randint(0, ctx.nvars)))
         )
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        terms.append((Monomial(exps), coeff))
+        terms.append((ctx.monomial(exps), coeff))
     return Polynomial.from_terms(ctx, terms)
 
 
@@ -145,25 +150,40 @@ def test_context_mismatch_rejected():
         X + other.var("x")
 
 
-@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX])
+ORDERS = [LEX, DEGLEX, DEGREVLEX, MonomialOrder("lex", (2, 0, 1)),
+          MonomialOrder("degrevlex", (1, 2, 0))]
+
+
+@pytest.mark.parametrize("order", ORDERS)
 def test_monomial_orders_are_total_multiplicative_with_unit_minimum(order):
-    rng = random.Random(97)
-    keyf = order.sort_key(CTX)
+    for nvars in (3, 10):
+        ctx = Context(tuple(f"x{i}" for i in range(nvars)))
+        if order.priority is not None:  # the priority lists 3 variables: extend it
+            ctx_order = MonomialOrder(order.kind, order.priority + tuple(range(3, nvars)))
+        else:
+            ctx_order = order
+        _check_order(ctx_order, ctx, random.Random(97 + nvars))
+
+
+def _check_order(order, ctx, rng):
+    keyf = order.sort_key(ctx)
     monos = []
     for _ in range(40):
         exps = tuple(
             (i, rng.randint(1, 3))
-            for i in sorted(rng.sample(range(3), rng.randint(0, 3)))
+            for i in sorted(rng.sample(range(ctx.nvars), rng.randint(0, min(ctx.nvars, 4))))
         )
-        monos.append(Monomial(exps))
+        monos.append(ctx.monomial(exps))
     for _ in range(300):
         a, b, c = (monos[rng.randrange(len(monos))] for _ in range(3))
         ka, kb = keyf(a), keyf(b)
         # total: keys equal iff monomials equal
         assert (ka == kb) == (a == b)
-        # multiplicative
+        # the packed key follows the definition on exponent tuples
+        assert (ka > kb) - (ka < kb) == compare(order, dense(ctx, a), dense(ctx, b))
+        # multiplicative (a product of packed monomials is their sum)
         if ka < kb:
-            assert keyf(a * c) < keyf(b * c)
+            assert keyf(a + c) < keyf(b + c)
         # 1 is minimum
         if a != MONOMIAL_ONE:
             assert keyf(MONOMIAL_ONE) < keyf(a)
@@ -171,8 +191,8 @@ def test_monomial_orders_are_total_multiplicative_with_unit_minimum(order):
 
 def test_degrevlex_vs_deglex_disagree_somewhere():
     # x*z^2 vs y^2*z: same degree; deglex prefers x first, degrevlex penalizes z
-    a = Monomial(((0, 1), (2, 2)))
-    b = Monomial(((1, 2), (2, 1)))
+    a = CTX.monomial(((0, 1), (2, 2)))
+    b = CTX.monomial(((1, 2), (2, 1)))
     kd = DEGLEX.sort_key(CTX)
     kr = DEGREVLEX.sort_key(CTX)
     assert (kd(a) > kd(b)) != (kr(a) > kr(b))
@@ -182,3 +202,63 @@ def test_latex_output():
     ctx = Context(("z42", "z43", "z52"), ("z_{42}", "z_{43}", "z_{52}"))
     f = ctx.var("z42") - ctx.var("z52") * ctx.var("z43")
     assert f.latex() == "z_{42}-z_{43}z_{52}"
+
+
+def test_exponents_are_bounded_by_127():
+    assert (X ** 127).terms == {CTX.monomial(((0, 127),)): 1}
+    assert CTX.exponents(next(iter((X ** 100 * Y ** 27 * X ** 27).terms))) == ((0, 127), (1, 27))
+    with pytest.raises(OverflowError):
+        X ** 128
+    with pytest.raises(OverflowError):
+        X ** 100 * X ** 28
+    with pytest.raises(OverflowError):
+        CTX.monomial(((0, 128),))
+    with pytest.raises(ValueError):
+        CTX.monomial(((0, 0),))
+
+
+def test_monomial_and_exponents_are_inverse():
+    rng = random.Random(3)
+    for nvars in (1, 3, 10, 15):
+        ctx = Context(tuple(f"x{i}" for i in range(nvars)))
+        for _ in range(50):
+            pairs = tuple(
+                (i, rng.randint(1, 127))
+                for i in sorted(rng.sample(range(nvars), rng.randint(0, nvars)))
+            )
+            assert ctx.exponents(ctx.monomial(pairs)) == pairs
+
+
+def _golden_poly(ctx, terms):
+    return Polynomial.from_terms(
+        ctx, ((ctx.monomial(tuple(map(tuple, pairs))), Fraction(c)) for pairs, c in terms)
+    )
+
+
+def _forms(p):
+    return {
+        "str": str(p),
+        "latex": p.latex(),
+        "sorted": [[list(map(list, p.ctx.exponents(m))), str(c)] for m, c in p.sorted_terms()],
+    }
+
+
+def test_canonical_forms_match_golden():
+    # seeded polynomials in 1, 3, 10 and 15 variables with exponents up to
+    # 127, some products and translates, recorded by the tuple-monomial
+    # implementation that preceded the packed form
+    golden = json.loads((GOLDEN / "poly_forms.json").read_text())
+    checked = 0
+    for case in golden["contexts"]:
+        ctx = Context(case["names"], case["latex_names"])
+        polys = [_golden_poly(ctx, p["terms"]) for p in case["polys"]]
+        for p, want in zip(polys, case["polys"]):
+            assert _forms(p) == want["forms"]
+        for prod in case["products"]:
+            assert _forms(polys[prod["a"]] * polys[prod["b"]]) == prod["forms"]
+        for tr in case["translates"]:
+            center = {nm: Fraction(c) for nm, c in tr["center"].items()}
+            assert _forms(polys[tr["poly"]].translate(center)) == tr["forms"]
+        checked += len(polys) + len(case["products"]) + len(case["translates"])
+    assert [len(c["names"]) for c in golden["contexts"]] == [1, 3, 10, 15]
+    assert checked >= 100
