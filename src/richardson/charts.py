@@ -9,8 +9,8 @@ point of the chart is uB, at the origin of the coordinates.
 
 Schubert, opposite Schubert, and Richardson varieties meet a chart in the
 vanishing locus of justified minors of the generic chart matrix; the
-emitted generators are the essential rank conditions (a regression test
-pins them against the full unpruned list).
+emitted generators are the essential rank conditions (regression tests
+pin their ideals against the full unpruned lists of the test oracles).
 
 One generic matrix is kept per chart (``generic_matrix`` is memoized by
 u), so its table of minors serves every Schubert, opposite and Richardson
@@ -183,8 +183,8 @@ def generic_matrix(u: Permutation) -> ChartMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _essential_schubert_conditions(w: Permutation, prune: bool = True):
-    """Non-vacuous (i, j, bound) triples for lower-left rank conditions."""
+def _essential_schubert_conditions(w: Permutation):
+    """Non-vacuous, non-implied (i, j, bound) triples for lower-left rank conditions."""
     n = w.n
     r = schubert_rank(w)
     out = []
@@ -193,11 +193,10 @@ def _essential_schubert_conditions(w: Permutation, prune: bool = True):
             b = r[i - 1][j - 1]
             if b >= min(n - i + 1, j):
                 continue  # vacuous
-            if prune:
-                if i > 1 and r[i - 2][j - 1] == b:
-                    continue  # implied by the taller submatrix
-                if j < n and r[i - 1][j] == b:
-                    continue  # implied by the wider submatrix
+            if i > 1 and r[i - 2][j - 1] == b:
+                continue  # implied by the taller submatrix
+            if j < n and r[i - 1][j] == b:
+                continue  # implied by the wider submatrix
             out.append((i, j, b))
     return out
 
@@ -213,15 +212,15 @@ def _minors(matrix: ChartMatrix, conditions) -> list[Polynomial]:
     ]
 
 
-def schubert_minors(matrix: ChartMatrix, w: Permutation, prune: bool = True) -> list[Polynomial]:
+def schubert_minors(matrix: ChartMatrix, w: Permutation) -> list[Polynomial]:
     """The (bound+1)-minors of rows i..n, columns 1..j for the conditions of w."""
     n = w.n
     return _minors(
-        matrix, [(range(i, n + 1), j, b) for i, j, b in _essential_schubert_conditions(w, prune)]
+        matrix, [(range(i, n + 1), j, b) for i, j, b in _essential_schubert_conditions(w)]
     )
 
 
-def opposite_minors(matrix: ChartMatrix, v: Permutation, prune: bool = True) -> list[Polynomial]:
+def opposite_minors(matrix: ChartMatrix, v: Permutation) -> list[Polynomial]:
     """The (bound+1)-minors of rows 1..i, columns 1..j for the conditions of v.
 
     They are the conditions of w0 v read on the row-reversed matrix, put
@@ -230,29 +229,28 @@ def opposite_minors(matrix: ChartMatrix, v: Permutation, prune: bool = True) -> 
     n = v.n
     conditions = sorted(
         (n + 1 - i, j, b)
-        for i, j, b in _essential_schubert_conditions(Permutation.longest(n) * v, prune)
+        for i, j, b in _essential_schubert_conditions(Permutation.longest(n) * v)
     )
     return _minors(matrix, [(range(1, i + 1), j, b) for i, j, b in conditions])
 
 
-def schubert_ideal_in_chart(w: Permutation, u: Permutation, prune: bool = True) -> IdealGens:
-    """Defining ideal of X_w in the chart of u."""
-    if w.n != u.n:
-        raise ValueError("size mismatch")
-    x = generic_matrix(u)
-    return IdealGens(x.chart.ctx, schubert_minors(x, w, prune))
+def schubert_ideal_in_chart(w: Permutation, u: Permutation) -> IdealGens:
+    """Defining ideal of X_w = X_w^id in the chart of u."""
+    return richardson_ideal_in_chart(Permutation.identity(w.n), w, u)
 
 
-def opposite_ideal_in_chart(v: Permutation, u: Permutation, prune: bool = True) -> IdealGens:
-    """Defining ideal of the opposite Schubert variety X^v in the chart of u."""
-    if v.n != u.n:
-        raise ValueError("size mismatch")
-    x = generic_matrix(u)
-    return IdealGens(x.chart.ctx, opposite_minors(x, v, prune))
+def opposite_ideal_in_chart(v: Permutation, u: Permutation) -> IdealGens:
+    """Defining ideal of the opposite Schubert variety X^v = X_w0^v in the chart of u."""
+    return richardson_ideal_in_chart(v, Permutation.longest(v.n), u)
 
 
 def richardson_ideal_in_chart(v: Permutation, w: Permutation, u: Permutation) -> IdealGens:
-    """Defining ideal of X_w^v = X_w meet X^v in the chart of u."""
+    """Defining ideal of X_w^v = X_w meet X^v in the chart of u.
+
+    Every rank condition of the identity on the opposite side, and of w0
+    on the Schubert side, is vacuous, so X_w and X^v are the cases v = id
+    and w = w0 with no extra generators.
+    """
     if not (v.n == w.n == u.n):
         raise ValueError("size mismatch")
     x = generic_matrix(u)

@@ -16,9 +16,11 @@ A record at a torus-fixed point is computed at the origin of the point's
 chart, where localize has nothing to translate.  Its dimension and
 tangent dimension are then checked against Bruhat order, l(w) - l(v) and
 #{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
-mismatch raises.  Fixed-point records are memoized (see memo) per oracle
-degree, so a record checked at one degree, or not checked at all, is never
-served to a call that asks for another.
+mismatch raises.  A Schubert record is the Richardson record at v = id
+and an opposite record the one at w = w0, so there is one memoized record
+(see memo) per (v, w, sigma, oracle degree): a record checked at one
+degree, or not checked at all, is never served to a call that asks for
+another.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ from fractions import Fraction
 from .charts import (
     generic_matrix,
     identify_cells,
-    opposite_ideal_in_chart,
     rational_rank,
     richardson_ideal_in_chart,
-    schubert_ideal_in_chart,
 )
 from .groebner import (
     IdealGens,
@@ -169,24 +169,17 @@ def _concordance_check(I0: IdealGens, hd, degree: int) -> None:
 # Invariants at torus-fixed points, memoized
 # ---------------------------------------------------------------------------
 
-# the chart ideal of each kind of record at (v, w, sigma); the charts
-# functions are named through the module globals at call time, so a
-# rebound function is the one that runs
-_CHART_IDEALS = {
-    "schubert": lambda v, w, sigma: schubert_ideal_in_chart(w, sigma),
-    "opposite": lambda v, w, sigma: opposite_ideal_in_chart(v, sigma),
-    "richardson": lambda v, w, sigma: richardson_ideal_in_chart(v, w, sigma),
-}
-
-
 # a record is only as checked as the oracle degree it was checked at
-@memoized(lambda kind, v, w, sigma, oracle: (kind, v.window, w.window, sigma.window, oracle))
-def _fixed_point_invariants(kind: str, v, w, sigma, oracle: int | None) -> LocalInvariants:
-    """The record of X_w^v at sigma in the chart ideal of its kind, memoized.
+@memoized(lambda v, w, sigma, oracle: (v.window, w.window, sigma.window, oracle))
+def _fixed_point_invariants(v, w, sigma, oracle: int | None) -> LocalInvariants:
+    """The record of X_w^v at sigma, memoized.
 
-    A Schubert record is the case v = id, an opposite record w = w0.
+    A Schubert record is the case v = id, an opposite record w = w0, so
+    each is the Richardson record of its triple.  The chart ideal is
+    named through the module global at call time, so a rebound function
+    is the one that runs.
     """
-    ideal = _CHART_IDEALS[kind](v, w, sigma)
+    ideal = richardson_ideal_in_chart(v, w, sigma)
     inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names}, oracle)
     _bruhat_check(inv, v, w, sigma)
     return inv
@@ -224,7 +217,7 @@ def schubert_invariants(
     """Invariants of X_w at the fixed point sigma, in the chart of sigma."""
     if not bruhat_leq(sigma, w):
         raise NotOnVariety("the fixed point is not on the Schubert variety")
-    return _fixed_point_invariants("schubert", Permutation.identity(w.n), w, sigma, oracle)
+    return _fixed_point_invariants(Permutation.identity(w.n), w, sigma, oracle)
 
 
 def opposite_invariants(
@@ -233,7 +226,7 @@ def opposite_invariants(
     """Invariants of the opposite Schubert variety X^v at the fixed point tau."""
     if not bruhat_leq(v, tau):
         raise NotOnVariety("the fixed point is not on the opposite Schubert variety")
-    return _fixed_point_invariants("opposite", v, Permutation.longest(v.n), tau, oracle)
+    return _fixed_point_invariants(v, Permutation.longest(v.n), tau, oracle)
 
 
 def richardson_invariants(
@@ -242,7 +235,7 @@ def richardson_invariants(
     """Invariants of X_w^v at the fixed point sigma."""
     if not (bruhat_leq(v, sigma) and bruhat_leq(sigma, w)):
         raise NotOnVariety("the fixed point is not on the Richardson variety")
-    return _fixed_point_invariants("richardson", v, w, sigma, oracle)
+    return _fixed_point_invariants(v, w, sigma, oracle)
 
 
 def richardson_invariants_at_point(
@@ -272,22 +265,18 @@ def parabolic_invariants(
 
     The parabolic is named by its simple reflections J.  The computation
     replaces w by the maximal and v by the minimal representative of their
-    cosets, picks a representative of sigma's coset inside the interval,
-    and computes upstairs; multiplicity and H-polynomial are untouched by
+    cosets, takes the minimal representative of sigma's coset, and
+    computes upstairs; multiplicity and H-polynomial are untouched by
     the affine fiber while both dimensions drop by its dimension l(w_J).
     """
     v_min, _ = coset_reps(v, J)
     _, w_max = coset_reps(w, J)
     fiber = w_j_longest_length(w.n, J)
-    # representatives of sigma W_J inside [v_min, w_max], smallest first
-    reps = _coset_members(sigma, J)
-    reps = [
-        s for s in reps if bruhat_leq(v_min, s) and bruhat_leq(s, w_max)
-    ]
-    if not reps:
+    # projection to W^J preserves Bruhat order (Deodhar), so sigma W_J
+    # meets [v_min, w_max] exactly when its minimal representative does
+    rep, _ = coset_reps(sigma, J)
+    if not (bruhat_leq(v_min, rep) and bruhat_leq(rep, w_max)):
         raise NotOnVariety("the fixed point is not on the parabolic Richardson variety")
-    reps.sort(key=lambda s: (s.length(), s.window))
-    rep = reps[0]
     up = richardson_invariants(v_min, w_max, rep, oracle)
     return LocalInvariants(
         dimension=up.dimension - fiber,
@@ -296,31 +285,3 @@ def parabolic_invariants(
         multiplicity=up.multiplicity,
         h_polynomial=up.h_polynomial,
     )
-
-
-def _coset_members(sigma: Permutation, J) -> list[Permutation]:
-    from itertools import permutations as _itperms
-
-    from .permutations import _j_blocks
-
-    n = sigma.n
-    blocks = _j_blocks(n, J)
-    members = [list(sigma.window)]
-    for block in blocks:
-        vals = [sigma.window[p - 1] for p in block]
-        nxt = []
-        for win in members:
-            for arrangement in _itperms(vals):
-                w2 = list(win)
-                for p, val in zip(block, arrangement):
-                    w2[p - 1] = val
-                nxt.append(w2)
-        members = nxt
-    seen = set()
-    out = []
-    for win in members:
-        t = tuple(win)
-        if t not in seen:
-            seen.add(t)
-            out.append(Permutation(t))
-    return out

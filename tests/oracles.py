@@ -10,7 +10,8 @@ reduced words, Kazhdan-Lusztig polynomials are solved from the defining
 degree and inversion conditions via R-polynomials, monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
 ranks, one matrix per degree.  The opposite-side
-references read upper-left ranks directly, not through w0.
+references read upper-left ranks directly, not through w0, and the
+rank-condition references count ranks off the permutation.
 """
 
 from __future__ import annotations
@@ -308,8 +309,11 @@ def kl_by_inversion(v: Permutation, w: Permutation) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def brute_coset_min_max(w: Permutation, J):
-    """Min/max length members of w W_J by enumerating the parabolic subgroup."""
+def brute_coset(w: Permutation, J) -> set[Permutation]:
+    """The coset w W_J, by enumerating the parabolic subgroup W_J.
+
+    A permutation lies in W_J when it can be sorted by right descents in J.
+    """
     n = w.n
     members = set()
     for x in itpermutations(range(1, n + 1)):
@@ -324,6 +328,12 @@ def brute_coset_min_max(w: Permutation, J):
             cur = cur.swap_positions(ds[0], ds[0] + 1)
         if word_ok:
             members.add(w * p)
+    return members
+
+
+def brute_coset_min_max(w: Permutation, J):
+    """Min/max length members of w W_J by enumerating the parabolic subgroup."""
+    members = brute_coset(w, J)
     lo = min(members, key=lambda m: (m.length(), m.window))
     hi = max(members, key=lambda m: (m.length(), m.window))
     return lo, hi
@@ -459,6 +469,37 @@ def upper_left_opposite_minors(matrix, v: Permutation, prune: bool = True) -> li
             if prune and ((i < n and r[i][j - 1] == b) or (j < n and r[i - 1][j] == b)):
                 continue
             for rows in combinations(range(1, i + 1), b + 1):
+                for cols in combinations(range(1, j + 1), b + 1):
+                    m = matrix.minor(rows, cols)
+                    if not m.is_zero() and m.key() not in seen:
+                        seen.add(m.key())
+                        out.append(m)
+    return out
+
+
+def lower_left_schubert_minors(matrix, w: Permutation, prune: bool = True) -> list[Polynomial]:
+    """Distinct nonzero (b+1)-minors of rows i..n, columns 1..j, for each
+    non-vacuous lower-left condition (i, j, b) of w in (i, j) order, with
+    r_w(i, j) = #{k <= j : w(k) >= i} counted.
+
+    Pruning drops a condition implied by the taller (i-1) or the wider
+    (j+1) submatrix with the same bound.
+    """
+    n = w.n
+    r = [
+        [sum(1 for k in range(1, j + 1) if w(k) >= i) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    out = []
+    seen = set()
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            b = r[i - 1][j - 1]
+            if b >= min(n - i + 1, j):
+                continue
+            if prune and ((i > 1 and r[i - 2][j - 1] == b) or (j < n and r[i - 1][j] == b)):
+                continue
+            for rows in combinations(range(i, n + 1), b + 1):
                 for cols in combinations(range(1, j + 1), b + 1):
                     m = matrix.minor(rows, cols)
                     if not m.is_zero() and m.key() not in seen:

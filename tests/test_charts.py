@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import upper_left_opposite_cell, upper_left_opposite_minors
+from oracles import (
+    lower_left_schubert_minors,
+    upper_left_opposite_cell,
+    upper_left_opposite_minors,
+)
 from richardson import clear_memos
 from richardson.charts import (
     chart,
@@ -106,26 +110,24 @@ def test_contains_one_iff_chart_misses_variety_s3():
 
 
 def test_pruned_conditions_match_unpruned_ideals():
+    # the essential conditions cut out the ideal of every condition, and
+    # emit the counted reference's pruned minors one for one
+    def check(w, u):
+        x = generic_matrix(u)
+        schub = schubert_ideal_in_chart(w, u)
+        assert schub.generators == tuple(lower_left_schubert_minors(x, w))
+        assert ideal_equal(schub, IdealGens(x.ctx, lower_left_schubert_minors(x, w, prune=False)))
+        opp = opposite_ideal_in_chart(w, u)
+        assert ideal_equal(opp, IdealGens(x.ctx, upper_left_opposite_minors(x, w, prune=False)))
+
     elems = Permutation.all(3)
     for w in elems:
         for u in elems:
-            assert ideal_equal(
-                schubert_ideal_in_chart(w, u, prune=True),
-                schubert_ideal_in_chart(w, u, prune=False),
-            )
-            assert ideal_equal(
-                opposite_ideal_in_chart(w, u, prune=True),
-                opposite_ideal_in_chart(w, u, prune=False),
-            )
+            check(w, u)
     rng = random.Random(7)
     s4 = Permutation.all(4)
     for _ in range(8):
-        w = s4[rng.randrange(24)]
-        u = s4[rng.randrange(24)]
-        assert ideal_equal(
-            schubert_ideal_in_chart(w, u, prune=True),
-            schubert_ideal_in_chart(w, u, prune=False),
-        )
+        check(s4[rng.randrange(24)], s4[rng.randrange(24)])
 
 
 def test_dimension_law_sampled_s4():
@@ -226,13 +228,19 @@ def test_identify_cells_matches_upper_left_reading():
 
 @pytest.mark.parametrize("prune", [True, False])
 def test_opposite_minors_match_upper_left_enumeration_s4(prune):
+    # pruned, the reference gives the generators one for one; unpruned,
+    # it spans the same ideal
     elems = Permutation.all(4)
     for u in elems:
         x = generic_matrix(u)
         for v in elems:
-            expect = tuple(upper_left_opposite_minors(x, v, prune))
-            assert IdealGens(x.ctx, opposite_minors(x, v, prune)).generators == expect
-            assert opposite_ideal_in_chart(v, u, prune).generators == expect
+            expect = IdealGens(x.ctx, upper_left_opposite_minors(x, v, prune))
+            got = opposite_ideal_in_chart(v, u)
+            assert IdealGens(x.ctx, opposite_minors(x, v)).generators == got.generators
+            if prune:
+                assert got.generators == expect.generators
+            else:
+                assert ideal_equal(got, expect)
 
 
 def test_identify_cells_rejects_singular():

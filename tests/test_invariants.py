@@ -1,14 +1,19 @@
 """Local invariants: dimension, tangent space, multiplicity, H-polynomial."""
 
+import io
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from oracles import brute_coset
 from richardson import clear_memos
 from richardson.charts import chart, schubert_ideal_in_chart
 from richardson.groebner import IdealGens
 from richardson.invariants import (
+    LocalInvariants,
+    NotOnVariety,
     local_invariants_at,
     localize,
     opposite_invariants,
@@ -18,7 +23,7 @@ from richardson.invariants import (
     schubert_invariants,
     tangent_dim_at,
 )
-from richardson.permutations import Permutation, bruhat_leq
+from richardson.permutations import Permutation, bruhat_leq, coset_reps
 from richardson.poly import Context
 
 
@@ -231,6 +236,33 @@ def test_fixed_point_records_are_checked_against_bruhat_order(monkeypatch):
             record()
 
 
+def test_schubert_and_opposite_records_are_richardson_records():
+    # X_w = X_w^id and X^v = X_w0^v: each is served the one record of its triple
+    id4, w0 = Permutation.identity(4), Permutation.longest(4)
+    w, sigma = Permutation([4, 2, 3, 1]), Permutation([2, 1, 4, 3])
+    v, tau = Permutation([1, 3, 2, 4]), Permutation([2, 4, 1, 3])
+    clear_memos()
+    assert schubert_invariants(w, sigma) is richardson_invariants(id4, w, sigma)
+    clear_memos()
+    assert opposite_invariants(v, tau) is richardson_invariants(v, w0, tau)
+
+
+def test_cold_verify_mult_computes_one_record_per_chain():
+    # the Schubert and opposite records of every case are Richardson
+    # records of S3 cases too, so a cold run checks each chain once
+    import richardson.invariants as rinv
+    from richardson.cli import run
+
+    elems = Permutation.all(3)
+    chains = sum(
+        1 for v in elems for s in elems for w in elems if bruhat_leq(v, s) and bruhat_leq(s, w)
+    )
+    clear_memos()
+    before = rinv.TANGENT_CHECKS
+    assert run(["verify", "mult", "--n", "3", "--exhaustive"], io.StringIO()) == 0
+    assert rinv.TANGENT_CHECKS - before == chains
+
+
 def test_parabolic_trivial_cases():
     v = Permutation([1, 3, 2, 4])
     w = Permutation([4, 2, 3, 1])
@@ -262,6 +294,38 @@ def test_parabolic_rejects_point_off_variety():
         parabolic_invariants(
             Permutation([2, 4, 1, 3]), Permutation([2, 4, 1, 3]), id4, {1, 3}
         )
+
+
+def test_parabolic_representative_is_the_minimal_one_s4(monkeypatch):
+    # the record is computed at the minimal representative of sigma W_J
+    # exactly when the coset meets [v_min, w_max]; the brute-force rule
+    # picks the shortest member inside the interval, or finds none.  A
+    # triple (v, w, sigma) reaches the rule only through (v_min, w_max,
+    # sigma), so one triple per class covers every triple of S4
+    import richardson.invariants as rinv
+
+    upstairs = []
+    record = LocalInvariants(5, 5, True, 1, Context(()).one())
+    monkeypatch.setattr(
+        rinv, "richardson_invariants", lambda v, w, sigma, oracle: upstairs.append(sigma) or record
+    )
+    elems = Permutation.all(4)
+    for J in (set(c) for k in range(4) for c in combinations((1, 2, 3), k)):
+        mins = {coset_reps(v, J)[0] for v in elems}
+        maxes = {coset_reps(w, J)[1] for w in elems}
+        for sigma in elems:
+            coset = brute_coset(sigma, J)
+            for v_min in mins:
+                for w_max in maxes:
+                    inside = [s for s in coset if bruhat_leq(v_min, s) and bruhat_leq(s, w_max)]
+                    upstairs.clear()
+                    if inside:
+                        parabolic_invariants(v_min, w_max, sigma, J)
+                        assert upstairs == [min(inside, key=lambda s: (s.length(), s.window))]
+                    else:
+                        with pytest.raises(NotOnVariety):
+                            parabolic_invariants(v_min, w_max, sigma, J)
+                        assert upstairs == []
 
 
 def _reflections_times(sigma: Permutation) -> list[Permutation]:
