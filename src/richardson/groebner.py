@@ -1,14 +1,21 @@
 """Ideal algorithms over exact rationals.
 
 Buchberger completion with the Gebauer-Moller pair criteria and normal
-selection strategy, reduced bases, normal forms, ideal equality, Krull
-dimension via independent variable sets, Hilbert series of homogeneous
-ideals by recursive splitting of the leading-term monomial ideal, tangent
-cones via homogenization, and a local Hilbert-function oracle used to
-cross-check every multiplicity the package ever reports.  The oracle shares
-no code with the Buchberger kernel it checks: it solves away every variable
-a generator is linear in by truncated power-series substitution, then runs
-one fraction-free integer elimination of the truncated Macaulay matrix of
+selection strategy, reduced bases, normal forms, ideal equality, exact
+elimination of the variables a generator is linear in, Krull dimension
+from the Hilbert numerator of the leading-term ideal, Hilbert series of
+homogeneous ideals by recursive splitting of the leading-term monomial
+ideal, tangent cones via homogenization, and a local Hilbert-function
+oracle used to cross-check every multiplicity the package ever reports.
+
+A local invariant at the origin is computed on the ring that
+solve_linear_variables leaves: while some generator is g = c*x + h with x
+not in h, x = -h/c is substituted exactly and g and x are dropped, which
+is an isomorphism of quotient rings sending the origin to the origin.
+The oracle shares no code with this kernel, that elimination included:
+it takes the ideal as it was, solves away every variable a generator is
+linear in by its own truncated power-series substitution, then runs one
+fraction-free integer elimination of the truncated Macaulay matrix of
 what is left.
 
 Every algorithm reads the terms of a Polynomial as they are: their
@@ -427,6 +434,76 @@ def contains_one(I: IdealGens) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Exact linear elimination
+# ---------------------------------------------------------------------------
+
+
+def solve_linear_variables(I: IdealGens) -> IdealGens:
+    """An ideal I' of R' = Q[the variables left] with R/I isomorphic to R'/I'.
+
+    While some generator is g = c*x + h with c a nonzero rational and x
+    not in h, x = -h/c is substituted exactly into the other generators,
+    and g and x are dropped: R/(g) is R' by x -> -h/c, so R/I is R'/I'.
+    The shortest such g goes first, then the earliest variable.  When no
+    generator has a constant term, neither has h, so the isomorphism
+    sends the origin to the origin and every local invariant there is
+    unchanged.  What is left is repacked over the remaining variables,
+    which keep their names; I itself comes back when nothing is solved.
+    """
+    ctx = I.ctx
+    pk = ctx.pack
+    fm = _FIELD_MASK
+    linear = {unit: v for v, unit in enumerate(pk.units)}
+    gens = list(I.generators)
+    live = list(range(ctx.nvars))
+    while True:
+        pick = None
+        for k, g in enumerate(gens):
+            for a in g.terms:
+                v = linear.get(a)
+                if v is None or (pick is not None and (len(g.terms), v) >= pick[0]):
+                    continue
+                shift = pk.shifts[v]
+                if not any(b != a and (b >> shift) & fm for b in g.terms):
+                    pick = ((len(g.terms), v), k, a, v)
+        if pick is None:
+            break
+        _, k, a, v = pick
+        g = gens.pop(k)
+        c = g.terms[a]
+        image = Polynomial(ctx, {b: -d / c for b, d in g.terms.items() if b != a})
+        shift = pk.shifts[v]
+        unit = pk.units[v]
+        powers = [image]  # image^1, image^2, ...
+        out = []
+        for f in gens:
+            # f = f_0 + sum_e f_e x^e with x not in the f_e: f(image) = f_0 + sum_e f_e image^e
+            parts: dict[int, dict] = {}
+            for b, d in f.terms.items():
+                e = (b >> shift) & fm
+                parts.setdefault(e, {})[b - e * unit] = d
+            if parts.keys() == {0}:
+                out.append(f)
+                continue
+            while len(powers) < max(parts):
+                powers.append(powers[-1] * image)
+            f = Polynomial(ctx, parts.pop(0, {}))
+            for e, terms in parts.items():
+                f = f + Polynomial(ctx, terms) * powers[e - 1]
+            if not f.is_zero():
+                out.append(f)
+        gens = out
+        live.remove(v)
+    if len(live) == ctx.nvars:
+        return I
+    small = Context([ctx.names[v] for v in live], [ctx.latex_names[v] for v in live])
+    move = _repacker(pk, small.pack, live)
+    return IdealGens(
+        small, [Polynomial(small, {move(b): d for b, d in f.terms.items()}) for f in gens]
+    )
+
+
+# ---------------------------------------------------------------------------
 # Dimension and Hilbert series
 # ---------------------------------------------------------------------------
 
@@ -441,24 +518,20 @@ def _minimal_monomials(monos: Iterable[int], pk: _Pack) -> list[int]:
 
 
 def krull_dimension(I: IdealGens) -> int:
-    """Dimension of the quotient: the largest variable set meeting no leading-term support."""
+    """Dimension of the quotient: n - e, where (1-q)^e is the largest power
+    of (1-q) dividing the Hilbert numerator of R/in(I), for the degrevlex
+    leading-term ideal in(I).
+
+    dim R/I = dim R/in(I) for a graded order (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, 9.3), and the monomial quotient has Hilbert
+    series numerator/(1-q)^n, whose pole at q = 1 has order its dimension.
+    """
     gb = buchberger(I)
     if gb.contains_one():
         raise ValueError("unit ideal has no dimension")
-    pk = I.ctx.pack
-    supports = [pk.support_mask(lt) for lt in _minimal_monomials(gb.leading_monomials(), pk)]
-    n = I.ctx.nvars
-    if not supports:
-        return n
-    from itertools import combinations
-
-    variables = [pk.support_mask(x) for x in pk.units]
-    for size in range(n, 0, -1):
-        for subset in combinations(variables, size):
-            s = sum(subset)
-            if all(supp & ~s for supp in supports):
-                return size
-    return 0
+    lead = tuple(_minimal_monomials(gb.leading_monomials(), I.ctx.pack))
+    _, e = _strip_one_minus_q(list(_hilbert_numerator_monomial(I.ctx, lead)))
+    return I.ctx.nvars - e
 
 
 # a packed monomial means something only with its variable count, so that is in the key

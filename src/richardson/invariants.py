@@ -4,13 +4,18 @@ For a point p on V(I) the record holds the Krull dimension, the tangent
 space dimension (corank of the Jacobian of the reduced basis at p),
 smoothness, the Hilbert-Samuel multiplicity, and the H-polynomial: the
 numerator of the Hilbert series of the associated graded ring of the
-local ring over (1-q)^dim.  Everything is exact.  Whenever oracle checking
-is on (the default), the tangent-cone Hilbert function up to the oracle
-degree is cross-checked against groebner.local_hilbert_oracle, an
-elimination of the truncated Macaulay matrix that does not use the
-Buchberger kernel, and every such check bumps ORACLE_CHECKS.  The oracle
-degree is an explicit parameter, ORACLE_DEGREE by default, and None turns
-the check off.
+local ring over (1-q)^dim.  Everything is exact.  All five belong to the
+local ring, not to the embedding, so the kernel computes them on the
+ring groebner.solve_linear_variables leaves once the point is moved to
+the origin: every variable some generator is linear in, and absent from
+the rest of that generator, is solved for and substituted away.
+Whenever oracle checking is on (the default), the tangent-cone Hilbert
+function up to the oracle degree is cross-checked against
+groebner.local_hilbert_oracle, an elimination of the truncated Macaulay
+matrix that does not use the Buchberger kernel and is handed the ideal
+in every variable of the chart, and every such check bumps
+ORACLE_CHECKS.  The oracle degree is an explicit parameter,
+ORACLE_DEGREE by default, and None turns the check off.
 
 A record at a torus-fixed point is computed at the origin of the point's
 chart, where localize has nothing to translate.  Its dimension and
@@ -41,6 +46,7 @@ from .groebner import (
     hilbert_numerator,
     krull_dimension,
     local_hilbert_oracle,
+    solve_linear_variables,
     tangent_cone,
     _q_coeffs,
 )
@@ -118,16 +124,18 @@ def tangent_dim_at(I: IdealGens, p) -> int:
 def local_invariants_at(I: IdealGens, p, oracle: int | None = ORACLE_DEGREE) -> LocalInvariants:
     """The full invariant record of V(I) at the point p of its chart.
 
-    The tangent cone is checked by the oracle up to degree oracle; None
-    skips the check.
+    The kernel runs on the reduced ring of the localized ideal I0, with
+    n its variable count; the tangent cone is checked by the oracle, on
+    I0 itself, up to degree oracle.  None skips the check.
     """
     I0 = localize(I, p)
-    gb = buchberger(I0)
+    J = solve_linear_variables(I0)
+    gb = buchberger(J)
     if gb.contains_one():
         raise ValueError("unit ideal")
-    n = I.ctx.nvars
-    dim = krull_dimension(I0)
-    cone = tangent_cone(I0)
+    n = J.ctx.nvars
+    dim = krull_dimension(J)
+    cone = tangent_cone(J)
     hd = hilbert_numerator(cone)
     if hd.dimension != dim:
         raise RuntimeError(

@@ -5,7 +5,9 @@ Monomials are read only as dense exponent tuples, through
 Context.exponents and Context.monomial, and divisibility, lcm, quotients
 and the term orders are defined on those tuples, so the Buchberger oracle
 shares no monomial arithmetic or order key with the kernel; it also has
-no pair criteria.  Bruhat order goes through the subword property on
+no pair criteria.  Krull dimension is the search for the largest variable
+set meeting no leading-monomial support, not a Hilbert series.  Bruhat
+order goes through the subword property on
 reduced words, Kazhdan-Lusztig polynomials are solved from the defining
 degree and inversion conditions via R-polynomials, monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
@@ -173,6 +175,20 @@ def naive_buchberger(gens, order) -> list[Polynomial]:
     reduced = [g for g in reduced if not g.is_zero()]
     reduced.sort(key=lambda g: keyf(_lt(g, keyf)))
     return reduced
+
+
+def krull_dimension_by_subsets(lead: list[tuple[int, ...]], nvars: int) -> int:
+    """dim R/I from dense leading monomials of a basis of I: the size of the
+    largest variable set containing the support of none of them
+    (Cox-Little-O'Shea 9.3), searched from nvars variables down."""
+    supports = [{v for v, e in enumerate(m) if e} for m in lead]
+    if any(not s for s in supports):
+        raise ValueError("unit ideal has no dimension")
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            if not any(s <= set(subset) for s in supports):
+                return size
+    raise AssertionError("the empty set contains no nonempty support")
 
 
 # ---------------------------------------------------------------------------

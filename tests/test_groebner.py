@@ -8,7 +8,9 @@ import pytest
 from oracles import (
     dense,
     hilbert_function_by_counting,
+    krull_dimension_by_subsets,
     lcm,
+    monomial_key,
     naive_buchberger,
     packed,
     quotient,
@@ -28,9 +30,10 @@ from richardson.groebner import (
     krull_dimension,
     local_hilbert_oracle,
     normal_form,
+    solve_linear_variables,
     tangent_cone,
 )
-from richardson.invariants import richardson_invariants
+from richardson.invariants import _jacobian_corank, richardson_invariants
 from richardson.permutations import Permutation
 from richardson.poly import Context, DEGREVLEX, LEX, MonomialOrder, Polynomial
 from richardson.sweep import sweep_images
@@ -133,6 +136,124 @@ def test_krull_dimension():
     assert krull_dimension(IdealGens(CTX, [X * Y])) == 1
     with pytest.raises(ValueError):
         krull_dimension(IdealGens(CTX, [CTX.one()]))
+
+
+def test_krull_dimension_matches_the_subset_search_on_random_ideals():
+    # the reference reads the leading monomials of the textbook Buchberger,
+    # so neither the basis nor the Hilbert series comes from the kernel
+    rng = random.Random(29)
+    ctx4 = Context(("x", "y", "z", "w"))
+    dims = []
+    for trial in range(60):
+        if trial % 3:
+            ctx = CTX3 if trial % 2 else ctx4
+            I = _random_local_ideal(ctx, rng, trial % 3, trial % 4)
+        else:  # constant terms too; four variables make the reference too slow
+            ctx = CTX3
+            I = IdealGens(ctx, [random_poly(ctx, rng) for _ in range(rng.randint(1, 3))])
+        keyf = monomial_key(ctx, DEGREVLEX)
+        basis = naive_buchberger(I.generators, DEGREVLEX)
+        lead = [dense(ctx, max(g.terms, key=keyf)) for g in basis]
+        if any(not any(m) for m in lead):
+            with pytest.raises(ValueError):
+                krull_dimension(I)
+            continue
+        dims.append(krull_dimension_by_subsets(lead, ctx.nvars))
+        assert krull_dimension(I) == dims[-1], I.generators
+    assert len(dims) >= 40 and len(set(dims)) >= 4
+
+
+def test_krull_dimension_matches_the_subset_search_on_s4_charts(monkeypatch):
+    # every chart ideal that verify dimension --n 4 visits, one per S4
+    # triple v <= sigma <= w, and its reduced ring at the origin
+    import io
+
+    import richardson.verify as rverify
+    from richardson.cli import run
+
+    def reference(I):
+        lead = [dense(I.ctx, m) for m in buchberger(I).leading_monomials()]
+        return krull_dimension_by_subsets(lead, I.ctx.nvars)
+
+    seen = []
+
+    def checked(I):
+        got = krull_dimension(I)
+        assert got == reference(I), I.generators
+        seen.append(I)
+        return got
+
+    monkeypatch.setattr(rverify, "krull_dimension", checked)
+    assert run(["verify", "dimension", "--n", "4", "--exhaustive"], io.StringIO()) == 0
+    assert len(seen) == 1088
+    for I in seen:
+        J = solve_linear_variables(I)
+        assert krull_dimension(J) == reference(J) == krull_dimension(I)
+
+
+def test_solve_linear_variables_cases():
+    x, y, z = CTX3.gens()
+
+    def solved(gens):
+        J = solve_linear_variables(IdealGens(CTX3, gens))
+        return "".join(J.ctx.names), [str(g) for g in J.generators]
+
+    # x occurs in h = x*y, so nothing is solved and I itself comes back
+    I = IdealGens(CTX3, [x + x * y])
+    assert solve_linear_variables(I) is I
+    # a non-unit coefficient: x = -y^2/2
+    assert solved([2 * x + y * y, x * z]) == ("yz", ["-1/2*y^2*z"])
+    # a chained solve: y is in y*z^2 until x = y*z cancels it
+    assert solved([x - y * z, y + x * z - y * z * z]) == ("z", [])
+    # the second generator vanishes once x = y*z is substituted
+    assert solved([x - y * z, 2 * x - 2 * y * z, y ** 3]) == ("yz", ["y^3"])
+    # the shortest generator goes first, then the earliest variable
+    assert solved([y + x * z + z * z, x + y * y]) == ("yz", ["y + z^2 - y^2*z"])
+    assert solved([x + y, y * z]) == ("yz", ["y*z"])
+    # every variable solved: a ring without variables
+    J = solve_linear_variables(IdealGens(CTX3, [x, y - x * z, z - x]))
+    assert J.ctx.nvars == 0 and J.generators == ()
+
+
+def test_solve_linear_variables_keeps_the_local_invariants_randomized():
+    # R/I and R'/I' are isomorphic with the origin sent to the origin: the
+    # dimension, the cone's H-polynomial, the embedding dimension and the
+    # truncated quotient dimensions of the oracle all agree
+    rng = random.Random(31)
+    ctx4 = Context(("x", "y", "z", "w"))
+    shrunk = 0
+    for trial in range(30):
+        ctx = CTX3 if trial % 2 else ctx4
+        I = _random_linear_ideal(ctx, rng, 1 + trial % 3)
+        if contains_one(I):
+            continue
+        J = solve_linear_variables(I)
+        shrunk += J.ctx.nvars < ctx.nvars
+        assert krull_dimension(J) == krull_dimension(I)
+        hI, hJ = (hilbert_numerator(tangent_cone(K)) for K in (I, J))
+        assert hJ.cancelled_numerator == hI.cancelled_numerator
+        assert hJ.series_prefix(5) == hI.series_prefix(5)
+        assert local_hilbert_oracle(J, 4) == local_hilbert_oracle(I, 4)
+        corank = [_jacobian_corank(buchberger(K), K.ctx.nvars) for K in (I, J)]
+        assert corank[0] == corank[1]
+    assert shrunk >= 15
+
+
+def test_kernel_elimination_shares_no_oracle_helper():
+    # the kernel's exact elimination and the oracle's series elimination
+    # stay two independent codes, so the oracle still checks the kernel
+    import ast
+    import inspect
+
+    import richardson.groebner as gr
+
+    tree = ast.parse(inspect.getsource(gr.solve_linear_variables))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    oracle_helpers = {
+        "_eliminate_linear_variables", "_substitute", "_powers", "local_hilbert_oracle"
+    }
+    assert names & oracle_helpers == set()
 
 
 def test_hilbert_polynomial_ring():

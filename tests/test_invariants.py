@@ -9,11 +9,19 @@ import pytest
 
 from oracles import brute_coset
 from richardson import clear_memos
-from richardson.charts import chart, schubert_ideal_in_chart
-from richardson.groebner import IdealGens
+from richardson.charts import chart, richardson_ideal_in_chart, schubert_ideal_in_chart
+from richardson.groebner import (
+    IdealGens,
+    buchberger,
+    hilbert_numerator,
+    krull_dimension,
+    solve_linear_variables,
+    tangent_cone,
+)
 from richardson.invariants import (
     LocalInvariants,
     NotOnVariety,
+    _jacobian_corank,
     local_invariants_at,
     localize,
     opposite_invariants,
@@ -261,6 +269,60 @@ def test_cold_verify_mult_computes_one_record_per_chain():
     before = rinv.TANGENT_CHECKS
     assert run(["verify", "mult", "--n", "3", "--exhaustive"], io.StringIO()) == 0
     assert rinv.TANGENT_CHECKS - before == chains
+
+
+def _s4_triples():
+    elems = Permutation.all(4)
+    return [
+        (v, s, w)
+        for v in elems
+        for s in elems
+        if bruhat_leq(v, s)
+        for w in elems
+        if bruhat_leq(s, w)
+    ]
+
+
+def test_reduced_ring_records_match_the_unreduced_kernel_s4():
+    # a record is computed on the reduced ring of its chart ideal; the
+    # kernel on the whole chart must give the same three values
+    shrunk = 0
+    for v, sigma, w in _s4_triples():
+        I = richardson_ideal_in_chart(v, w, sigma)
+        I0 = localize(I, {nm: 0 for nm in I.ctx.names})
+        rec = richardson_invariants(v, w, sigma, oracle=None)
+        assert krull_dimension(I0) == rec.dimension
+        assert hilbert_numerator(tangent_cone(I0)).cancelled_numerator == rec.h_polynomial
+        assert _jacobian_corank(buchberger(I0), I0.ctx.nvars) == rec.tangent_dim
+        shrunk += solve_linear_variables(I0).ctx.nvars < I0.ctx.nvars
+    assert shrunk > 1000
+
+
+def test_the_oracle_checks_the_whole_chart(monkeypatch):
+    # the kernel works on the reduced ring, the oracle on the chart ideal
+    # with all n(n-1)/2 variables and its own series elimination
+    import richardson.invariants as rinv
+
+    seen = []
+    oracle = rinv.local_hilbert_oracle
+    monkeypatch.setattr(
+        rinv, "local_hilbert_oracle", lambda I, d: seen.append(I.ctx.nvars) or oracle(I, d)
+    )
+    clear_memos()
+    triples = _s4_triples()[::40]
+    for v, sigma, w in triples:
+        richardson_invariants(v, w, sigma)
+    assert seen == [6] * len(triples)
+
+
+def test_point_records_solve_every_variable_s4():
+    # X_w^w is the point w: its reduced ring has no variables left
+    for w in Permutation.all(4):
+        I = richardson_ideal_in_chart(w, w, w)
+        assert solve_linear_variables(I).ctx.nvars == 0
+        rec = richardson_invariants(w, w, w)
+        assert (rec.dimension, rec.tangent_dim, rec.multiplicity) == (0, 0, 1)
+        assert rec.smooth and str(rec.h_polynomial) == "1"
 
 
 def test_parabolic_trivial_cases():
