@@ -23,7 +23,6 @@ from .groebner import (
     HilbertData,
     IdealGens,
     buchberger,
-    contains_one,
     hilbert_numerator,
     ideal_equal,
     krull_dimension,
@@ -39,7 +38,6 @@ from .permutations import (
     contains_pattern,
     coset_reps,
     kl_polynomial,
-    length,
     opposite_rank,
     schubert_rank,
 )
@@ -70,7 +68,6 @@ from .invariants import (
     richardson_invariants,
     richardson_invariants_at_point,
     schubert_invariants,
-    tangent_dim_at,
 )
 from .verify import (
     VerificationReport,
@@ -88,10 +85,10 @@ __all__ = [
     "Context", "MonomialOrder", "Polynomial",
     "LEX", "DEGLEX", "DEGREVLEX",
     "IdealGens", "GroebnerBasis", "HilbertData",
-    "buchberger", "normal_form", "ideal_equal", "contains_one",
+    "buchberger", "normal_form", "ideal_equal",
     "krull_dimension", "hilbert_numerator", "tangent_cone",
     "local_hilbert_oracle",
-    "Permutation", "KLPolynomial", "length", "schubert_rank",
+    "Permutation", "KLPolynomial", "schubert_rank",
     "opposite_rank", "bruhat_leq", "bruhat_interval", "coset_reps",
     "contains_pattern", "kl_polynomial",
     "Chart", "ChartMatrix", "generic_matrix", "schubert_ideal_in_chart",
@@ -99,7 +96,7 @@ __all__ = [
     "identify_cells", "sample_richardson_point",
     "eta1", "eta2", "sweep_images", "claim_structure_check", "recover",
     "eta_on_point",
-    "LocalInvariants", "localize", "tangent_dim_at", "local_invariants_at",
+    "LocalInvariants", "localize", "local_invariants_at",
     "schubert_invariants", "opposite_invariants", "richardson_invariants",
     "richardson_invariants_at_point", "parabolic_invariants",
     "VerificationReport", "product_iso_report", "verify_factorization",

@@ -25,15 +25,22 @@ rank conditions of v at (i, j) are the lower-left conditions of w0 v at
 (n+1-i, j), with r'_v(i,j) = j - r_v(i+1,j) = r_{w0 v}(n+1-i,j), and
 the opposite cell of a matrix is w0 times the Schubert cell of its
 row reversal.
+
+A rational point of an open stratum is sampled in the Schubert cell:
+its opposite rank equalities are solved by the kernel's exact linear
+elimination, groebner.solve_linear_variables, with random rationals for
+whatever it cannot solve, and every point is checked with
+identify_cells.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from .groebner import IdealGens
+from .groebner import IdealGens, solve_linear_variables
 from .memo import memoized
 from .permutations import (
     Permutation,
@@ -349,11 +356,14 @@ def sample_richardson_point(
     """A rational point of the open stratum (Schubert cell of sigma) meet
     (opposite cell of tau), or None if the randomized solve fails.
 
-    The Schubert cell of sigma is parametrized by its D_down positions;
-    the opposite rank equalities of tau are imposed by solving the minor
-    system: variables with constant linear coefficients are eliminated
-    exactly, the rest are specialized to small random rationals.  Every
-    returned point is verified with identify_cells.
+    The Schubert cell of sigma is parametrized by its D_down positions,
+    and the opposite rank equalities of tau are the minor system on them.
+    groebner.solve_linear_variables solves it exactly; while generators
+    are left, the most shared variable is set to a small random rational
+    and the system is solved again.  The variables left over get random
+    values, the solved ones follow from their images in reverse, and an
+    attempt that meets a nonzero constant starts over.  Every returned
+    point is verified with identify_cells.
     """
     if not bruhat_leq(tau, sigma):
         raise ValueError("tau is not below sigma in Bruhat order")
@@ -376,84 +386,25 @@ def sample_richardson_point(
                 row.append(ctx.zero())
         rows.append(row)
     cellm = ChartMatrix(ch, rows)  # chart only supplies n; ctx differs
-    system = IdealGens(ctx, opposite_minors(cellm, tau)).generators
+    system = IdealGens(ctx, opposite_minors(cellm, tau))
     rng = random.Random(seed)
 
     for _ in range(max(1, attempts)):
-        gens = list(system)
-        substitutions: list[tuple[str, Polynomial]] = []
-        assignment: dict[str, Fraction] = {}
-        feasible = True
-        while gens:
-            gens = [g for g in gens if not g.is_zero()]
-            if not gens:
-                break
-            if any(g.is_constant() for g in gens):
-                feasible = False
-                break
-            # prefer an exact elimination: a variable with constant coefficient
-            pick = None
-            for g in sorted(gens, key=lambda g: (len(g.terms), str(g))):
-                for i in sorted(g.variables()):
-                    if g.degree_in(i) != 1:
-                        continue
-                    coef = g.coefficient_of_var(i)
-                    if coef.is_constant() and not coef.is_zero():
-                        pick = (g, i, coef.constant_term())
-                        break
-                if pick:
-                    break
-            if pick is not None:
-                g, i, c = pick
-                name = ctx.names[i]
-                image = g.drop_var(i) * (Fraction(-1) / c)
-                substitutions.append((name, image))
-                gens = [
-                    h.substitute(
-                        {name: image}
-                        | {ctx.names[k]: ctx.var(ctx.names[k]) for k in h.variables() if k != i}
-                    )
-                    if i in h.variables()
-                    else h
-                    for h in gens
-                ]
-                continue
-            # otherwise specialize the most shared variable randomly
-            counts: dict[int, int] = {}
-            for h in gens:
-                for i in h.variables():
-                    counts[i] = counts.get(i, 0) + 1
+        ideal, solved = solve_linear_variables(system)
+        while ideal.generators and not any(g.is_constant() for g in ideal.generators):
+            counts = Counter(i for g in ideal.generators for i in g.variables())
             i = min(counts, key=lambda k: (-counts[k], k))
-            name = ctx.names[i]
-            val = _small_fraction(rng)
-            assignment[name] = val
-            gens = [
-                h.substitute(
-                    {name: ctx.const(val)}
-                    | {ctx.names[k]: ctx.var(ctx.names[k]) for k in h.variables() if k != i}
-                )
-                if i in h.variables()
-                else h
-                for h in gens
-            ]
-        if not feasible:
-            continue
-        for nm in ctx.names:
-            if nm not in assignment and all(nm != s[0] for s in substitutions):
-                assignment[nm] = _small_fraction(rng)
-        # resolve eliminations in reverse creation order
-        ok = True
-        for nm, image in reversed(substitutions):
-            try:
-                assignment[nm] = image.evaluate(assignment)
-            except ValueError:
-                ok = False
-                break
-        if not ok:
-            continue
-        values = {name_to_pos[nm]: c for nm, c in assignment.items()}
-        matrix = cell_form_matrix(sigma, values)
-        got_sigma, got_tau = identify_cells(matrix)
-        if got_sigma == sigma and got_tau == tau:
+            x = ideal.ctx.var(ideal.ctx.names[i])
+            ideal, more = solve_linear_variables(
+                IdealGens(ideal.ctx, ideal.generators + (x - _small_fraction(rng),))
+            )
+            solved += more
+        if ideal.generators:
+            continue  # a nonzero constant: this attempt has no point
+        point = {nm: _small_fraction(rng) for nm in ideal.ctx.names}
+        for nm, image in reversed(solved):
+            point[nm] = image.evaluate(point)
+        matrix = cell_form_matrix(sigma, {name_to_pos[nm]: c for nm, c in point.items()})
+        if identify_cells(matrix) == (sigma, tau):
             return matrix
     return None

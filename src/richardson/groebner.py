@@ -429,17 +429,14 @@ def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder = DEGREVLEX) ->
     )
 
 
-def contains_one(I: IdealGens) -> bool:
-    return buchberger(I).contains_one()
-
-
 # ---------------------------------------------------------------------------
 # Exact linear elimination
 # ---------------------------------------------------------------------------
 
 
-def solve_linear_variables(I: IdealGens) -> IdealGens:
-    """An ideal I' of R' = Q[the variables left] with R/I isomorphic to R'/I'.
+def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Polynomial]]]:
+    """(I', solved): an ideal I' of R' = Q[the variables left] with R/I
+    isomorphic to R'/I', and the solutions that map one to the other.
 
     While some generator is g = c*x + h with c a nonzero rational and x
     not in h, x = -h/c is substituted exactly into the other generators,
@@ -448,7 +445,12 @@ def solve_linear_variables(I: IdealGens) -> IdealGens:
     generator has a constant term, neither has h, so the isomorphism
     sends the origin to the origin and every local invariant there is
     unchanged.  What is left is repacked over the remaining variables,
-    which keep their names; I itself comes back when nothing is solved.
+    which keep their names.
+
+    solved lists (name of x, -h/c) in the order of elimination, each image
+    in I.ctx; it may hold variables solved later, so a point of V(I') lifts
+    to V(I) by evaluating the images in reverse.  (I, []) comes back when
+    nothing is solved.
     """
     ctx = I.ctx
     pk = ctx.pack
@@ -456,6 +458,7 @@ def solve_linear_variables(I: IdealGens) -> IdealGens:
     linear = {unit: v for v, unit in enumerate(pk.units)}
     gens = list(I.generators)
     live = list(range(ctx.nvars))
+    solved: list[tuple[str, Polynomial]] = []
     while True:
         pick = None
         for k, g in enumerate(gens):
@@ -472,6 +475,7 @@ def solve_linear_variables(I: IdealGens) -> IdealGens:
         g = gens.pop(k)
         c = g.terms[a]
         image = Polynomial(ctx, {b: -d / c for b, d in g.terms.items() if b != a})
+        solved.append((ctx.names[v], image))
         shift = pk.shifts[v]
         unit = pk.units[v]
         powers = [image]  # image^1, image^2, ...
@@ -494,13 +498,13 @@ def solve_linear_variables(I: IdealGens) -> IdealGens:
                 out.append(f)
         gens = out
         live.remove(v)
-    if len(live) == ctx.nvars:
-        return I
+    if not solved:
+        return I, solved
     small = Context([ctx.names[v] for v in live], [ctx.latex_names[v] for v in live])
     move = _repacker(pk, small.pack, live)
     return IdealGens(
         small, [Polynomial(small, {move(b): d for b, d in f.terms.items()}) for f in gens]
-    )
+    ), solved
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +521,18 @@ def _minimal_monomials(monos: Iterable[int], pk: _Pack) -> list[int]:
     return out
 
 
+def _leading_numerator(I: IdealGens) -> tuple[list[int], list[int], int]:
+    """(numerator, cancelled, e) for R/in(I), in(I) the degrevlex
+    leading-term ideal: its Hilbert series is numerator/(1-q)^n, and
+    numerator = (1-q)^e * cancelled with no (1-q) factor left in cancelled."""
+    gb = buchberger(I)
+    if gb.contains_one():
+        raise ValueError("unit ideal")
+    lead = tuple(_minimal_monomials(gb.leading_monomials(), I.ctx.pack))
+    ncoef = list(_hilbert_numerator_monomial(I.ctx, lead))
+    return (ncoef, *_strip_one_minus_q(ncoef))
+
+
 def krull_dimension(I: IdealGens) -> int:
     """Dimension of the quotient: n - e, where (1-q)^e is the largest power
     of (1-q) dividing the Hilbert numerator of R/in(I), for the degrevlex
@@ -526,11 +542,7 @@ def krull_dimension(I: IdealGens) -> int:
     Varieties, and Algorithms, 9.3), and the monomial quotient has Hilbert
     series numerator/(1-q)^n, whose pole at q = 1 has order its dimension.
     """
-    gb = buchberger(I)
-    if gb.contains_one():
-        raise ValueError("unit ideal has no dimension")
-    lead = tuple(_minimal_monomials(gb.leading_monomials(), I.ctx.pack))
-    _, e = _strip_one_minus_q(list(_hilbert_numerator_monomial(I.ctx, lead)))
+    _, _, e = _leading_numerator(I)
     return I.ctx.nvars - e
 
 
@@ -598,12 +610,7 @@ def hilbert_numerator(I: IdealGens) -> HilbertData:
     for g in I.generators:
         if not g.is_homogeneous():
             raise ValueError("hilbert_numerator requires homogeneous generators")
-    gb = buchberger(I)
-    if gb.contains_one():
-        raise ValueError("unit ideal")
-    lead = tuple(_minimal_monomials(gb.leading_monomials(), I.ctx.pack))
-    ncoef = list(_hilbert_numerator_monomial(I.ctx, lead))
-    cancelled, e = _strip_one_minus_q(ncoef)
+    ncoef, cancelled, e = _leading_numerator(I)
     n = I.ctx.nvars
     return HilbertData(
         numerator=_q_poly(ncoef),

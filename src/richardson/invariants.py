@@ -116,11 +116,6 @@ def _jacobian_corank(gb, n: int) -> int:
     return n - rational_rank(rows) if rows else n
 
 
-def tangent_dim_at(I: IdealGens, p) -> int:
-    """Chart dimension minus the Jacobian rank of the reduced basis at p."""
-    return _jacobian_corank(buchberger(localize(I, p)), I.ctx.nvars)
-
-
 def local_invariants_at(I: IdealGens, p, oracle: int | None = ORACLE_DEGREE) -> LocalInvariants:
     """The full invariant record of V(I) at the point p of its chart.
 
@@ -129,7 +124,7 @@ def local_invariants_at(I: IdealGens, p, oracle: int | None = ORACLE_DEGREE) -> 
     I0 itself, up to degree oracle.  None skips the check.
     """
     I0 = localize(I, p)
-    J = solve_linear_variables(I0)
+    J, _ = solve_linear_variables(I0)
     gb = buchberger(J)
     if gb.contains_one():
         raise ValueError("unit ideal")

@@ -141,10 +141,6 @@ class Permutation:
         return f"Permutation({self})"
 
 
-def length(w: Permutation) -> int:
-    return w.length()
-
-
 # at most n! tables for each size n in use
 @memoized()
 def _rank_table(window: tuple[int, ...]) -> tuple[int, ...]:

@@ -509,31 +509,6 @@ class Polynomial:
     def linear_coefficient(self, var_index: int) -> Fraction:
         return self.terms.get(self.ctx.pack.units[var_index], Fraction(0))
 
-    def degree_in(self, var_index: int) -> int:
-        s = self.ctx.pack.shifts[var_index]
-        return max(((m >> s) & _FIELD_MASK for m in self.terms), default=0)
-
-    def coefficient_of_var(self, var_index: int) -> "Polynomial":
-        """Coefficient polynomial of var^1 (input must have degree <= 1 in var)."""
-        s = self.ctx.pack.shifts[var_index]
-        unit = self.ctx.pack.units[var_index]
-        out: dict[int, Fraction] = {}
-        for m, c in self.terms.items():
-            e = (m >> s) & _FIELD_MASK
-            if e == 0:
-                continue
-            if e > 1:
-                raise ValueError("degree in variable exceeds 1")
-            out[m - unit] = c
-        return Polynomial(self.ctx, out)
-
-    def drop_var(self, var_index: int) -> "Polynomial":
-        """Terms not involving the given variable."""
-        s = self.ctx.pack.shifts[var_index]
-        return Polynomial(
-            self.ctx, {m: c for m, c in self.terms.items() if not (m >> s) & _FIELD_MASK}
-        )
-
     # -- canonical text form ----------------------------------------------
 
     def key(self) -> tuple:

@@ -1,5 +1,7 @@
 """Charts, determinantal ideals, cell identification, point sampling."""
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -23,10 +25,11 @@ from richardson.charts import (
     schubert_ideal_in_chart,
     schubert_minors,
 )
-from richardson.groebner import IdealGens, contains_one, ideal_equal, krull_dimension
+from richardson.groebner import IdealGens, buchberger, ideal_equal, krull_dimension
 from richardson.permutations import Permutation, bruhat_interval, bruhat_leq
 
 U31542 = Permutation([3, 1, 5, 4, 2])
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def test_generic_matrix_standard_form():
@@ -105,7 +108,7 @@ def test_contains_one_iff_chart_misses_variety_s3():
             if not bruhat_leq(v, w):
                 continue
             for u in elems:
-                got = contains_one(richardson_ideal_in_chart(v, w, u))
+                got = buchberger(richardson_ideal_in_chart(v, w, u)).contains_one()
                 assert got == (not (bruhat_leq(v, u) and bruhat_leq(u, w)))
 
 
@@ -345,3 +348,15 @@ def test_sample_point_general_strata_s4():
 def test_sample_point_rejects_incomparable():
     with pytest.raises(ValueError):
         sample_richardson_point(Permutation([2, 1, 3]), Permutation([1, 3, 2]))
+
+
+def test_sample_points_match_golden():
+    """Every seeded sample is the exact matrix recorded in the golden file."""
+    cases = json.loads((GOLDEN / "sample_points.json").read_text())["cases"]
+    for case in cases:
+        m = sample_richardson_point(
+            Permutation(case["tau"]), Permutation(case["sigma"]), seed=case["seed"]
+        )
+        got = None if m is None else [[str(c) for c in row] for row in m]
+        assert got == case["matrix"], case
+    assert [len(c["tau"]) for c in cases] == [3] * 150 + [4] * 150 + [5] * 150

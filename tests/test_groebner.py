@@ -23,7 +23,6 @@ from richardson.groebner import (
     HilbertData,
     IdealGens,
     buchberger,
-    contains_one,
     hilbert_numerator,
     ideal_equal,
     in_ideal,
@@ -125,9 +124,9 @@ def test_ideal_equal():
 
 
 def test_contains_one():
-    assert contains_one(IdealGens(CTX, [X, X - 1]))
-    assert not contains_one(IdealGens(CTX, []))
-    assert not contains_one(IdealGens(CTX, [X, Y]))
+    assert buchberger(IdealGens(CTX, [X, X - 1])).contains_one()
+    assert not buchberger(IdealGens(CTX, [])).contains_one()
+    assert not buchberger(IdealGens(CTX, [X, Y])).contains_one()
 
 
 def test_krull_dimension():
@@ -187,32 +186,62 @@ def test_krull_dimension_matches_the_subset_search_on_s4_charts(monkeypatch):
     assert run(["verify", "dimension", "--n", "4", "--exhaustive"], io.StringIO()) == 0
     assert len(seen) == 1088
     for I in seen:
-        J = solve_linear_variables(I)
+        J, _ = solve_linear_variables(I)
         assert krull_dimension(J) == reference(J) == krull_dimension(I)
+
+
+def _lift_checked(I, J, images, rng):
+    """Give J's variables random rationals, back-substitute through the
+    images in reverse, and check that every generator of I vanishes."""
+    assert J.generators == ()
+    point = {nm: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for nm in J.ctx.names}
+    for nm, image in reversed(images):
+        assert image.ctx == I.ctx
+        point[nm] = image.evaluate(point)
+    assert sorted(point) == sorted(I.ctx.names)
+    assert all(g.evaluate(point) == 0 for g in I.generators)
 
 
 def test_solve_linear_variables_cases():
     x, y, z = CTX3.gens()
 
     def solved(gens):
-        J = solve_linear_variables(IdealGens(CTX3, gens))
-        return "".join(J.ctx.names), [str(g) for g in J.generators]
+        J, images = solve_linear_variables(IdealGens(CTX3, gens))
+        return (
+            "".join(J.ctx.names),
+            [str(g) for g in J.generators],
+            [(nm, str(image)) for nm, image in images],
+        )
 
     # x occurs in h = x*y, so nothing is solved and I itself comes back
     I = IdealGens(CTX3, [x + x * y])
-    assert solve_linear_variables(I) is I
+    J, images = solve_linear_variables(I)
+    assert J is I and images == []
     # a non-unit coefficient: x = -y^2/2
-    assert solved([2 * x + y * y, x * z]) == ("yz", ["-1/2*y^2*z"])
+    assert solved([2 * x + y * y, x * z]) == ("yz", ["-1/2*y^2*z"], [("x", "-1/2*y^2")])
     # a chained solve: y is in y*z^2 until x = y*z cancels it
-    assert solved([x - y * z, y + x * z - y * z * z]) == ("z", [])
+    assert solved([x - y * z, y + x * z - y * z * z]) == (
+        "z", [], [("x", "y*z"), ("y", "0")]
+    )
     # the second generator vanishes once x = y*z is substituted
-    assert solved([x - y * z, 2 * x - 2 * y * z, y ** 3]) == ("yz", ["y^3"])
+    assert solved([x - y * z, 2 * x - 2 * y * z, y ** 3]) == ("yz", ["y^3"], [("x", "y*z")])
     # the shortest generator goes first, then the earliest variable
-    assert solved([y + x * z + z * z, x + y * y]) == ("yz", ["y + z^2 - y^2*z"])
-    assert solved([x + y, y * z]) == ("yz", ["y*z"])
+    assert solved([y + x * z + z * z, x + y * y]) == (
+        "yz", ["y + z^2 - y^2*z"], [("x", "-y^2")]
+    )
+    assert solved([x + y, y * z]) == ("yz", ["y*z"], [("x", "-y")])
+    # an image holds a variable solved later: x = y*z, then y = z^2
+    assert solved([x - y * z, y - z * z]) == ("z", [], [("x", "y*z"), ("y", "z^2")])
     # every variable solved: a ring without variables
-    J = solve_linear_variables(IdealGens(CTX3, [x, y - x * z, z - x]))
+    J, images = solve_linear_variables(IdealGens(CTX3, [x, y - x * z, z - x]))
     assert J.ctx.nvars == 0 and J.generators == ()
+    assert [nm for nm, _ in images] == ["x", "y", "z"]
+    # points of V(J) lift to points of V(I) through the images in reverse
+    rng = random.Random(5)
+    chains = ([x - y * z, y + x * z - y * z * z], [x - y * z, y - z * z], [x, y - x * z, z - x])
+    for gens in chains:
+        I = IdealGens(CTX3, gens)
+        _lift_checked(I, *solve_linear_variables(I), rng)
 
 
 def test_solve_linear_variables_keeps_the_local_invariants_randomized():
@@ -220,15 +249,25 @@ def test_solve_linear_variables_keeps_the_local_invariants_randomized():
     # dimension, the cone's H-polynomial, the embedding dimension and the
     # truncated quotient dimensions of the oracle all agree
     rng = random.Random(31)
+    lift_rng = random.Random(32)
     ctx4 = Context(("x", "y", "z", "w"))
-    shrunk = 0
+    shrunk = lifted = 0
     for trial in range(30):
         ctx = CTX3 if trial % 2 else ctx4
         I = _random_linear_ideal(ctx, rng, 1 + trial % 3)
-        if contains_one(I):
+        if buchberger(I).contains_one():
             continue
-        J = solve_linear_variables(I)
+        J, images = solve_linear_variables(I)
         shrunk += J.ctx.nvars < ctx.nvars
+        # one image per dropped variable, each free of the variables solved so far
+        assert len(images) == ctx.nvars - J.ctx.nvars
+        assert {nm for nm, _ in images} == set(ctx.names) - set(J.ctx.names)
+        for k, (nm, image) in enumerate(images):
+            assert image.ctx == ctx
+            assert not {ctx.names[i] for i in image.variables()} & {m for m, _ in images[:k + 1]}
+        if not J.generators:
+            _lift_checked(I, J, images, lift_rng)
+            lifted += 1
         assert krull_dimension(J) == krull_dimension(I)
         hI, hJ = (hilbert_numerator(tangent_cone(K)) for K in (I, J))
         assert hJ.cancelled_numerator == hI.cancelled_numerator
@@ -236,7 +275,7 @@ def test_solve_linear_variables_keeps_the_local_invariants_randomized():
         assert local_hilbert_oracle(J, 4) == local_hilbert_oracle(I, 4)
         corank = [_jacobian_corank(buchberger(K), K.ctx.nvars) for K in (I, J)]
         assert corank[0] == corank[1]
-    assert shrunk >= 15
+    assert shrunk >= 15 and lifted >= 5
 
 
 def test_kernel_elimination_shares_no_oracle_helper():
@@ -367,7 +406,7 @@ def test_oracle_matches_cone_hilbert_function_randomized():
         if not gens:
             continue
         I = IdealGens(CTX, gens)
-        if contains_one(I):
+        if buchberger(I).contains_one():
             continue
         cone = tangent_cone(I)
         hd = hilbert_numerator(cone)

@@ -19,7 +19,6 @@ from richardson.permutations import (
     coset_reps,
     is_covexillary,
     kl_polynomial,
-    length,
     lower_covers,
     opposite_rank,
     schubert_rank,
@@ -41,9 +40,9 @@ def test_parse_and_print():
 
 
 def test_length():
-    assert length(Permutation.identity(5)) == 0
-    assert length(Permutation.longest(6)) == 15
-    assert length(Permutation([3, 1, 5, 4, 2])) == 5
+    assert Permutation.identity(5).length() == 0
+    assert Permutation.longest(6).length() == 15
+    assert Permutation([3, 1, 5, 4, 2]).length() == 5
 
 
 def test_rank_matrices():
