@@ -25,7 +25,10 @@ conversion on the way in or out.
 
 The basis, Hilbert and oracle memos are tables of richardson.memo:
 distinct computations may run concurrently, and every caller of one key
-gets the first result stored.
+gets the first result stored.  The oracle's Macaulay stage has a table of
+its own, keyed by what is left after its series elimination with the
+variable names dropped, so the many local rings that reduce to one system
+share one elimination.
 """
 
 from __future__ import annotations
@@ -826,15 +829,14 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
         live.remove(v)
 
 
-def _integer_rows(gens: list[dict], pk: _Pack, live: list[int]) -> tuple[list[dict[int, int]], _Pack]:
+def _integer_rows(gens: list[dict], pk: _Pack, live: list[int]) -> list[dict[int, int]]:
     """The generators repacked over the live variables, scaled to coprime integers."""
-    small = _pack_for(len(live))
-    move = _repacker(pk, small, live)
+    move = _repacker(pk, _pack_for(len(live)), live)
     rows = []
     for g in gens:
         den = lcm(*(c.denominator for c in g.values()))
         rows.append(_primitive({move(a): c.numerator * (den // c.denominator) for a, c in g.items()}))
-    return rows, small
+    return rows
 
 
 def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
@@ -876,12 +878,9 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]
     substituted away, as a power series truncated at degree D =
     degree_bound (_eliminate_linear_variables); that leaves
     n' = n - rank(linear parts) variables and the same quotient dimensions.
-    Then one exact elimination of the Macaulay matrix whose rows are the
-    monomial multiples m*g of the remaining generators truncated at degree
-    D, and whose columns are the monomials of degree <= D in the n'
-    variables, in ascending degree.  With every pivot at its row's smallest
-    column, the pivots of degree <= d span (<I> + m^{d+1}) / m^{d+1}, so
-    dim R/(<I> + m^{d+1}) = C(n'+d, n') - #pivots of degree <= d.
+    What is left, as coprime integer rows over the n' variables, goes to
+    the Macaulay stage (_macaulay_counts), which runs once per
+    position-canonical system: many ideals leave the same rows.
     """
     for g in I.generators:
         if g.constant_term() != 0:
@@ -894,9 +893,31 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]
         if terms:
             gens.append(terms)
     kept = _eliminate_linear_variables(gens, pk, degree_bound)
-    rows, pk = _integer_rows(gens, pk, kept)
-    n = len(kept)
-    degshift = pk.degshift
+    return _macaulay_counts(len(kept), _integer_rows(gens, pk, kept), degree_bound)
+
+
+def _macaulay_key(n: int, rows: list[dict[int, int]], degree_bound: int) -> tuple:
+    """The variable count, the sorted row terms and the degree bound.
+
+    Rows over n variables are packed in the one layout of n variables, so
+    the key holds no names, and the counts depend on the span of the rows,
+    not on their order.
+    """
+    return (n, tuple(sorted(tuple(sorted(row.items())) for row in rows)), degree_bound)
+
+
+@memoized(_macaulay_key)
+def _macaulay_counts(n: int, rows: list[dict[int, int]], degree_bound: int) -> tuple[int, ...]:
+    """dim_Q of R'/(<rows> + m^{d+1}) for d = 0..degree_bound, R' in n variables.
+
+    One exact elimination of the Macaulay matrix whose rows are the
+    monomial multiples m*g of the rows truncated at degree D, and whose
+    columns are the monomials of degree <= D in the n variables, in
+    ascending degree.  With every pivot at its row's smallest column, the
+    pivots of degree <= d span (<rows> + m^{d+1}) / m^{d+1}, so
+    dim R'/(<rows> + m^{d+1}) = C(n+d, n) - #pivots of degree <= d.
+    """
+    degshift = _pack_for(n).degshift
     cols = _monomials_upto(n, degree_bound)
     limit = (degree_bound + 1) << degshift  # packed monomials of degree <= D lie below
     # a monomial generator is a single-entry pivot on every column it divides:

@@ -26,6 +26,15 @@ and an opposite record the one at w = w0, so there is one memoized record
 (see memo) per (v, w, sigma, oracle degree): a record checked at one
 degree, or not checked at all, is never served to a call that asks for
 another.
+
+Local rings at fixed points repeat: once their linear variables are
+solved, the S4 records come down to 21 distinct reduced systems.  So the
+kernel runs once per reduced system, keyed by its variable count and its
+generator terms with the variable names dropped (_reduced_invariants):
+the reduced ring's layout depends only on the variable count.  What is
+cheap or is a check runs on every call: localize, the linear solve, the
+oracle's concordance check on the unreduced ideal, and at fixed points
+the Bruhat check.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .charts import (
     richardson_ideal_in_chart,
 )
 from .groebner import (
+    HilbertData,
     IdealGens,
     buchberger,
     hilbert_numerator,
@@ -53,6 +63,7 @@ from .groebner import (
 from .memo import memoized
 from .permutations import (
     Permutation,
+    _rank_table,
     bruhat_leq,
     coset_reps,
     w_j_longest_length,
@@ -119,19 +130,38 @@ def _jacobian_corank(gb, n: int) -> int:
 def local_invariants_at(I: IdealGens, p, oracle: int | None = ORACLE_DEGREE) -> LocalInvariants:
     """The full invariant record of V(I) at the point p of its chart.
 
-    The kernel runs on the reduced ring of the localized ideal I0, with
-    n its variable count; the tangent cone is checked by the oracle, on
-    I0 itself, up to degree oracle.  None skips the check.
+    The kernel runs on the reduced ring of the localized ideal I0, once
+    per position-canonical reduced system (_reduced_invariants); the
+    tangent cone is checked by the oracle, on I0 itself, up to degree
+    oracle, on every call.  None skips the check.
     """
     I0 = localize(I, p)
     J, _ = solve_linear_variables(I0)
+    hd, inv = _reduced_invariants(J)
+    if oracle is not None:
+        _concordance_check(I0, hd, oracle)
+    return inv
+
+
+def _reduced_key(J: IdealGens) -> tuple:
+    """The variable count and the sorted generator terms of J, names ignored.
+
+    A reduced ring's packed layout depends only on its variable count, so
+    the key fixes the ideal up to renaming the variables in place, and
+    every invariant of the record is unchanged by such a renaming.
+    """
+    return (J.ctx.nvars, tuple(sorted(g.key()[1] for g in J.generators)))
+
+
+@memoized(_reduced_key)
+def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants]:
+    """(tangent-cone Hilbert data, record) of the reduced ideal J at the origin."""
     gb = buchberger(J)
     if gb.contains_one():
         raise ValueError("unit ideal")
     n = J.ctx.nvars
     dim = krull_dimension(J)
-    cone = tangent_cone(J)
-    hd = hilbert_numerator(cone)
+    hd = hilbert_numerator(tangent_cone(J))
     if hd.dimension != dim:
         raise RuntimeError(
             f"H-polynomial division mismatch: {n - hd.dimension} factors of (1-q) "
@@ -142,9 +172,7 @@ def local_invariants_at(I: IdealGens, p, oracle: int | None = ORACLE_DEGREE) -> 
     if mult <= 0:
         raise RuntimeError("nonpositive multiplicity; dimension bug")
     tangent = _jacobian_corank(gb, n)
-    if oracle is not None:
-        _concordance_check(I0, hd, oracle)
-    return LocalInvariants(
+    return hd, LocalInvariants(
         dimension=dim,
         tangent_dim=tangent,
         smooth=(tangent == dim),
@@ -195,15 +223,18 @@ def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: P
     by those of the transpositions t with v <= t sigma <= w
     (Lakshmibai-Seshadri), so its dimension is #{t : v <= t sigma <= w};
     the variety has dimension l(w) - l(v).  Neither count uses the Groebner
-    kernel.
+    kernel.  Each t sigma is a window whose rank table is compared entrywise
+    with those of v and w, as bruhat_leq does.
     """
     global TANGENT_CHECKS
     n = sigma.n
+    low, high = _rank_table(v.window), _rank_table(w.window)
+    win = sigma.window
     tangent = 0
     for a in range(1, n):
         for b in range(a + 1, n + 1):
-            ts = sigma.swap_values(a, b)
-            tangent += bruhat_leq(v, ts) and bruhat_leq(ts, w)
+            ts = _rank_table(tuple(b if x == a else a if x == b else x for x in win))
+            tangent += all(map(int.__le__, low, ts)) and all(map(int.__le__, ts, high))
     expected = (w.length() - v.length(), tangent)
     if (inv.dimension, inv.tangent_dim) != expected:
         raise RuntimeError(

@@ -7,9 +7,11 @@ and the term orders are defined on those tuples, so the Buchberger oracle
 shares no monomial arithmetic or order key with the kernel; it also has
 no pair criteria.  Krull dimension is the search for the largest variable
 set meeting no leading-monomial support, not a Hilbert series.  Bruhat
-order goes through the subword property on
-reduced words, Kazhdan-Lusztig polynomials are solved from the defining
-degree and inversion conditions via R-polynomials, monomial counting is
+order goes through the subword property on reduced words (the
+reflection count of a tangent space takes the order as a parameter, the
+package's rank-table order by default), Kazhdan-Lusztig polynomials are
+solved from the defining degree and inversion conditions via
+R-polynomials, monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
 ranks, one matrix per degree.  The opposite-side
 references read upper-left ranks directly, not through w0, and the
@@ -23,7 +25,7 @@ from functools import cmp_to_key
 from itertools import combinations, permutations as itpermutations, product
 
 from richardson.poly import Context, Polynomial
-from richardson.permutations import Permutation
+from richardson.permutations import Permutation, bruhat_leq
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,19 @@ def subword_interval(v: Permutation, w: Permutation, leq=subword_bruhat_leq) -> 
     out = [z for z in Permutation.all(w.n) if leq(v, z) and leq(z, w)]
     out.sort(key=lambda z: (z.length(), z.window))
     return out
+
+
+def tangent_count_by_reflections(v: Permutation, w: Permutation, sigma: Permutation,
+                                 leq=bruhat_leq) -> int:
+    """#{t : v <= t sigma <= w} over the transpositions t of values, with
+    t sigma made by Permutation.swap_values and compared by leq."""
+    n = sigma.n
+    count = 0
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            ts = sigma.swap_values(a, b)
+            count += leq(v, ts) and leq(ts, w)
+    return count
 
 
 # ---------------------------------------------------------------------------

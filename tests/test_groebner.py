@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -32,6 +33,8 @@ from richardson.groebner import (
     solve_linear_variables,
     tangent_cone,
 )
+import richardson.groebner as gr
+import richardson.invariants as rinv
 from richardson.invariants import _jacobian_corank, richardson_invariants
 from richardson.permutations import Permutation
 from richardson.poly import Context, DEGREVLEX, LEX, MonomialOrder, Polynomial
@@ -492,6 +495,49 @@ def test_oracle_matches_dense_macaulay_ranks():
     assert fractional >= 30 and linear >= 40
 
 
+def _integer(f):
+    return {m: int(c) for m, c in f.terms.items()}
+
+
+def test_macaulay_key_ignores_names_and_row_order(monkeypatch):
+    keys = []
+    real = gr._macaulay_counts
+
+    def recording(n, rows, d):
+        keys.append(gr._macaulay_key(n, rows, d))
+        return real(n, rows, d)
+
+    monkeypatch.setattr(gr, "_macaulay_counts", recording)
+    clear_memos()
+    abc = Context(("a", "b", "c"))
+    x, y, z = CTX3.gens()
+    gens = [x * y - z * z + x ** 3, y ** 3 + 2 * x * z]
+    for I in (IdealGens(CTX3, gens), IdealGens(abc, [Polynomial(abc, g.terms) for g in gens])):
+        assert local_hilbert_oracle(I, 4) == tuple(truncated_quotient_dims(I.generators, 3, 4))
+    assert len(keys) == 2 and keys[0] == keys[1]
+    rows = [_integer(g) for g in gens]
+    key = gr._macaulay_key(3, rows, 4)
+    assert key == keys[0] == gr._macaulay_key(3, rows[::-1], 4)
+    assert gr._macaulay_key(3, [rows[0], _integer(y ** 3 + 3 * x * z)], 4) != key
+    assert gr._macaulay_key(3, [rows[0], _integer(y ** 3 + 2 * y * z)], 4) != key
+    assert gr._macaulay_key(3, rows, 5) != key
+    assert gr._macaulay_key(2, [], 4) != gr._macaulay_key(3, [], 4)
+
+
+def test_macaulay_counts_follow_their_key():
+    # the empty system has no rows, so only the variable count tells the
+    # plane from 3-space; rows one coefficient or one degree bound apart
+    # have their own counts
+    clear_memos()
+    for ctx in (CTX, CTX3):
+        n = ctx.nvars
+        assert local_hilbert_oracle(IdealGens(ctx, []), 4) == tuple(comb(n + d, n) for d in range(5))
+    for gens in ([X * X + Y * Y, 2 * X * X + 2 * Y * Y], [X * X + Y * Y, 2 * X * X - 2 * Y * Y]):
+        for D in (3, 4):
+            expected = truncated_quotient_dims(gens, 2, D)
+            assert local_hilbert_oracle(IdealGens(CTX, gens), D) == tuple(expected)
+
+
 def test_oracle_never_reaches_the_groebner_kernel(monkeypatch):
     import richardson.groebner as gr
 
@@ -530,6 +576,12 @@ MEMOIZED_CALLS = {
         lambda: local_hilbert_oracle(IdealGens(CTX, [Y - X * X, Y * Y]), 6),
         "groebner",
         "_eliminate_linear_variables",
+    ),
+    "_macaulay_counts": (
+        lambda: gr._macaulay_counts(2, [_integer(X * X - Y ** 3)], 6), "groebner", "_monomials_upto"
+    ),
+    "_reduced_invariants": (
+        lambda: rinv._reduced_invariants(IdealGens(CTX, [X * X - Y ** 3])), "invariants", "buchberger"
     ),
 }
 

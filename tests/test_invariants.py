@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_coset
+from oracles import brute_coset, subword_bruhat_leq, tangent_count_by_reflections
 from richardson import clear_memos
 from richardson.charts import chart, richardson_ideal_in_chart, schubert_ideal_in_chart
 from richardson.groebner import (
@@ -21,7 +21,9 @@ from richardson.groebner import (
 from richardson.invariants import (
     LocalInvariants,
     NotOnVariety,
+    _bruhat_check,
     _jacobian_corank,
+    _reduced_key,
     local_invariants_at,
     localize,
     opposite_invariants,
@@ -31,7 +33,7 @@ from richardson.invariants import (
     schubert_invariants,
 )
 from richardson.permutations import Permutation, bruhat_leq, coset_reps
-from richardson.poly import Context
+from richardson.poly import Context, Polynomial
 
 
 CTX = Context(("x", "y"))
@@ -317,6 +319,93 @@ def test_the_oracle_checks_the_whole_chart(monkeypatch):
     assert seen == [6] * len(triples)
 
 
+def test_reduced_key_ignores_names_and_generator_order():
+    abc, xyz = Context(("a", "b", "c")), Context(("x", "y", "z"))
+    a, b, c = abc.gens()
+    gens = [a * b - c ** 2, b ** 3 + 2 * a * c]
+    key = _reduced_key(IdealGens(abc, gens))
+    assert _reduced_key(IdealGens(xyz, [Polynomial(xyz, g.terms) for g in gens])) == key
+    assert _reduced_key(IdealGens(abc, gens[::-1])) == key
+    assert _reduced_key(IdealGens(abc, [a * b - c ** 2, b ** 3 + 3 * a * c])) != key
+    assert _reduced_key(IdealGens(abc, [a * b - c ** 2, b ** 3 + 2 * b * c])) != key
+    assert _reduced_key(IdealGens(CTX, [])) != _reduced_key(IdealGens(Context(("x", "y", "z")), []))
+
+
+def test_reduced_systems_with_different_keys_get_their_own_records():
+    # the empty system has no terms, so only the variable count tells the
+    # plane from 3-space; two systems one coefficient apart differ in dimension
+    clear_memos()
+    dims = [
+        local_invariants_at(IdealGens(Context(names), []), dict.fromkeys(names, 0)).dimension
+        for names in (("x", "y"), ("x", "y", "z"))
+    ]
+    assert dims == [2, 3]
+    origin = {"x": 0, "y": 0}
+    circle = local_invariants_at(IdealGens(CTX, [X * X + Y * Y, 2 * X * X + 2 * Y * Y]), origin)
+    point = local_invariants_at(IdealGens(CTX, [X * X + Y * Y, 2 * X * X - 2 * Y * Y]), origin)
+    assert (circle.dimension, circle.multiplicity) == (1, 2)
+    assert (point.dimension, point.multiplicity) == (0, 4)
+
+
+def test_every_record_runs_its_checks_and_each_reduced_system_runs_once(monkeypatch):
+    # S4 has 1,088 records and 21 reduced systems: every record solves its
+    # own series and is checked twice, each system meets the kernel and the
+    # Macaulay stage once
+    import richardson.groebner as gr
+    import richardson.invariants as rinv
+
+    def counting(module, name, keyf=None):
+        seen = []
+        real = getattr(module, name)
+
+        def call(*args):
+            seen.append(keyf(*args) if keyf else None)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+        return seen
+
+    series = counting(gr, "_eliminate_linear_variables")
+    macaulay_keys = counting(gr, "_macaulay_counts", gr._macaulay_key)
+    macaulay_runs = counting(gr, "_monomials_upto")  # once per run of the Macaulay stage
+    kernel_keys = counting(rinv, "_reduced_invariants", rinv._reduced_key)
+    kernel_runs = counting(rinv, "buchberger")  # once per run of the kernel
+    clear_memos()
+    triples = _s4_triples()
+    oracle_before, tangent_before = rinv.ORACLE_CHECKS, rinv.TANGENT_CHECKS
+    for v, sigma, w in triples:
+        richardson_invariants(v, w, sigma)
+    assert len(series) == len(macaulay_keys) == len(kernel_keys) == len(triples) == 1088
+    assert rinv.ORACLE_CHECKS - oracle_before == len(triples)
+    assert rinv.TANGENT_CHECKS - tangent_before == len(triples)
+    assert len(kernel_runs) == len(set(kernel_keys)) == 21
+    assert len(macaulay_runs) == len(set(macaulay_keys)) == 21
+
+
+def _pins_tangent_count(v, w, sigma, count):
+    d = w.length() - v.length()
+    _bruhat_check(LocalInvariants(d, count, count == d, 1, None), v, w, sigma)
+    for wrong in (count - 1, count + 1):
+        with pytest.raises(RuntimeError, match="Bruhat order"):
+            _bruhat_check(LocalInvariants(d, wrong, wrong == d, 1, None), v, w, sigma)
+
+
+def test_bruhat_check_counts_the_reflections_of_the_reference():
+    # the check reads rank tables of windows; the reference builds every
+    # t sigma as a Permutation, on S4 with subword Bruhat order as well
+    for v, sigma, w in _s4_triples():
+        count = tangent_count_by_reflections(v, w, sigma)
+        assert count == tangent_count_by_reflections(v, w, sigma, subword_bruhat_leq)
+        _pins_tangent_count(v, w, sigma, count)
+    rng = random.Random(13)
+    elems = Permutation.all(5)
+    for _ in range(300):
+        sigma = rng.choice(elems)
+        v = rng.choice([z for z in elems if bruhat_leq(z, sigma)])
+        w = rng.choice([z for z in elems if bruhat_leq(sigma, z)])
+        _pins_tangent_count(v, w, sigma, tangent_count_by_reflections(v, w, sigma))
+
+
 def test_point_records_solve_every_variable_s4():
     # X_w^w is the point w: its reduced ring has no variables left
     for w in Permutation.all(4):
@@ -392,25 +481,16 @@ def test_parabolic_representative_is_the_minimal_one_s4(monkeypatch):
                         assert upstairs == []
 
 
-def _reflections_times(sigma: Permutation) -> list[Permutation]:
-    """t * sigma for every transposition t of values.
-
-    Right multiplication gives the same counts below: sigma * t equals
-    (sigma t sigma^-1) * sigma, and conjugation permutes the reflections.
-    """
-    n = sigma.n
-    return [sigma.swap_values(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
-
-
 def test_tangent_dim_matches_reflection_count_s4():
     # Lakshmibai-Seshadri: dim T_sigma X_w = #{t : t sigma <= w}, and
     # dually dim T_tau X^v = #{t : v <= t tau}; independent of the ideals
     elems = Permutation.all(4)
     pairs = [(a, b) for a in elems for b in elems if bruhat_leq(a, b)]
     assert len(pairs) == 213
+    id4, w0 = Permutation.identity(4), Permutation.longest(4)
     for sigma, w in pairs:
-        count = sum(1 for ts in _reflections_times(sigma) if bruhat_leq(ts, w))
+        count = tangent_count_by_reflections(id4, w, sigma)
         assert schubert_invariants(w, sigma, oracle=None).tangent_dim == count
     for v, tau in pairs:
-        count = sum(1 for tt in _reflections_times(tau) if bruhat_leq(v, tt))
+        count = tangent_count_by_reflections(v, w0, tau)
         assert opposite_invariants(v, tau, oracle=None).tangent_dim == count
