@@ -16,7 +16,8 @@ Subcommands:
 Exit status: 0 when the command ran and, for verify, no law failed on the
 cases checked; 1 when a law failed; 2 for a usage error (bad flags,
 malformed or size-mismatched permutations, out of range ``--n``,
-``--samples``, ``--parabolic`` or ``--degree-bound``, ``smooth-table``
+``--samples``, ``--trials``, ``--jobs``, ``--timeout`` (0..TIMEOUT_MAX s,
+0 for no limit), ``--parabolic`` or ``--degree-bound``, ``smooth-table``
 past its largest n, a fixed point off the variety), with a one-line
 message; 3 when a verify run checked no case, because its cases timed
 out or had nothing to check.  A timeout is recorded as a finding per
@@ -51,6 +52,9 @@ from .verify import (
     verify_kl_vs_h,
     verify_theorem_at_points,
 )
+
+
+TIMEOUT_MAX = 10**9  # seconds: setitimer takes it, also with a 32-bit time_t
 
 
 @dataclasses.dataclass
@@ -107,7 +111,7 @@ def _parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=5, help="point trials per pair (points only)")
     ver.add_argument("--degree-bound", type=int, default=ORACLE_DEGREE, dest="degree_bound",
                      help="truncation oracle degree bound D")
-    ver.add_argument("--timeout", type=float, default=300.0, help="seconds per case")
+    ver.add_argument("--timeout", type=float, default=300.0, help="seconds per case (0: none)")
     ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--format", default="json", choices=("json", "text"))
     return p
@@ -119,12 +123,10 @@ class UsageError(Exception):
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand)
-    for f in ("check", "n", "u", "v", "w", "sigma", "seed", "exhaustive", "jobs",
+    for f in ("check", "n", "u", "v", "w", "sigma", "seed", "exhaustive", "samples", "jobs",
               "timeout", "trials", "degree_bound"):
         if hasattr(args, f) and getattr(args, f) is not None:
             setattr(cfg, f, getattr(args, f))
-    if getattr(args, "samples", None) is not None:
-        cfg.samples = args.samples
     if getattr(args, "parabolic", ""):
         try:
             cfg.parabolic = tuple(int(x) for x in args.parabolic.split(",") if x)
@@ -139,13 +141,16 @@ def _check_usage(cfg: RunConfig) -> None:
     # oracle exponents up to the degree bound must fit the packed fields
     if cfg.subcommand in ("invariants", "verify") and not 0 <= cfg.degree_bound <= _FIELD_MAX:
         raise UsageError(f"--degree-bound must lie in 0..{_FIELD_MAX}, got {cfg.degree_bound}")
-    if cfg.subcommand == "verify" and cfg.n < 1:
-        raise UsageError(f"--n must be at least 1, got {cfg.n}")
+    if cfg.subcommand == "verify":
+        # n, samples or trials below 1 would pass having checked nothing; jobs would name no worker
+        for flag in ("n", "samples", "trials", "jobs"):
+            value = getattr(cfg, flag)
+            if value is not None and value < 1:
+                raise UsageError(f"--{flag} must be at least 1, got {value}")
+        if not 0 <= cfg.timeout <= TIMEOUT_MAX:  # nan too
+            raise UsageError(f"--timeout must lie in 0..{TIMEOUT_MAX}, got {cfg.timeout}")
     if cfg.check == "smooth-table" and cfg.n > SMOOTH_TABLE_MAX_N:
         raise UsageError(f"smooth-table needs --n at most {SMOOTH_TABLE_MAX_N}, got {cfg.n}")
-    # a run that samples nothing would pass having checked nothing
-    if cfg.subcommand == "verify" and cfg.samples is not None and cfg.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {cfg.samples}")
     perms = {}
     for flag in ("u", "v", "w", "sigma"):
         text = getattr(cfg, flag)
@@ -169,7 +174,7 @@ class _CaseTimeout(Exception):
 
 
 def _run_with_timeout(fn, timeout: float):
-    """Run one case under SIGALRM; raises _CaseTimeout on expiry."""
+    """Run one case under SIGALRM, with no limit at timeout 0; raises _CaseTimeout on expiry."""
     if timeout <= 0 or not hasattr(signal, "setitimer"):
         return fn()
 

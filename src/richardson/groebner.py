@@ -23,12 +23,11 @@ monomials are the packed integers of richardson.poly, so a product is one
 integer addition and a divisibility test one masked subtraction, with no
 conversion on the way in or out.
 
-The basis, Hilbert and oracle memos are tables of richardson.memo:
-distinct computations may run concurrently, and every caller of one key
-gets the first result stored.  The oracle's Macaulay stage has a table of
-its own, keyed by what is left after its series elimination with the
-variable names dropped, so the many local rings that reduce to one system
-share one elimination.
+Only what repeats is memoized, in tables of richardson.memo: Hilbert
+numerators of monomial ideals, and the oracle's Macaulay stage, keyed by
+what its series elimination leaves with the variable names dropped, so
+the local rings that reduce to one system share one elimination.  Bases
+and oracle calls are not: the ideals they are handed rarely repeat.
 """
 
 from __future__ import annotations
@@ -70,9 +69,6 @@ class IdealGens:
                 gens.setdefault(g, None)
         self.ctx = ctx
         self.generators = tuple(gens)
-
-    def key(self) -> tuple:
-        return (self.ctx.names, tuple(sorted(g.key()[1] for g in self.generators)))
 
     def __repr__(self) -> str:
         return f"IdealGens({len(self.generators)} gens in {len(self.ctx.names)} vars)"
@@ -377,7 +373,6 @@ def _completion_for(ctx: Context, generators: Iterable[Polynomial], order) -> _C
     return comp
 
 
-@memoized(lambda ideal, order=DEGREVLEX: (ideal.key(), order.tag))
 def buchberger(ideal: IdealGens, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis; deterministic for fixed input and order."""
     ctx = ideal.ctx
@@ -417,14 +412,14 @@ def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder = DEGREVLEX) ->
     generators, and the zero remainders put every generator of I and of J
     in (G); so I = (G) = J.  Equal ideals have equal reduced bases, which
     are unique for a fixed order (Cox-Little-O'Shea, Ideals, Varieties, and
-    Algorithms, 2.7).  The remainders are a certificate that does not trust
-    the completion to have kept every element; the reducers of G are built
-    once for all of them.
+    Algorithms, 2.7), so equal generator sets share one.  The remainders
+    are a certificate that does not trust the completion to have kept
+    every element; the reducers of G are built once for all of them.
     """
     if I.ctx != J.ctx:
         raise ValueError("context mismatch")
     gi = buchberger(I, order)
-    if gi.basis != buchberger(J, order).basis:
+    if set(I.generators) != set(J.generators) and gi.basis != buchberger(J, order).basis:
         return False
     reducers, keyf, pk = _basis_reducers(gi)
     return not any(
@@ -524,15 +519,14 @@ def _minimal_monomials(monos: Iterable[int], pk: _Pack) -> list[int]:
     return out
 
 
-def _leading_numerator(I: IdealGens) -> tuple[list[int], list[int], int]:
-    """(numerator, cancelled, e) for R/in(I), in(I) the degrevlex
-    leading-term ideal: its Hilbert series is numerator/(1-q)^n, and
-    numerator = (1-q)^e * cancelled with no (1-q) factor left in cancelled."""
-    gb = buchberger(I)
+def _leading_numerator(gb: GroebnerBasis) -> tuple[list[int], list[int], int]:
+    """(numerator, cancelled, e) for R/in(I), gb a degrevlex basis of I:
+    its Hilbert series is numerator/(1-q)^n, and numerator =
+    (1-q)^e * cancelled with no (1-q) factor left in cancelled."""
     if gb.contains_one():
         raise ValueError("unit ideal")
-    lead = tuple(_minimal_monomials(gb.leading_monomials(), I.ctx.pack))
-    ncoef = list(_hilbert_numerator_monomial(I.ctx, lead))
+    lead = tuple(_minimal_monomials(gb.leading_monomials(), gb.ctx.pack))
+    ncoef = list(_hilbert_numerator_monomial(gb.ctx, lead))
     return (ncoef, *_strip_one_minus_q(ncoef))
 
 
@@ -545,7 +539,7 @@ def krull_dimension(I: IdealGens) -> int:
     Varieties, and Algorithms, 9.3), and the monomial quotient has Hilbert
     series numerator/(1-q)^n, whose pole at q = 1 has order its dimension.
     """
-    _, _, e = _leading_numerator(I)
+    _, _, e = _leading_numerator(buchberger(I))
     return I.ctx.nvars - e
 
 
@@ -613,7 +607,7 @@ def hilbert_numerator(I: IdealGens) -> HilbertData:
     for g in I.generators:
         if not g.is_homogeneous():
             raise ValueError("hilbert_numerator requires homogeneous generators")
-    ncoef, cancelled, e = _leading_numerator(I)
+    ncoef, cancelled, e = _leading_numerator(buchberger(I))
     n = I.ctx.nvars
     return HilbertData(
         numerator=_q_poly(ncoef),
@@ -710,6 +704,10 @@ def tangent_cone(I: IdealGens) -> IdealGens:
 # ---------------------------------------------------------------------------
 # Local Hilbert-function oracle
 # ---------------------------------------------------------------------------
+
+# the degree up to which every record's tangent cone is checked by the oracle
+ORACLE_DEGREE = 6
+
 
 @memoized(lambda nvars, degree_bound: (nvars, degree_bound))
 def _monomials_upto(nvars: int, degree_bound: int) -> tuple[int, ...]:
@@ -868,8 +866,7 @@ def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
     return False
 
 
-@memoized(lambda I, degree_bound=6: (I.key(), degree_bound))
-def local_hilbert_oracle(I: IdealGens, degree_bound: int = 6) -> tuple[int, ...]:
+def local_hilbert_oracle(I: IdealGens, degree_bound: int = ORACLE_DEGREE) -> tuple[int, ...]:
     """dim_Q of R/(<I> + m^{d+1}) for d = 0..degree_bound.
 
     First differences give the Hilbert function of the tangent cone at the

@@ -50,14 +50,15 @@ from .charts import (
     richardson_ideal_in_chart,
 )
 from .groebner import (
+    ORACLE_DEGREE,
     HilbertData,
     IdealGens,
     buchberger,
     hilbert_numerator,
-    krull_dimension,
     local_hilbert_oracle,
     solve_linear_variables,
     tangent_cone,
+    _leading_numerator,
     _q_coeffs,
 )
 from .memo import memoized
@@ -69,9 +70,6 @@ from .permutations import (
     w_j_longest_length,
 )
 from .poly import Polynomial
-
-# the degree up to which every record's tangent cone is checked by the oracle
-ORACLE_DEGREE = 6
 
 ORACLE_CHECKS = 0
 TANGENT_CHECKS = 0
@@ -157,10 +155,8 @@ def _reduced_key(J: IdealGens) -> tuple:
 def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants]:
     """(tangent-cone Hilbert data, record) of the reduced ideal J at the origin."""
     gb = buchberger(J)
-    if gb.contains_one():
-        raise ValueError("unit ideal")
     n = J.ctx.nvars
-    dim = krull_dimension(J)
+    dim = n - _leading_numerator(gb)[2]  # raises on the unit ideal
     hd = hilbert_numerator(tangent_cone(J))
     if hd.dimension != dim:
         raise RuntimeError(

@@ -262,6 +262,23 @@ def test_verify_nonpositive_samples_exits_2(samples, capsys):
     assert "--samples" in _usage_error(["verify", "mult", "--n", "3", "--samples", samples], capsys)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"), ("--trials", "-2"), ("--jobs", "0"), ("--jobs", "-3"),
+    ("--timeout", "nan"), ("--timeout", "inf"), ("--timeout", "1e300"), ("--timeout", "-1"),
+])
+def test_verify_bad_numeric_flag_exits_2(flag, value, capsys):
+    argv = ["verify", "points", "--n", "3", "--samples", "1", flag, value]
+    assert flag in _usage_error(argv, capsys)
+
+
+def test_timeout_bounds_are_accepted():
+    from richardson.cli import TIMEOUT_MAX
+
+    for value in ("0", str(TIMEOUT_MAX)):
+        status, _ = capture(["verify", "mult", "--n", "3", "--samples", "1", "--timeout", value])
+        assert status == 0
+
+
 def test_fixed_point_off_the_variety_exits_2(capsys):
     base = ["invariants", "--v", "1234", "--w", "2134", "--sigma", "4321"]
     assert "not on the Richardson variety" in _usage_error(base, capsys)

@@ -382,6 +382,47 @@ def test_every_record_runs_its_checks_and_each_reduced_system_runs_once(monkeypa
     assert len(macaulay_runs) == len(set(macaulay_keys)) == 21
 
 
+def test_only_the_record_table_grows_with_the_records():
+    # bases and oracle calls keep nothing: after every S4 triple the record
+    # table is the one memo table as large as the record count
+    import inspect
+
+    import richardson.invariants as rinv
+    from richardson import memo
+
+    clear_memos()
+    triples = _s4_triples()
+    for v, sigma, w in triples:
+        richardson_invariants(v, w, sigma)
+    records = inspect.getclosurevars(rinv._fixed_point_invariants).nonlocals["table"]
+    assert len(records) == len(triples) == 1088
+    large = [table for table in memo._TABLES if len(table) >= len(triples)]
+    assert len(large) == 1 and large[0] is records
+
+
+def test_each_reduced_system_runs_three_completions(monkeypatch):
+    # one for J, one for its tangent cone and one for the cone's basis; an
+    # empty J is its own cone, so it runs two
+    import richardson.groebner as gr
+    import richardson.invariants as rinv
+
+    systems = {}
+    for v, sigma, w in _s4_triples():
+        J, _ = solve_linear_variables(richardson_ideal_in_chart(v, w, sigma))
+        systems.setdefault(_reduced_key(J), J)
+    assert len(systems) == 21
+    runs = []
+    real = gr._completion_for
+    monkeypatch.setattr(gr, "_completion_for", lambda *args: runs.append(1) or real(*args))
+    clear_memos()
+    for J in systems.values():
+        before = len(runs)
+        rinv._reduced_invariants(J)
+        assert len(runs) - before == (3 if J.generators else 2)
+        rinv._reduced_invariants(J)
+        assert len(runs) - before == (3 if J.generators else 2)
+
+
 def _pins_tangent_count(v, w, sigma, count):
     d = w.length() - v.length()
     _bruhat_check(LocalInvariants(d, count, count == d, 1, None), v, w, sigma)

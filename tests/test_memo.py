@@ -5,8 +5,7 @@ import pathlib
 
 import richardson.invariants as rinv
 from richardson import clear_memos
-from richardson.charts import chart
-from richardson.groebner import IdealGens, buchberger
+from richardson.charts import chart, generic_matrix
 from richardson.invariants import richardson_invariants
 from richardson.permutations import Permutation
 from richardson.poly import DEGREVLEX, Context, _key_cache
@@ -16,14 +15,12 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "richardson"
 
 
 def test_clear_memos_empties_every_table():
-    ctx = Context(("x", "y"))
-    x, y = ctx.gens()
     v, w, sigma = Permutation([1, 3, 2, 4]), Permutation([4, 2, 3, 1]), Permutation([2, 4, 1, 3])
     u = Permutation([3, 1, 4, 2])
 
     def calls():
         return (
-            buchberger(IdealGens(ctx, [x * x - y, y * y - x])),
+            generic_matrix(u),
             chart(u),
             sweep_images(u),
         )
