@@ -16,7 +16,11 @@ One generic matrix is kept per chart (``generic_matrix`` is memoized by
 u), so its table of minors serves every Schubert, opposite and Richardson
 ideal built in that chart.  The table holds at most one entry per square
 submatrix, so at most C(2n, n) entries (252 at n = 5, 924 at n = 6), and
-``clear_memos()`` drops it with the matrix.
+``clear_memos()`` drops it with the matrix.  Which minors a permutation
+asks for does not depend on the chart, so its (rows, cols) index list is
+built once per permutation (``_schubert_index`` and ``_opposite_index``,
+memoized by window, at most n! entries each) and every chart, sweep image
+and sampled cell reads its minors from that list.
 
 The opposite side is derived from the Schubert side.  The opposite
 Schubert variety is a translate, X^v = w0 X_{w0 v}, and left
@@ -208,37 +212,47 @@ def _essential_schubert_conditions(w: Permutation):
     return out
 
 
-def _minors(matrix: ChartMatrix, conditions) -> list[Polynomial]:
-    """Every (b+1)-minor on rows from `rows` and columns 1..j, for each
-    (rows, j, b); zeros and repeats are left to IdealGens."""
-    return [
-        matrix.minor(r, c)
+def _minor_index(conditions):
+    """The (rows, cols) of every (b+1)-minor on rows from `rows` and columns
+    1..j, for each (rows, j, b); zero and repeated minors are left to
+    IdealGens."""
+    return tuple(
+        (r, c)
         for rows, j, b in conditions
         for r in combinations(rows, b + 1)
         for c in combinations(range(1, j + 1), b + 1)
-    ]
-
-
-def schubert_minors(matrix: ChartMatrix, w: Permutation) -> list[Polynomial]:
-    """The (bound+1)-minors of rows i..n, columns 1..j for the conditions of w."""
-    n = w.n
-    return _minors(
-        matrix, [(range(i, n + 1), j, b) for i, j, b in _essential_schubert_conditions(w)]
     )
 
 
-def opposite_minors(matrix: ChartMatrix, v: Permutation) -> list[Polynomial]:
-    """The (bound+1)-minors of rows 1..i, columns 1..j for the conditions of v.
+@memoized(lambda w: w.window)
+def _schubert_index(w: Permutation):
+    """The minors of schubert_minors(_, w), one index list per permutation."""
+    n = w.n
+    return _minor_index((range(i, n + 1), j, b) for i, j, b in _essential_schubert_conditions(w))
 
-    They are the conditions of w0 v read on the row-reversed matrix, put
-    back in (i, j) order.
-    """
+
+@memoized(lambda v: v.window)
+def _opposite_index(v: Permutation):
+    """The minors of opposite_minors(_, v): the conditions of w0 v read on
+    the row-reversed matrix, put back in (i, j) order."""
     n = v.n
     conditions = sorted(
         (n + 1 - i, j, b)
         for i, j, b in _essential_schubert_conditions(Permutation.longest(n) * v)
     )
-    return _minors(matrix, [(range(1, i + 1), j, b) for i, j, b in conditions])
+    return _minor_index((range(1, i + 1), j, b) for i, j, b in conditions)
+
+
+def schubert_minors(matrix: ChartMatrix, w: Permutation) -> list[Polynomial]:
+    """The (bound+1)-minors of rows i..n, columns 1..j for the conditions of w."""
+    minor = matrix.minor
+    return [minor(r, c) for r, c in _schubert_index(w)]
+
+
+def opposite_minors(matrix: ChartMatrix, v: Permutation) -> list[Polynomial]:
+    """The (bound+1)-minors of rows 1..i, columns 1..j for the conditions of v."""
+    minor = matrix.minor
+    return [minor(r, c) for r, c in _opposite_index(v)]
 
 
 def schubert_ideal_in_chart(w: Permutation, u: Permutation) -> IdealGens:

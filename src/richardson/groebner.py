@@ -63,7 +63,7 @@ class IdealGens:
     def __init__(self, ctx: Context, generators: Iterable[Polynomial]):
         gens = {}
         for g in generators:
-            if g.ctx != ctx:
+            if g.ctx is not ctx and g.ctx != ctx:
                 raise ValueError("generator context mismatch")
             if not g.is_zero():
                 gens.setdefault(g, None)
@@ -414,17 +414,20 @@ def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder = DEGREVLEX) ->
     are unique for a fixed order (Cox-Little-O'Shea, Ideals, Varieties, and
     Algorithms, 2.7), so equal generator sets share one.  The remainders
     are a certificate that does not trust the completion to have kept
-    every element; the reducers of G are built once for all of them.
+    every element; the reducers of G are built once for all of them, and a
+    generator shared by I and J is reduced once.
     """
     if I.ctx != J.ctx:
         raise ValueError("context mismatch")
+    gens = dict.fromkeys(I.generators + J.generators)
+    # IdealGens drops repeats, so I and J have one generator set exactly
+    # when their union is no larger than either
+    same = len(gens) == len(I.generators) == len(J.generators)
     gi = buchberger(I, order)
-    if set(I.generators) != set(J.generators) and gi.basis != buchberger(J, order).basis:
+    if not same and gi.basis != buchberger(J, order).basis:
         return False
     reducers, keyf, pk = _basis_reducers(gi)
-    return not any(
-        _reduce_raw(g.terms, reducers, keyf, pk) for g in I.generators + J.generators
-    )
+    return not any(_reduce_raw(g.terms, reducers, keyf, pk) for g in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +639,8 @@ class _ConeOrder:
         self.tag = f"cone:{t_index}"
 
     def sort_key(self, ctx: Context):
-        """Packed monomial -> sortable key, cached like MonomialOrder.sort_key."""
+        """Packed monomial -> sortable tuple key, cached like the tuple keys
+        of MonomialOrder.sort_key."""
         cache = _key_cache(ctx.nvars, self.tag)
         shifts = ctx.pack.shifts
         tshift = shifts[self.t_index]

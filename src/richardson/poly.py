@@ -11,10 +11,12 @@ the oracle use as it is.  The layout depends on the variable count, so a
 monomial means something only together with its Context:
 `Context.monomial` packs sparse (variable, exponent) pairs and
 `Context.exponents` reads them back.  A product whose exponent would pass
-127 raises OverflowError.  All values are immutable after construction and
-may be shared freely between threads; every operation is a pure function
-returning a canonical result, so two equal polynomials have identical term
-maps.
+127 raises OverflowError.  Degrevlex, the kernel's default order, compares
+packed monomials by one integer key (see MonomialOrder.sort_key), so its
+sorts and heaps compare plain ints.  All values are immutable after
+construction and may be shared freely between threads; every operation is
+a pure function returning a canonical result, so two equal polynomials
+have identical term maps.
 
 Variables are interned integer indices inside a :class:`Context`; chart
 variables use row-major naming over free positions, e.g. ``z42``.  The
@@ -223,8 +225,17 @@ class MonomialOrder:
         return self.kind + ":" + ",".join(map(str, self.priority))
 
     def sort_key(self, ctx: Context):
-        """Packed monomial -> sortable key (ascending = smaller), cached per
-        variable count and order."""
+        """Packed monomial -> sortable key (ascending = smaller).
+
+        Degrevlex in the context order (no priority) needs no cache: its
+        key is the monomial XOR the exponent mask, an int.  The degree
+        field stays on top and each exponent e reads as 127 - e, the last
+        variable most significant, which orders monomials exactly like the
+        tuple (deg, -a_{n-1}, ..., -a_0).  Every other order builds a
+        tuple key, cached per variable count and order.
+        """
+        if self.kind == "degrevlex" and self.priority is None:
+            return ctx.pack.lowmask.__xor__
         n = ctx.nvars
         prio = self.priority if self.priority is not None else tuple(range(n))
         if sorted(prio) != list(range(n)):
@@ -256,7 +267,8 @@ class MonomialOrder:
 
 @memoized(lambda nvars, tag: (nvars, tag))
 def _key_cache(nvars: int, tag: str) -> dict:
-    """The monomial -> sort key cache of every order tagged tag on nvars variables."""
+    """The monomial -> sort key cache of every order tagged tag on nvars
+    variables (DEGREVLEX has an int key and no cache)."""
     return {}
 
 

@@ -81,6 +81,17 @@ def compare(order, a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return 1 if diff[0] > 0 else -1
 
 
+def degrevlex_tuple_key(ctx: Context):
+    """Degrevlex in the context order as the tuple (deg, -a_{n-1}, ..., -a_0)
+    of the dense exponent vector."""
+
+    def key(m):
+        a = dense(ctx, m)
+        return (sum(a),) + tuple(-e for e in reversed(a))
+
+    return key
+
+
 def monomial_key(ctx: Context, order):
     """A sort key on the monomials of ctx that follows compare."""
     cmp = cmp_to_key(lambda a, b: compare(order, a, b))

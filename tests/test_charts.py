@@ -1,9 +1,12 @@
 """Charts, determinantal ideals, cell identification, point sampling."""
 
+import inspect
+import io
 import json
 import pathlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +17,9 @@ from oracles import (
 )
 from richardson import clear_memos
 from richardson.charts import (
+    _essential_schubert_conditions,
+    _opposite_index,
+    _schubert_index,
     chart,
     generic_matrix,
     identify_cells,
@@ -25,8 +31,10 @@ from richardson.charts import (
     schubert_ideal_in_chart,
     schubert_minors,
 )
+from richardson.cli import run
 from richardson.groebner import IdealGens, buchberger, ideal_equal, krull_dimension
 from richardson.permutations import Permutation, bruhat_interval, bruhat_leq
+from richardson.sweep import sweep_images
 
 U31542 = Permutation([3, 1, 5, 4, 2])
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -360,3 +368,54 @@ def test_sample_points_match_golden():
         got = None if m is None else [[str(c) for c in row] for row in m]
         assert got == case["matrix"], case
     assert [len(c["tau"]) for c in cases] == [3] * 150 + [4] * 150 + [5] * 150
+
+
+def _minors_by_condition(matrix, conditions):
+    # the reference: every minor of every (rows, j, b) condition, built
+    # condition by condition with no index list
+    return [
+        matrix.minor(r, c)
+        for rows, j, b in conditions
+        for r in combinations(rows, b + 1)
+        for c in combinations(range(1, j + 1), b + 1)
+    ]
+
+
+def _check_index_lists(matrix, w):
+    n = w.n
+    schub = [(range(i, n + 1), j, b) for i, j, b in _essential_schubert_conditions(w)]
+    opp = sorted(
+        (n + 1 - i, j, b)
+        for i, j, b in _essential_schubert_conditions(Permutation.longest(n) * w)
+    )
+    assert schubert_minors(matrix, w) == _minors_by_condition(matrix, schub)
+    assert opposite_minors(matrix, w) == _minors_by_condition(
+        matrix, [(range(1, i + 1), j, b) for i, j, b in opp]
+    )
+
+
+def test_index_lists_match_the_condition_by_condition_minors():
+    # every (u, w) of S4 on the generic matrix, and a seeded S5 sample on
+    # the generic matrix and both sweep images
+    elems = Permutation.all(4)
+    for u in elems:
+        for w in elems:
+            _check_index_lists(generic_matrix(u), w)
+    rng = random.Random(23)
+    elems = Permutation.all(5)
+    for _ in range(40):
+        u, w = rng.choice(elems), rng.choice(elems)
+        for matrix in (generic_matrix(u),) + sweep_images(u):
+            _check_index_lists(matrix, w)
+
+
+def test_index_tables_are_bounded_by_the_permutations():
+    clear_memos()
+    status = run(["verify", "product-iso", "--n", "4", "--samples", "40", "--seed", "0"],
+                 io.StringIO())
+    assert status == 0
+    tables = [inspect.getclosurevars(f).nonlocals["table"]
+              for f in (_schubert_index, _opposite_index)]
+    assert all(0 < len(t) <= 24 for t in tables)
+    clear_memos()
+    assert all(len(t) == 0 for t in tables)

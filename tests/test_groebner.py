@@ -658,3 +658,12 @@ def test_kernel_products_past_127_raise():
         buchberger(IdealGens(CTX, [X ** 126 * Y, Y - X * X]), order)
     with pytest.raises(OverflowError):
         tangent_cone(IdealGens(CTX, [X - Y ** 127 * X ** 2]))
+
+
+def test_degrevlex_products_past_127_raise():
+    # the degrevlex int key leaves the guard bit alone: reducing x^127*y^2
+    # by y^2 - x makes x^128, and the reduction raises
+    gb = buchberger(IdealGens(CTX, [Y * Y - X]))
+    assert normal_form(X ** 126 * Y ** 2, gb) == X ** 127
+    with pytest.raises(OverflowError):
+        normal_form(X ** 127 * Y ** 2, gb)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import compare, dense
+from oracles import compare, degrevlex_tuple_key, dense
 from richardson.poly import (
     Context,
     DEGLEX,
@@ -16,6 +16,7 @@ from richardson.poly import (
     MONOMIAL_ONE,
     MonomialOrder,
     Polynomial,
+    _key_cache,
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -187,6 +188,26 @@ def _check_order(order, ctx, rng):
         # 1 is minimum
         if a != MONOMIAL_ONE:
             assert keyf(MONOMIAL_ONE) < keyf(a)
+
+
+def test_degrevlex_int_key_sorts_like_the_tuple_reference():
+    # the int key has no cache; on 1..16 variables it orders seeded random
+    # monomials, exponents 0 and 127 included, like the tuple definition
+    rng = random.Random(151)
+    for nvars in range(1, 17):
+        ctx = Context(tuple(f"x{i}" for i in range(nvars)))
+        keyf = DEGREVLEX.sort_key(ctx)
+        ref = degrevlex_tuple_key(ctx)
+        exps = [(0,) * nvars, (127,) * nvars]
+        exps += [tuple(rng.choice((0, 0, 1, 2, 3, 126, 127)) for _ in range(nvars))
+                 for _ in range(60)]
+        exps += [tuple(rng.randint(0, 127) for _ in range(nvars)) for _ in range(60)]
+        monos = list({ctx.monomial([(v, e) for v, e in enumerate(x) if e]) for x in exps})
+        rng.shuffle(monos)
+        assert all(isinstance(keyf(m), int) for m in monos)
+        assert sorted(monos, key=keyf) == sorted(monos, key=ref)
+        assert len({keyf(m) for m in monos}) == len(monos)
+        assert _key_cache(nvars, DEGREVLEX.tag) == {}
 
 
 def test_degrevlex_vs_deglex_disagree_somewhere():
