@@ -64,7 +64,7 @@ from .groebner import (
 from .memo import memoized
 from .permutations import (
     Permutation,
-    _rank_table,
+    _leq,
     bruhat_leq,
     coset_reps,
     w_j_longest_length,
@@ -219,18 +219,17 @@ def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: P
     by those of the transpositions t with v <= t sigma <= w
     (Lakshmibai-Seshadri), so its dimension is #{t : v <= t sigma <= w};
     the variety has dimension l(w) - l(v).  Neither count uses the Groebner
-    kernel.  Each t sigma is a window whose rank table is compared entrywise
-    with those of v and w, as bruhat_leq does.
+    kernel.  Each t sigma is a window compared with v and w by two packed
+    rank-word tests, as bruhat_leq does.
     """
     global TANGENT_CHECKS
     n = sigma.n
-    low, high = _rank_table(v.window), _rank_table(w.window)
-    win = sigma.window
+    low, high, win = v.window, w.window, sigma.window
     tangent = 0
     for a in range(1, n):
         for b in range(a + 1, n + 1):
-            ts = _rank_table(tuple(b if x == a else a if x == b else x for x in win))
-            tangent += all(map(int.__le__, low, ts)) and all(map(int.__le__, ts, high))
+            ts = tuple(b if x == a else a if x == b else x for x in win)
+            tangent += _leq(low, ts) and _leq(ts, high)
     expected = (w.length() - v.length(), tangent)
     if (inv.dimension, inv.tangent_dim) != expected:
         raise RuntimeError(

@@ -12,6 +12,18 @@ lower-left justified submatrices (rows i..n, columns 1..j); opposite
 conditions bound upper-left submatrices.  Reversing the rows (left
 multiplication by w0) swaps the two, so the opposite table is read off
 the Schubert one: r'_v(i,j) = j - r_v(i+1,j), with row n+1 zero.
+
+Bruhat order is v <= w iff r_v <= r_w entrywise, tested on packed rank
+words.  The rank word of a window holds its n^2 rank entries row by row,
+one field of b = n.bit_length() + 1 bits each; an entry is at most
+n < 2^(b-1), so the top bit of every field is a zero guard bit.  With G
+the mask of the guard bits, v <= w iff ((word(w) | G) - word(v)) & G == G:
+each field computes 2^(b-1) + r_w - r_v, which never borrows from the
+field above and keeps its guard bit exactly when r_v <= r_w.  So one
+subtraction compares the whole tables.  Intervals and the Kazhdan-Lusztig
+recursion run on windows (tuples), with memoized rank words, lengths and
+lower covers, at most n! entries per table and size; Permutation objects
+are built only for what the public functions return.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ class Permutation:
     '25143'
     """
 
-    __slots__ = ("window", "_inv", "_len")
+    __slots__ = ("window", "_inv")
 
     def __init__(self, window):
         win = tuple(int(x) for x in window)
@@ -42,7 +54,6 @@ class Permutation:
             raise ValueError(f"not a permutation window: {win}")
         self.window = win
         self._inv = None
-        self._len = None
 
     # -- constructors -----------------------------------------------------
 
@@ -91,12 +102,7 @@ class Permutation:
         return self._inv
 
     def length(self) -> int:
-        if self._len is None:
-            w = self.window
-            self._len = sum(
-                1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
-            )
-        return self._len
+        return _length(self.window)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (self * other)(i) = self(other(i))."""
@@ -114,11 +120,6 @@ class Permutation:
         win = list(self.window)
         win[i - 1], win[j - 1] = win[j - 1], win[i - 1]
         return Permutation(win)
-
-    def left_descents(self) -> list[int]:
-        """Values i with l(s_i w) < l(w), i.e. i+1 appears left of i."""
-        inv = self.inverse().window
-        return [i for i in range(1, self.n) if inv[i - 1] > inv[i]]
 
     def right_descents(self) -> list[int]:
         return [j for j in range(1, self.n) if self.window[j - 1] > self.window[j]]
@@ -141,24 +142,53 @@ class Permutation:
         return f"Permutation({self})"
 
 
-# at most n! tables for each size n in use
+def _field_width(n: int) -> int:
+    """Bits per field of a rank word: n.bit_length() hold 0..n, one more is the guard."""
+    return n.bit_length() + 1
+
+
 @memoized()
-def _rank_table(window: tuple[int, ...]) -> tuple[int, ...]:
-    """schubert_rank of the window flattened row by row, computed once per window."""
-    flat = []
+def _guard(n: int) -> int:
+    """The guard mask of S_n: the top bit of each of the n^2 fields."""
+    b = _field_width(n)
+    return sum(1 << (k * b + b - 1) for k in range(n * n))
+
+
+# at most n! entries for each size n in use
+@memoized()
+def _rank_word(window: tuple[int, ...]) -> int:
+    """schubert_rank of the window packed row by row, entry (i, j) in field (i-1)n + j-1."""
+    b = _field_width(len(window))
+    word = shift = 0
     for i in range(1, len(window) + 1):
         count = 0
         for x in window:
             count += x >= i
-            flat.append(count)
-    return tuple(flat)
+            word |= count << shift
+            shift += b
+    return word
+
+
+def _leq(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    """Bruhat order on windows of one size, by one subtraction of rank words."""
+    guard = _guard(len(w))
+    return ((_rank_word(w) | guard) - _rank_word(v)) & guard == guard
+
+
+def _rank_entries(window: tuple[int, ...]) -> list[int]:
+    """The fields of the rank word, in row-major order."""
+    n = len(window)
+    b = _field_width(n)
+    word = _rank_word(window)
+    mask = (1 << b) - 1
+    return [(word >> (k * b)) & mask for k in range(n * n)]
 
 
 def schubert_rank(w: Permutation) -> tuple[tuple[int, ...], ...]:
     """r_w(i,j) = #{k <= j : w(k) >= i} (lower-left justified ranks)."""
     n = w.n
-    flat = _rank_table(w.window)
-    return tuple(flat[i * n:(i + 1) * n] for i in range(n))
+    flat = _rank_entries(w.window)
+    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
 def opposite_rank(v: Permutation) -> tuple[tuple[int, ...], ...]:
@@ -168,14 +198,14 @@ def opposite_rank(v: Permutation) -> tuple[tuple[int, ...], ...]:
     r'_v(i,j) = j - r_v(i+1,j) with row n+1 zero.
     """
     n = v.n
-    flat = _rank_table(v.window) + (0,) * n
+    flat = _rank_entries(v.window) + [0] * n
     return tuple(
         tuple(j + 1 - flat[i * n + j] for j in range(n)) for i in range(1, n + 1)
     )
 
 
 def bruhat_leq(v: Permutation, w: Permutation) -> bool:
-    """v <= w iff r_v <= r_w entrywise.
+    """v <= w iff r_v <= r_w entrywise, tested on packed rank words.
 
     >>> bruhat_leq(Permutation.identity(3), Permutation([3, 1, 2]))
     True
@@ -184,7 +214,34 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     """
     if v.n != w.n:
         raise ValueError("size mismatch")
-    return all(map(int.__le__, _rank_table(v.window), _rank_table(w.window)))
+    return _leq(v.window, w.window)
+
+
+# at most n! entries for each size n in use
+@memoized()
+def _length(window: tuple[int, ...]) -> int:
+    """The number of inversions of the window."""
+    n = len(window)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if window[i] > window[j])
+
+
+# at most n! entries for each size n in use
+@memoized()
+def _covers(window: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The windows covered by the window in Bruhat order (see lower_covers)."""
+    n = len(window)
+    out = []
+    for i in range(n):
+        top = window[i]
+        below = 0  # largest value under top seen strictly between i and j
+        for j in range(i + 1, n):
+            x = window[j]
+            if below < x < top:
+                cover = list(window)
+                cover[i], cover[j] = x, top
+                out.append(tuple(cover))
+                below = x
+    return tuple(out)
 
 
 def lower_covers(z: Permutation) -> list[Permutation]:
@@ -197,47 +254,43 @@ def lower_covers(z: Permutation) -> list[Permutation]:
     >>> [str(c) for c in lower_covers(Permutation([3, 1, 2]))]
     ['132', '213']
     """
-    win = z.window
-    n = len(win)
-    out = []
-    for i in range(n):
-        top = win[i]
-        below = 0  # largest value under top seen strictly between i and j
-        for j in range(i + 1, n):
-            x = win[j]
-            if below < x < top:
-                cover = list(win)
-                cover[i], cover[j] = x, top
-                out.append(Permutation(cover))
-                below = x
-    return out
+    return [Permutation(c) for c in _covers(z.window)]
 
 
-def bruhat_interval(v: Permutation, w: Permutation) -> list[Permutation]:
-    """All sigma with v <= sigma <= w, sorted by (length, window); empty iff v !<= w.
+def _interval(v: tuple[int, ...], w: tuple[int, ...]):
+    """Yield (sigma, l(sigma)) for the windows sigma in [v, w], level by level from w down.
 
     Bruhat intervals are graded, so every sigma in [v, w] lies on a chain
     of covers from w down to v that stays inside [v, w].  The walk starts
     at w and goes down one length at a time, keeping the lower covers of
     the current level that lie above v, until it reaches length l(v).
+    Nothing is yielded unless v <= w.
+    """
+    if not _leq(v, w):
+        return
+    guard = _guard(len(w))
+    low = _rank_word(v)
+    top = _length(w)
+    level = [w]
+    yield w, top
+    for length in range(top - 1, _length(v) - 1, -1):
+        below = dict.fromkeys(c for z in level for c in _covers(z))
+        # the packed test of _leq(v, c), with v's word and the mask read once
+        level = [c for c in below if ((_rank_word(c) | guard) - low) & guard == guard]
+        for c in level:
+            yield c, length
+
+
+def bruhat_interval(v: Permutation, w: Permutation) -> list[Permutation]:
+    """All sigma with v <= sigma <= w, sorted by (length, window); empty iff v !<= w.
 
     >>> [str(s) for s in bruhat_interval(Permutation([1, 3, 2]), Permutation([3, 2, 1]))]
     ['132', '231', '312', '321']
     """
-    if not bruhat_leq(v, w):
-        return []
-    level = [w]
-    out = [w]
-    for _ in range(w.length() - v.length()):
-        seen = {}
-        for z in level:
-            for c in lower_covers(z):
-                if c.window not in seen and bruhat_leq(v, c):
-                    seen[c.window] = c
-        level = list(seen.values())
-        out.extend(level)
-    out.sort(key=lambda s: (s.length(), s.window))
-    return out
+    if v.n != w.n:
+        raise ValueError("size mismatch")
+    ranked = sorted((length, z) for z, length in _interval(v.window, w.window))
+    return [Permutation(z) for _, z in ranked]
 
 
 def permutation_from_schubert_rank(rank) -> Permutation:
@@ -384,37 +437,42 @@ def _poly_scale(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(c * x for x in a)
 
 
-@memoized(lambda v, w: (v.window, w.window))
-def _kl_coeffs(v: Permutation, w: Permutation) -> tuple[int, ...]:
-    if not bruhat_leq(v, w):
-        out = (0,)
-    elif w.length() - v.length() <= 2:
+def _swap_values(window: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """s * window: the values s and s + 1 trade places."""
+    out = list(window)
+    out[window.index(s)], out[window.index(s + 1)] = s + 1, s
+    return tuple(out)
+
+
+@memoized(lambda v, w: (v, w))
+def _kl_coeffs(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of P_{v,w} for windows v, w of one size."""
+    if not _leq(v, w):
+        return (0,)
+    lw = _length(w)
+    if lw - _length(v) <= 2:
         # degree bound forces a constant, and the constant term is 1
-        out = (1,)
+        return (1,)
+    # descend on the leftmost left descent s of w: s + 1 stands left of s
+    s = next(s for s in range(1, len(w)) if w.index(s + 1) < w.index(s))
+    sw = _swap_values(w, s)
+    sv = _swap_values(v, s)
+    if v.index(s + 1) < v.index(s):  # sv < v
+        # q^0 P_{sv,sw} + q P_{v,sw}
+        out = _poly_add(_kl_coeffs(sv, sw), _poly_shift(_kl_coeffs(v, sw), 1))
     else:
-        # descend on the leftmost left descent s of w
-        s = w.left_descents()[0]
-        sw = w.swap_values(s, s + 1)
-        sv = v.swap_values(s, s + 1)
-        if sv.length() < v.length():
-            # q^0 P_{sv,sw} + q P_{v,sw}
-            out = _poly_add(_kl_coeffs(sv, sw), _poly_shift(_kl_coeffs(v, sw), 1))
-        else:
-            out = _poly_add(_poly_shift(_kl_coeffs(sv, sw), 1), _kl_coeffs(v, sw))
-        lw = w.length()
-        for z in bruhat_interval(v, sw):
-            lz = z.length()
-            if (lw - lz) % 2 != 0:
-                continue
-            if z.swap_values(s, s + 1).length() >= lz:
-                continue
-            pz = _kl_coeffs(z, sw)
-            mu_deg = (sw.length() - lz - 1) // 2
-            mu = pz[mu_deg] if mu_deg < len(pz) else 0
-            if mu == 0:
-                continue
-            corr = _poly_scale(_poly_shift(_kl_coeffs(v, z), (lw - lz) // 2), -mu)
-            out = _poly_add(out, corr)
+        out = _poly_add(_poly_shift(_kl_coeffs(sv, sw), 1), _kl_coeffs(v, sw))
+    # mu corrections over the z in [v, sw] with sz < z and l(w) - l(z) even
+    for z, lz in _interval(v, sw):
+        if (lw - lz) % 2 != 0 or z.index(s + 1) > z.index(s):
+            continue
+        pz = _kl_coeffs(z, sw)
+        mu_deg = (lw - 2 - lz) // 2  # (l(sw) - l(z) - 1) / 2, as l(sw) = l(w) - 1
+        mu = pz[mu_deg] if mu_deg < len(pz) else 0
+        if mu == 0:
+            continue
+        corr = _poly_scale(_poly_shift(_kl_coeffs(v, z), (lw - lz) // 2), -mu)
+        out = _poly_add(out, corr)
     return out
 
 
@@ -422,8 +480,9 @@ def kl_polynomial(v: Permutation, w: Permutation) -> KLPolynomial:
     """The Kazhdan-Lusztig polynomial P_{v,w}(q).
 
     Computed by the classical recursion on a left descent of w, with
-    mu-coefficient corrections; results are memoized across calls.
+    mu-coefficient corrections, on windows; results are memoized across
+    calls.
     """
     if v.n != w.n:
         raise ValueError("size mismatch")
-    return KLPolynomial(_kl_coeffs(v, w), v, w)
+    return KLPolynomial(_kl_coeffs(v.window, w.window), v, w)

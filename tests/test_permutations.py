@@ -1,8 +1,12 @@
 """Symmetric-group layer: lengths, Bruhat order, cosets, patterns, KL."""
 
+import inspect
 import random
 
 import pytest
+
+import richardson.permutations as perm
+from richardson import clear_memos
 
 from oracles import (
     brute_coset_min_max,
@@ -139,6 +143,73 @@ def test_lower_covers_are_covers(n, subword_order):
             c for c in Permutation.all(n)
             if c.length() == z.length() - 1 and subword_order[c.window, z.window]
         )
+
+
+def test_packed_order_matches_subword_oracle_s4_s5(subword_order):
+    for (v, w), expected in subword_order.items():
+        assert bruhat_leq(Permutation(v), Permutation(w)) == expected
+
+
+def _entrywise_leq(v: Permutation, w: Permutation) -> bool:
+    """r_v <= r_w entry by entry, counting #{k <= j : x(k) >= i} directly."""
+    n = v.n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            rv = sum(1 for x in v.window[:j] if x >= i)
+            rw = sum(1 for x in w.window[:j] if x >= i)
+            if rv > rw:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_packed_order_matches_entrywise_ranks_past_the_field_width_step(n):
+    # fields are 5 bits wide at n = 15 and 6 bits wide at n = 16, 17; each
+    # v is w after a few position swaps, mostly downward, so both answers occur
+    rng = random.Random(n)
+    answers = []
+    for _ in range(40):
+        w = list(range(1, n + 1))
+        rng.shuffle(w)
+        v = list(w)
+        for _ in range(rng.randrange(1, 7)):
+            i, j = sorted(rng.sample(range(n), 2))
+            if (v[i] > v[j]) == (rng.random() < 0.8):
+                v[i], v[j] = v[j], v[i]
+        a = Permutation.from_string(",".join(map(str, v)))
+        b = Permutation.from_string(",".join(map(str, w)))
+        for x, y in ((a, b), (b, a)):
+            expected = _entrywise_leq(x, y)
+            assert bruhat_leq(x, y) == expected, (str(x), str(y))
+            answers.append(expected)
+    assert True in answers and False in answers
+
+
+def test_size_mismatch_raises():
+    short, long_ = Permutation([2, 1]), Permutation([1, 3, 2])
+    for f in (bruhat_leq, bruhat_interval, kl_polynomial):
+        with pytest.raises(ValueError):
+            f(short, long_)
+
+
+def test_kl_recursion_builds_no_permutation(monkeypatch):
+    ident, w0 = Permutation.identity(5), Permutation.longest(5)
+    clear_memos()
+    built = []
+    init = Permutation.__init__
+
+    def counting_init(self, window):
+        built.append(window)
+        init(self, window)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    assert kl_polynomial(ident, w0).coefficients == (1,)
+    assert built == []
+    tables = [inspect.getclosurevars(f).nonlocals["table"]
+              for f in (perm._covers, perm._length, perm._rank_word)]
+    assert all(0 < len(t) <= 120 for t in tables)
+    clear_memos()
+    assert all(len(t) == 0 for t in tables)
 
 
 def test_coset_reps_trivial():
