@@ -314,6 +314,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
+        """No term has a variable; the zero polynomial counts as constant."""
         return all(m == MONOMIAL_ONE for m in self.terms)
 
     def constant_term(self) -> Fraction:

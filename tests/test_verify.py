@@ -3,10 +3,12 @@
 import dataclasses
 import io
 import json
+import random
 
 import pytest
 
 from richardson import clear_memos, groebner, verify
+from richardson.charts import ChartMatrix
 from richardson.cli import run
 from richardson.groebner import IdealGens, _q_poly
 from richardson.permutations import Permutation, bruhat_leq
@@ -243,6 +245,90 @@ def test_product_iso_certificate_catches_a_lost_basis_element(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_memos()  # no broken basis may outlive the patch
+
+
+def _triples(n):
+    elems = Permutation.all(n)
+    return [(u, v, w) for u in elems for v in elems for w in elems if bruhat_leq(v, w)]
+
+
+def _sampled_s5_triples(count):
+    rng = random.Random(47)
+    elems = Permutation.all(5)
+    draws = (tuple(rng.choice(elems) for _ in range(3)) for _ in range(count))
+    return [(u, v, w) for u, v, w in draws if bruhat_leq(v, w)]
+
+
+def test_constant_minor_exactly_off_the_interval():
+    # the chart of u misses X_w^v exactly when u is not in [v, w]; the scan
+    # must see that on both sides from the minors alone
+    triples = _triples(3) + _triples(4) + _sampled_s5_triples(3000)
+    assert len(triples) > 114 + 5112 + 500
+    found = set()
+    for u, v, w in triples:
+        off = not (bruhat_leq(v, u) and bruhat_leq(u, w))
+        pull_side, rich_side = verify._minor_sides(u, v, w)
+        assert verify._constant_minor(pull_side) == off, (u, v, w)
+        assert verify._constant_minor(rich_side) == off, (u, v, w)
+        found.add((off, bruhat_leq(u, w)))
+    # off the interval below w, and off it above v only
+    assert found == {(False, True), (True, False), (True, True)}
+
+
+def test_product_iso_completes_only_on_the_interval(monkeypatch):
+    # off [v, w] the case passes on its constant minors, with no ideal built
+    # or completed; on it the case runs as before the scan, with the 1,472
+    # completions that 1,088 cases took then
+    calls = {"completion": 0, "richardson": 0}
+
+    def counted(name, fn):
+        def inner(*args):
+            calls[name] += 1
+            return fn(*args)
+        return inner
+
+    clear_memos()
+    monkeypatch.setattr(groebner, "_completion_for", counted("completion", groebner._completion_for))
+    monkeypatch.setattr(
+        verify, "richardson_ideal_in_chart", counted("richardson", verify.richardson_ideal_in_chart)
+    )
+    on = {"cases": 0, "completion": 0, "richardson": 0}
+    for u, v, w in _triples(4):
+        before = dict(calls)
+        assert product_iso_report(u, v, w).ok
+        if bruhat_leq(v, u) and bruhat_leq(u, w):
+            on["cases"] += 1
+            for name in calls:
+                on[name] += calls[name] - before[name]
+        else:
+            assert calls == before, (u, v, w)
+    assert on == {"cases": 1088, "completion": 1472, "richardson": 1088}
+
+
+@pytest.mark.parametrize(
+    "u, entry, pullback_basis",
+    [
+        # 213 is in [123, 231]: a sweep onto the fixed point w0, outside
+        # X_231, puts a constant minor on the pullback side only
+        ("213", "one", ["1"]),
+        # 312 is not: a sweep onto the zero matrix leaves the constant on
+        # the Richardson side only
+        ("312", "zero", []),
+    ],
+)
+def test_product_iso_needs_a_constant_minor_on_both_sides(monkeypatch, u, entry, pullback_basis):
+    u, v, w = Permutation.from_string(u), Permutation.identity(3), Permutation.from_string("231")
+    up, _ = verify.sweep_images(u)
+    w0 = Permutation.longest(3)
+    rows = [
+        [getattr(up.ctx, entry)() if w0(j) == i else up.ctx.zero() for j in (1, 2, 3)]
+        for i in (1, 2, 3)
+    ]
+    broken = ChartMatrix(up.chart, rows)
+    monkeypatch.setattr(verify, "sweep_images", lambda _: (broken, broken))
+    report = product_iso_report(u, v, w)
+    assert not report.ok
+    assert report.failures[0]["pullback_basis"] == pullback_basis
 
 
 def test_product_iso_size_mismatch():
