@@ -252,18 +252,14 @@ def _triples(n):
     return [(u, v, w) for u in elems for v in elems for w in elems if bruhat_leq(v, w)]
 
 
-def _sampled_s5_triples(count):
-    rng = random.Random(47)
-    elems = Permutation.all(5)
-    draws = (tuple(rng.choice(elems) for _ in range(3)) for _ in range(count))
-    return [(u, v, w) for u, v, w in draws if bruhat_leq(v, w)]
-
-
 def test_constant_minor_exactly_off_the_interval():
     # the chart of u misses X_w^v exactly when u is not in [v, w]; the scan
     # must see that on both sides from the minors alone
-    triples = _triples(3) + _triples(4) + _sampled_s5_triples(3000)
-    assert len(triples) > 114 + 5112 + 500
+    rng = random.Random(47)
+    s5 = Permutation.all(5)
+    draws = [tuple(rng.choice(s5) for _ in range(3)) for _ in range(3000)]
+    triples = _triples(3) + _triples(4) + [(u, v, w) for u, v, w in draws if bruhat_leq(v, w)]
+    assert len(triples) == 114 + 5112 + 817
     found = set()
     for u, v, w in triples:
         off = not (bruhat_leq(v, u) and bruhat_leq(u, w))
@@ -271,14 +267,14 @@ def test_constant_minor_exactly_off_the_interval():
         assert verify._constant_minor(pull_side) == off, (u, v, w)
         assert verify._constant_minor(rich_side) == off, (u, v, w)
         found.add((off, bruhat_leq(u, w)))
-    # off the interval below w, and off it above v only
+    # both ways off the interval occur: u not below w, and u not above v only
     assert found == {(False, True), (True, False), (True, True)}
 
 
 def test_product_iso_completes_only_on_the_interval(monkeypatch):
     # off [v, w] the case passes on its constant minors, with no ideal built
-    # or completed; on it the case runs as before the scan, with the 1,472
-    # completions that 1,088 cases took then
+    # or completed; on it the case runs the full check, whose 1,088 cases
+    # take 1,472 completions with or without the scan
     calls = {"completion": 0, "richardson": 0}
 
     def counted(name, fn):
