@@ -10,14 +10,7 @@ resulting product laws for those invariants on desk-scale ranges.
 """
 
 from .memo import clear_memos
-from .poly import (
-    Context,
-    DEGLEX,
-    DEGREVLEX,
-    LEX,
-    MonomialOrder,
-    Polynomial,
-)
+from .poly import Context, Polynomial
 from .groebner import (
     GroebnerBasis,
     HilbertData,
@@ -82,8 +75,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "clear_memos",
-    "Context", "MonomialOrder", "Polynomial",
-    "LEX", "DEGLEX", "DEGREVLEX",
+    "Context", "Polynomial",
     "IdealGens", "GroebnerBasis", "HilbertData",
     "buchberger", "normal_form", "ideal_equal",
     "krull_dimension", "hilbert_numerator", "tangent_cone",

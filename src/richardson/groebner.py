@@ -5,8 +5,16 @@ selection strategy, reduced bases, normal forms, ideal equality, exact
 elimination of the variables a generator is linear in, Krull dimension
 from the Hilbert numerator of the leading-term ideal, Hilbert series of
 homogeneous ideals by recursive splitting of the leading-term monomial
-ideal, tangent cones via homogenization, and a local Hilbert-function
-oracle used to cross-check every multiplicity the package ever reports.
+ideal, tangent cones by one completion of the homogenized ideal, and a
+local Hilbert-function oracle used to cross-check every multiplicity the
+package ever reports.
+
+There are two monomial orders, each one int key and no cache: degrevlex
+(poly.degrevlex_key), the order of every basis buchberger returns, and
+the cone order (_cone_key), under which tangent_cone completes the
+homogenized ideal.  The lowest-degree forms of that one basis are a
+degrevlex basis of the cone, so its Hilbert data come from their leading
+monomials (_hilbert_data, shared with hilbert_numerator).
 
 A local invariant at the origin is computed on the ring that
 solve_linear_variables leaves: while some generator is g = c*x + h with x
@@ -44,13 +52,11 @@ from .poly import (
     _FIELD_MASK,
     _FIELD_MAX,
     Context,
-    DEGREVLEX,
-    MonomialOrder,
     Polynomial,
     _Pack,
     _pack_for,
-    _key_cache,
     _repacker,
+    degrevlex_key,
 )
 
 
@@ -76,15 +82,16 @@ class IdealGens:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A degrevlex Groebner basis (see poly.degrevlex_key)."""
+
     basis: tuple[Polynomial, ...]
-    order: MonomialOrder
     ctx: Context
 
     def contains_one(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
 
     def leading_monomials(self) -> tuple[int, ...]:
-        keyf = self.order.sort_key(self.ctx)
+        keyf = degrevlex_key(self.ctx)
         return tuple(max(g.terms, key=keyf) for g in self.basis)
 
 
@@ -365,29 +372,29 @@ class _Completion:
         return [(self.lts[i], _reduce_raw(self.tails[i], reducers, keyf, pk)) for i in minimal]
 
 
-def _completion_for(ctx: Context, generators: Iterable[Polynomial], order) -> _Completion:
-    """A completion seeded with the generators, in ascending order of leading term."""
-    keyf = order.sort_key(ctx)
+def _completion_for(ctx: Context, generators: Iterable[Polynomial], keyf) -> _Completion:
+    """The finished completion of the generators under the order of the int
+    key keyf, seeded in ascending order of leading term."""
     comp = _Completion(keyf, ctx.pack)
     comp.seed(sorted((g.terms for g in generators), key=lambda t: keyf(max(t, key=keyf))))
+    comp.run()
     return comp
 
 
-def buchberger(ideal: IdealGens, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis; deterministic for fixed input and order."""
+def buchberger(ideal: IdealGens) -> GroebnerBasis:
+    """Reduced degrevlex Groebner basis; deterministic for fixed input."""
     ctx = ideal.ctx
-    comp = _completion_for(ctx, ideal.generators, order)
-    comp.run()
+    comp = _completion_for(ctx, ideal.generators, degrevlex_key(ctx))
     basis = tuple(
         Polynomial(ctx, {lt: Fraction(1), **tail}) for lt, tail in comp.reduced_elements()
     )
-    return GroebnerBasis(basis=basis, order=order, ctx=ctx)
+    return GroebnerBasis(basis=basis, ctx=ctx)
 
 
 def _basis_reducers(gb: GroebnerBasis):
     """The split monic reducers of a basis, with its order key and pack."""
     pk = gb.ctx.pack
-    keyf = gb.order.sort_key(gb.ctx)
+    keyf = degrevlex_key(gb.ctx)
     reducers = _make_reducers((_monic_raw(g.terms, keyf) for g in gb.basis), keyf, pk)
     return reducers, keyf, pk
 
@@ -404,7 +411,7 @@ def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
     return normal_form(f, gb).is_zero()
 
 
-def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder = DEGREVLEX) -> bool:
+def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     """Equality of two ideals: equal reduced bases, and every generator of
     both reduced to zero against that one basis G.
 
@@ -423,8 +430,8 @@ def ideal_equal(I: IdealGens, J: IdealGens, order: MonomialOrder = DEGREVLEX) ->
     # IdealGens drops repeats, so I and J have one generator set exactly
     # when their union is no larger than either
     same = len(gens) == len(I.generators) == len(J.generators)
-    gi = buchberger(I, order)
-    if not same and gi.basis != buchberger(J, order).basis:
+    gi = buchberger(I)
+    if not same and gi.basis != buchberger(J).basis:
         return False
     reducers, keyf, pk = _basis_reducers(gi)
     return not any(_reduce_raw(g.terms, reducers, keyf, pk) for g in gens)
@@ -522,15 +529,27 @@ def _minimal_monomials(monos: Iterable[int], pk: _Pack) -> list[int]:
     return out
 
 
-def _leading_numerator(gb: GroebnerBasis) -> tuple[list[int], list[int], int]:
-    """(numerator, cancelled, e) for R/in(I), gb a degrevlex basis of I:
-    its Hilbert series is numerator/(1-q)^n, and numerator =
-    (1-q)^e * cancelled with no (1-q) factor left in cancelled."""
+def _hilbert_data(gb: GroebnerBasis) -> HilbertData:
+    """Hilbert data of R/in(I), read off the leading monomials of a
+    degrevlex basis gb of I (1 not in I).
+
+    For homogeneous I it is the Hilbert data of R/I, which has the same
+    Hilbert function as R/in(I) (Macaulay); for any I its dimension is
+    dim R/I (see krull_dimension).
+    """
     if gb.contains_one():
         raise ValueError("unit ideal")
-    lead = tuple(_minimal_monomials(gb.leading_monomials(), gb.ctx.pack))
-    ncoef = list(_hilbert_numerator_monomial(gb.ctx, lead))
-    return (ncoef, *_strip_one_minus_q(ncoef))
+    ctx = gb.ctx
+    lead = tuple(_minimal_monomials(gb.leading_monomials(), ctx.pack))
+    ncoef = list(_hilbert_numerator_monomial(ctx, lead))
+    cancelled, e = _strip_one_minus_q(ncoef)
+    n = ctx.nvars
+    return HilbertData(
+        numerator=_q_poly(ncoef),
+        num_vars=n,
+        dimension=n - e,
+        cancelled_numerator=_q_poly(cancelled),
+    )
 
 
 def krull_dimension(I: IdealGens) -> int:
@@ -542,8 +561,7 @@ def krull_dimension(I: IdealGens) -> int:
     Varieties, and Algorithms, 9.3), and the monomial quotient has Hilbert
     series numerator/(1-q)^n, whose pole at q = 1 has order its dimension.
     """
-    _, _, e = _leading_numerator(buchberger(I))
-    return I.ctx.nvars - e
+    return _hilbert_data(buchberger(I)).dimension
 
 
 # a packed monomial means something only with its variable count, so that is in the key
@@ -610,53 +628,12 @@ def hilbert_numerator(I: IdealGens) -> HilbertData:
     for g in I.generators:
         if not g.is_homogeneous():
             raise ValueError("hilbert_numerator requires homogeneous generators")
-    ncoef, cancelled, e = _leading_numerator(buchberger(I))
-    n = I.ctx.nvars
-    return HilbertData(
-        numerator=_q_poly(ncoef),
-        num_vars=n,
-        dimension=n - e,
-        cancelled_numerator=_q_poly(cancelled),
-    )
+    return _hilbert_data(buchberger(I))
 
 
 # ---------------------------------------------------------------------------
 # Tangent cones
 # ---------------------------------------------------------------------------
-
-
-class _ConeOrder:
-    """Homogenizing variable dominant, ties by degrevlex on the original ring.
-
-    Chosen so the leading term of a homogeneous element comes from the
-    lowest-degree form of its dehomogenization.
-    """
-
-    __slots__ = ("t_index", "tag")
-
-    def __init__(self, t_index: int):
-        self.t_index = t_index
-        self.tag = f"cone:{t_index}"
-
-    def sort_key(self, ctx: Context):
-        """Packed monomial -> sortable tuple key, cached like the tuple keys
-        of MonomialOrder.sort_key."""
-        cache = _key_cache(ctx.nvars, self.tag)
-        shifts = ctx.pack.shifts
-        tshift = shifts[self.t_index]
-        rest = tuple(s for v, s in enumerate(shifts) if v != self.t_index)[::-1]
-        degshift = ctx.pack.degshift
-        fm = _FIELD_MASK
-
-        def key(a: int):
-            k = cache.get(a)
-            if k is None:
-                t = (a >> tshift) & fm
-                k = (t, (a >> degshift) - t) + tuple(-((a >> s) & fm) for s in rest)
-                cache[a] = k
-            return k
-
-        return key
 
 
 def _fresh_name(ctx: Context, base: str) -> str:
@@ -668,13 +645,40 @@ def _fresh_name(ctx: Context, base: str) -> str:
     return f"{base}{k}"
 
 
-def tangent_cone(I: IdealGens) -> IdealGens:
-    """Ideal of lowest-degree forms of <I> at the origin.
+def _cone_key(big: Context):
+    """Packed monomial -> int key of the cone order on big, whose last
+    variable is the homogenizing t: the t-exponent first, then the degree
+    outside t, then degrevlex on the other variables.
 
-    Each generator is homogenized with a fresh variable t, a basis is
-    completed under an order comparing the t-degree first, and the
-    lowest-degree forms of the dehomogenized basis are returned (they form
-    a degrevlex basis of the cone ideal).
+    With ds the degree shift, the key is the degrevlex key plus
+    t * (2^(2 ds) - 2^ds): the degree field, below 2^ds, becomes
+    deg - t >= 0, and t sits in a new field above it.  So the key orders
+    monomials exactly like the tuple (t, deg - t, -a_{n-1}, ..., -a_0)
+    of t and the other variables.
+    """
+    pk = big.pack
+    low = pk.lowmask
+    ts = pk.shifts[-1]
+    lift = (1 << 2 * pk.degshift) - (1 << pk.degshift)
+    fm = _FIELD_MASK
+    return lambda a: (a ^ low) + ((a >> ts) & fm) * lift
+
+
+def tangent_cone(I: IdealGens) -> IdealGens:
+    """Ideal of lowest-degree forms of <I> at the origin, given by a
+    degrevlex Groebner basis of it.
+
+    Each generator is homogenized with a fresh variable t, one basis is
+    completed under the cone order (_cone_key), and the lowest-degree
+    forms of the dehomogenized basis are returned.  The leading term of a
+    homogeneous element is t^k times the degrevlex leading term of the
+    lowest-degree form of its dehomogenization, so the dehomogenized basis
+    is a standard basis of <I> for the local order that prefers the lowest
+    degree, ties by degrevlex (Lazard's method).  The lowest-degree forms
+    of such a basis are a degrevlex basis of the cone (Greuel-Pfister, A
+    Singular Introduction to Commutative Algebra, 1.7 and 5.5), so the
+    cone's Hilbert data are read off their leading monomials with no
+    second completion.
     """
     ctx = I.ctx
     for g in I.generators:
@@ -692,8 +696,7 @@ def tangent_cone(I: IdealGens) -> IdealGens:
         if d - g.min_degree() > _FIELD_MAX:
             raise OverflowError(f"a power of the homogenizing variable exceeds {_FIELD_MAX}")
         hom.append(Polynomial(big, {up(a) + (d - (a >> degshift)) * t: c for a, c in g.terms.items()}))
-    comp = _completion_for(big, hom, _ConeOrder(ctx.nvars))
-    comp.run()
+    comp = _completion_for(big, hom, _cone_key(big))
 
     out = []
     down = _repacker(big.pack, ctx.pack, range(ctx.nvars))

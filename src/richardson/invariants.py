@@ -1,7 +1,7 @@
 """Local invariants of a chart ideal at a point.
 
 For a point p on V(I) the record holds the Krull dimension, the tangent
-space dimension (corank of the Jacobian of the reduced basis at p),
+space dimension (corank of the Jacobian of the generators at p),
 smoothness, the Hilbert-Samuel multiplicity, and the H-polynomial: the
 numerator of the Hilbert series of the associated graded ring of the
 local ring over (1-q)^dim.  Everything is exact.  All five belong to the
@@ -51,14 +51,14 @@ from .charts import (
 )
 from .groebner import (
     ORACLE_DEGREE,
+    GroebnerBasis,
     HilbertData,
     IdealGens,
     buchberger,
-    hilbert_numerator,
     local_hilbert_oracle,
     solve_linear_variables,
     tangent_cone,
-    _leading_numerator,
+    _hilbert_data,
     _q_coeffs,
 )
 from .memo import memoized
@@ -119,9 +119,14 @@ def localize(I: IdealGens, p) -> IdealGens:
     return IdealGens(I.ctx, [g.translate(p) for g in I.generators])
 
 
-def _jacobian_corank(gb, n: int) -> int:
-    """n minus the rank of the linear parts of a basis localized at the origin."""
-    rows = [[g.linear_coefficient(i) for i in range(n)] for g in gb.basis]
+def _jacobian_corank(gens, n: int) -> int:
+    """n minus the rank of the linear parts of generators of an ideal I of
+    n variables with I in m, the maximal ideal of the origin.
+
+    That rank is the dimension of (I + m^2)/m^2, and I*m lies in m^2, so
+    every generating set of I gives the same span of linear parts.
+    """
+    rows = [[g.linear_coefficient(i) for i in range(n)] for g in gens]
     return n - rational_rank(rows) if rows else n
 
 
@@ -153,11 +158,20 @@ def _reduced_key(J: IdealGens) -> tuple:
 
 @memoized(_reduced_key)
 def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants]:
-    """(tangent-cone Hilbert data, record) of the reduced ideal J at the origin."""
-    gb = buchberger(J)
+    """(tangent-cone Hilbert data, record) of the reduced ideal J at the origin.
+
+    Two completions, one when J has no generators: the degrevlex basis of
+    J gives the dimension, and tangent_cone's one completion gives the
+    cone's lowest-degree forms.  By Lazard's theorem those forms are a
+    degrevlex basis of the cone (Greuel-Pfister, A Singular Introduction
+    to Commutative Algebra, 1.7 and 5.5), so the cone's Hilbert data are
+    read off their leading monomials as they are.  The two dimensions must
+    agree.  The tangent dimension reads the linear parts of J's own
+    generators (_jacobian_corank).
+    """
     n = J.ctx.nvars
-    dim = n - _leading_numerator(gb)[2]  # raises on the unit ideal
-    hd = hilbert_numerator(tangent_cone(J))
+    dim = _hilbert_data(buchberger(J)).dimension  # raises on the unit ideal
+    hd = _hilbert_data(GroebnerBasis(tangent_cone(J).generators, J.ctx))
     if hd.dimension != dim:
         raise RuntimeError(
             f"H-polynomial division mismatch: {n - hd.dimension} factors of (1-q) "
@@ -167,7 +181,7 @@ def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants]:
     mult = sum(_q_coeffs(h_poly))
     if mult <= 0:
         raise RuntimeError("nonpositive multiplicity; dimension bug")
-    tangent = _jacobian_corank(gb, n)
+    tangent = _jacobian_corank(J.generators, n)
     return hd, LocalInvariants(
         dimension=dim,
         tangent_dim=tangent,

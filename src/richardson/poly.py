@@ -11,12 +11,14 @@ the oracle use as it is.  The layout depends on the variable count, so a
 monomial means something only together with its Context:
 `Context.monomial` packs sparse (variable, exponent) pairs and
 `Context.exponents` reads them back.  A product whose exponent would pass
-127 raises OverflowError.  Degrevlex, the kernel's default order, compares
-packed monomials by one integer key (see MonomialOrder.sort_key), so its
-sorts and heaps compare plain ints.  All values are immutable after
-construction and may be shared freely between threads; every operation is
-a pure function returning a canonical result, so two equal polynomials
-have identical term maps.
+127 raises OverflowError.  The kernel has two monomial orders, each one
+integer key with no cache: degrevlex (degrevlex_key), the order of its
+bases, and the cone order of its one tangent-cone completion, which adds
+a field to that key (groebner._cone_key).  So its sorts and heaps compare
+plain ints.  All values are immutable after construction and may be
+shared freely between threads; every operation is a pure function
+returning a canonical result, so two equal polynomials have identical
+term maps.
 
 Variables are interned integer indices inside a :class:`Context`; chart
 variables use row-major naming over free positions, e.g. ``z42``.  The
@@ -200,81 +202,16 @@ class Context:
         return Context(self.names + extra, self.latex_names + latex_extra)
 
 
-class MonomialOrder:
-    """A total multiplicative order on monomials with 1 as minimum.
+def degrevlex_key(ctx: Context):
+    """Packed monomial -> int key of degrevlex in the context order
+    (ascending = smaller), the order of every basis buchberger returns.
 
-    ``kind`` is one of ``lex``, ``deglex`` (degree then lexicographic) or
-    ``degrevlex``.  ``priority`` lists variable indices from most to least
-    significant; by default the context order is used.
+    The key is the monomial XOR the exponent mask: the degree field stays
+    on top and each exponent e reads as 127 - e, the last variable most
+    significant, which orders monomials exactly like the tuple
+    (deg, -a_{n-1}, ..., -a_0).  It needs no cache.
     """
-
-    __slots__ = ("kind", "priority")
-
-    KINDS = ("lex", "deglex", "degrevlex")
-
-    def __init__(self, kind: str = "degrevlex", priority: tuple[int, ...] | None = None):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown monomial order kind {kind!r}")
-        self.kind = kind
-        self.priority = tuple(priority) if priority is not None else None
-
-    @property
-    def tag(self) -> str:
-        if self.priority is None:
-            return self.kind
-        return self.kind + ":" + ",".join(map(str, self.priority))
-
-    def sort_key(self, ctx: Context):
-        """Packed monomial -> sortable key (ascending = smaller).
-
-        Degrevlex in the context order (no priority) needs no cache: its
-        key is the monomial XOR the exponent mask, an int.  The degree
-        field stays on top and each exponent e reads as 127 - e, the last
-        variable most significant, which orders monomials exactly like the
-        tuple (deg, -a_{n-1}, ..., -a_0).  Every other order builds a
-        tuple key, cached per variable count and order.
-        """
-        if self.kind == "degrevlex" and self.priority is None:
-            return ctx.pack.lowmask.__xor__
-        n = ctx.nvars
-        prio = self.priority if self.priority is not None else tuple(range(n))
-        if sorted(prio) != list(range(n)):
-            raise ValueError("priority is not a permutation of the context variables")
-        cache = _key_cache(n, self.tag)
-        shifts = tuple(ctx.pack.shifts[p] for p in prio)
-        degshift = ctx.pack.degshift
-        kind = self.kind
-        fm = _FIELD_MASK
-
-        def key(a: int):
-            k = cache.get(a)
-            if k is None:
-                v = tuple((a >> s) & fm for s in shifts)
-                if kind == "lex":
-                    k = v
-                elif kind == "deglex":
-                    k = (a >> degshift,) + v
-                else:  # degrevlex: last-priority variable is cheapest
-                    k = (a >> degshift,) + tuple(-x for x in reversed(v))
-                cache[a] = k
-            return k
-
-        return key
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.tag!r})"
-
-
-@memoized(lambda nvars, tag: (nvars, tag))
-def _key_cache(nvars: int, tag: str) -> dict:
-    """The monomial -> sort key cache of every order tagged tag on nvars
-    variables (DEGREVLEX has an int key and no cache)."""
-    return {}
-
-
-DEGREVLEX = MonomialOrder("degrevlex")
-DEGLEX = MonomialOrder("deglex")
-LEX = MonomialOrder("lex")
+    return ctx.pack.lowmask.__xor__
 
 
 class Polynomial:

@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the package's optimized paths.
 Monomials are read only as dense exponent tuples, through
-Context.exponents and Context.monomial, and divisibility, lcm, quotients
-and the term orders are defined on those tuples, so the Buchberger oracle
-shares no monomial arithmetic or order key with the kernel; it also has
-no pair criteria.  Krull dimension is the search for the largest variable
+Context.exponents and Context.monomial, and divisibility, lcm, quotients,
+degrevlex and the cone order are defined on those tuples, so the
+Buchberger oracle shares no monomial arithmetic or order key with the
+kernel; it also has no pair criteria.  Krull dimension is the search for the largest variable
 set meeting no leading-monomial support, not a Hilbert series.  Bruhat
 order goes through the subword property on reduced words (the
 reflection count of a tangent space takes the order as a parameter, the
@@ -59,26 +59,16 @@ def quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def compare(order, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """-1, 0 or 1 as a <, = or > b (Cox-Little-O'Shea 2.2), after permuting
-    the variables into the order's priority.
-
-    lex: a > b when the leftmost nonzero entry of a - b is positive.
-    deglex: the higher degree wins, then lex.  degrevlex: the higher
-    degree wins, then a > b when the rightmost nonzero entry of a - b is
-    negative.
-    """
-    if order.priority is not None:
-        a = tuple(a[p] for p in order.priority)
-        b = tuple(b[p] for p in order.priority)
-    if order.kind != "lex" and sum(a) != sum(b):
+def compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """-1, 0 or 1 as a <, = or > b in degrevlex (Cox-Little-O'Shea 2.2):
+    the higher degree wins, then a > b when the rightmost nonzero entry of
+    a - b is negative."""
+    if sum(a) != sum(b):
         return 1 if sum(a) > sum(b) else -1
     diff = [x - y for x, y in zip(a, b) if x != y]
     if not diff:
         return 0
-    if order.kind == "degrevlex":
-        return 1 if diff[-1] < 0 else -1
-    return 1 if diff[0] > 0 else -1
+    return 1 if diff[-1] < 0 else -1
 
 
 def degrevlex_tuple_key(ctx: Context):
@@ -92,9 +82,22 @@ def degrevlex_tuple_key(ctx: Context):
     return key
 
 
-def monomial_key(ctx: Context, order):
+def cone_tuple_key(ctx: Context):
+    """The cone order of a context whose last variable is t, as the tuple
+    (t, deg - t, -a_{n-1}, ..., -a_0) of the dense exponent vector with
+    t = a_n: the t-exponent first, then the degree outside t, then
+    degrevlex on the other variables."""
+
+    def key(m):
+        *a, t = dense(ctx, m)
+        return (t, sum(a)) + tuple(-e for e in reversed(a))
+
+    return key
+
+
+def monomial_key(ctx: Context):
     """A sort key on the monomials of ctx that follows compare."""
-    cmp = cmp_to_key(lambda a, b: compare(order, a, b))
+    cmp = cmp_to_key(compare)
     return lambda m: cmp(dense(ctx, m))
 
 
@@ -135,13 +138,14 @@ def naive_normal_form(p: Polynomial, basis, keyf) -> Polynomial:
     return rem
 
 
-def naive_buchberger(gens, order) -> list[Polynomial]:
-    """Reduced basis by pairwise reduction of every S-polynomial, no pruning."""
+def naive_buchberger(gens) -> list[Polynomial]:
+    """Reduced degrevlex basis by pairwise reduction of every S-polynomial,
+    no pruning."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     ctx = gens[0].ctx
-    keyf = monomial_key(ctx, order)
+    keyf = monomial_key(ctx)
     basis = list(gens)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:

@@ -32,7 +32,7 @@ from richardson.invariants import (
     richardson_invariants_at_point,
     schubert_invariants,
 )
-from richardson.permutations import Permutation, bruhat_leq, coset_reps
+from richardson.permutations import Permutation, bruhat_interval, bruhat_leq, coset_reps
 from richardson.poly import Context, Polynomial
 
 
@@ -287,6 +287,28 @@ def _s4_triples():
     ]
 
 
+def _reduced_systems(triples):
+    """The distinct reduced systems of the fixed-point records of the triples."""
+    systems = {}
+    for v, sigma, w in triples:
+        J, _ = solve_linear_variables(richardson_ideal_in_chart(v, w, sigma))
+        systems.setdefault(_reduced_key(J), J)
+    return systems
+
+
+def _s5_sample_triples(size, seed):
+    """A seeded sample of the S5 triples v <= sigma <= w."""
+    elems = Permutation.all(5)
+    triples = [
+        (v, s, w)
+        for v in elems
+        for w in elems
+        if bruhat_leq(v, w)
+        for s in bruhat_interval(v, w)
+    ]
+    return random.Random(seed).sample(triples, size)
+
+
 def test_reduced_ring_records_match_the_unreduced_kernel_s4():
     # a record is computed on the reduced ring of its chart ideal; the
     # kernel on the whole chart must give the same three values
@@ -297,7 +319,7 @@ def test_reduced_ring_records_match_the_unreduced_kernel_s4():
         rec = richardson_invariants(v, w, sigma, oracle=None)
         assert krull_dimension(I0) == rec.dimension
         assert hilbert_numerator(tangent_cone(I0)).cancelled_numerator == rec.h_polynomial
-        assert _jacobian_corank(buchberger(I0), I0.ctx.nvars) == rec.tangent_dim
+        assert _jacobian_corank(buchberger(I0).basis, I0.ctx.nvars) == rec.tangent_dim
         shrunk += solve_linear_variables(I0)[0].ctx.nvars < I0.ctx.nvars
     assert shrunk > 1000
 
@@ -400,16 +422,13 @@ def test_only_the_record_table_grows_with_the_records():
     assert len(large) == 1 and large[0] is records
 
 
-def test_each_reduced_system_runs_three_completions(monkeypatch):
-    # one for J, one for its tangent cone and one for the cone's basis; an
-    # empty J is its own cone, so it runs two
+def test_each_reduced_system_runs_two_completions(monkeypatch):
+    # one for J and one for its tangent cone, whose forms are already a
+    # basis of the cone; an empty J is its own cone, so it runs one
     import richardson.groebner as gr
     import richardson.invariants as rinv
 
-    systems = {}
-    for v, sigma, w in _s4_triples():
-        J, _ = solve_linear_variables(richardson_ideal_in_chart(v, w, sigma))
-        systems.setdefault(_reduced_key(J), J)
+    systems = _reduced_systems(_s4_triples())
     assert len(systems) == 21
     runs = []
     real = gr._completion_for
@@ -418,9 +437,23 @@ def test_each_reduced_system_runs_three_completions(monkeypatch):
     for J in systems.values():
         before = len(runs)
         rinv._reduced_invariants(J)
-        assert len(runs) - before == (3 if J.generators else 2)
+        assert len(runs) - before == (2 if J.generators else 1)
         rinv._reduced_invariants(J)
-        assert len(runs) - before == (3 if J.generators else 2)
+        assert len(runs) - before == (2 if J.generators else 1)
+
+
+def test_one_cone_completion_gives_the_cone_hilbert_data():
+    # a record reads the cone's Hilbert data off the leading monomials of
+    # tangent_cone's forms; the reference completes those forms once more
+    import richardson.invariants as rinv
+
+    s4 = _reduced_systems(_s4_triples())
+    s5 = _reduced_systems(_s5_sample_triples(400, 3))
+    assert len(s4) == 21 and len(s5) >= 40
+    clear_memos()
+    for J in [*s4.values(), *s5.values()]:
+        hd, _ = rinv._reduced_invariants(J)
+        assert hd == hilbert_numerator(tangent_cone(J)), J.generators
 
 
 def _pins_tangent_count(v, w, sigma, count):

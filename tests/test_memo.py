@@ -8,7 +8,6 @@ from richardson import clear_memos
 from richardson.charts import chart, generic_matrix
 from richardson.invariants import richardson_invariants
 from richardson.permutations import Permutation
-from richardson.poly import DEGLEX, DEGREVLEX, Context, _key_cache
 from richardson.sweep import sweep_images
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "richardson"
@@ -76,20 +75,3 @@ def test_no_memo_outside_the_helper():
             if set(names) & {"lru_cache", "cache", "cached_property"}:
                 found.append(f"{path.name}:{node.lineno}: functools cache")
     assert found == []
-
-
-def test_sort_key_caches_live_in_memo_tables():
-    # a Context keeps its packed layout past clear_memos(), so the layout
-    # holds no cache; the sort-key cache of a tuple-keyed order is a memo
-    # table, and degrevlex in the context order, an int key, caches nothing
-    ctx = Context(("x", "y", "z"))
-    assert not any(isinstance(getattr(ctx.pack, s), dict) for s in ctx.pack.__slots__)
-    m = ctx.monomial(((0, 2), (2, 1)))
-    clear_memos()
-    DEGREVLEX.sort_key(ctx)(m)
-    assert _key_cache(3, DEGREVLEX.tag) == {}
-    keyf = DEGLEX.sort_key(ctx)
-    keyf(m)
-    assert _key_cache(3, DEGLEX.tag)
-    clear_memos()
-    assert _key_cache(3, DEGLEX.tag) == {}

@@ -7,17 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import compare, degrevlex_tuple_key, dense
-from richardson.poly import (
-    Context,
-    DEGLEX,
-    DEGREVLEX,
-    LEX,
-    MONOMIAL_ONE,
-    MonomialOrder,
-    Polynomial,
-    _key_cache,
-)
+from oracles import cone_tuple_key, degrevlex_tuple_key
+from richardson.groebner import _cone_key
+from richardson.poly import MONOMIAL_ONE, Context, Polynomial, degrevlex_key
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -151,23 +143,23 @@ def test_context_mismatch_rejected():
         X + other.var("x")
 
 
-ORDERS = [LEX, DEGLEX, DEGREVLEX, MonomialOrder("lex", (2, 0, 1)),
-          MonomialOrder("degrevlex", (1, 2, 0))]
+# the kernel's two orders: int keys, each with its dense tuple reference
+# (the cone order reads the last variable as the homogenizing t)
+ORDERS = {
+    "degrevlex": (degrevlex_key, degrevlex_tuple_key),
+    "cone": (_cone_key, cone_tuple_key),
+}
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("order", sorted(ORDERS))
 def test_monomial_orders_are_total_multiplicative_with_unit_minimum(order):
+    key, reference = ORDERS[order]
     for nvars in (3, 10):
         ctx = Context(tuple(f"x{i}" for i in range(nvars)))
-        if order.priority is not None:  # the priority lists 3 variables: extend it
-            ctx_order = MonomialOrder(order.kind, order.priority + tuple(range(3, nvars)))
-        else:
-            ctx_order = order
-        _check_order(ctx_order, ctx, random.Random(97 + nvars))
+        _check_order(key(ctx), reference(ctx), ctx, random.Random(97 + nvars))
 
 
-def _check_order(order, ctx, rng):
-    keyf = order.sort_key(ctx)
+def _check_order(keyf, ref, ctx, rng):
     monos = []
     for _ in range(40):
         exps = tuple(
@@ -181,7 +173,7 @@ def _check_order(order, ctx, rng):
         # total: keys equal iff monomials equal
         assert (ka == kb) == (a == b)
         # the packed key follows the definition on exponent tuples
-        assert (ka > kb) - (ka < kb) == compare(order, dense(ctx, a), dense(ctx, b))
+        assert (ka > kb) - (ka < kb) == (ref(a) > ref(b)) - (ref(a) < ref(b))
         # multiplicative (a product of packed monomials is their sum)
         if ka < kb:
             assert keyf(a + c) < keyf(b + c)
@@ -190,14 +182,15 @@ def _check_order(order, ctx, rng):
             assert keyf(MONOMIAL_ONE) < keyf(a)
 
 
-def test_degrevlex_int_key_sorts_like_the_tuple_reference():
-    # the int key has no cache; on 1..16 variables it orders seeded random
-    # monomials, exponents 0 and 127 included, like the tuple definition
-    rng = random.Random(151)
+def _sorts_like_the_tuple_reference(key, reference, seed):
+    # on 1..16 variables the int key orders seeded random monomials,
+    # exponents 0 and 127 included, like the tuple definition, and tells
+    # every two of them apart
+    rng = random.Random(seed)
     for nvars in range(1, 17):
         ctx = Context(tuple(f"x{i}" for i in range(nvars)))
-        keyf = DEGREVLEX.sort_key(ctx)
-        ref = degrevlex_tuple_key(ctx)
+        keyf = key(ctx)
+        ref = reference(ctx)
         exps = [(0,) * nvars, (127,) * nvars]
         exps += [tuple(rng.choice((0, 0, 1, 2, 3, 126, 127)) for _ in range(nvars))
                  for _ in range(60)]
@@ -207,16 +200,15 @@ def test_degrevlex_int_key_sorts_like_the_tuple_reference():
         assert all(isinstance(keyf(m), int) for m in monos)
         assert sorted(monos, key=keyf) == sorted(monos, key=ref)
         assert len({keyf(m) for m in monos}) == len(monos)
-        assert _key_cache(nvars, DEGREVLEX.tag) == {}
 
 
-def test_degrevlex_vs_deglex_disagree_somewhere():
-    # x*z^2 vs y^2*z: same degree; deglex prefers x first, degrevlex penalizes z
-    a = CTX.monomial(((0, 1), (2, 2)))
-    b = CTX.monomial(((1, 2), (2, 1)))
-    kd = DEGLEX.sort_key(CTX)
-    kr = DEGREVLEX.sort_key(CTX)
-    assert (kd(a) > kd(b)) != (kr(a) > kr(b))
+def test_degrevlex_int_key_sorts_like_the_tuple_reference():
+    _sorts_like_the_tuple_reference(degrevlex_key, degrevlex_tuple_key, 151)
+
+
+def test_cone_int_key_sorts_like_the_tuple_reference():
+    # the last variable is the homogenizing t; one variable is t alone
+    _sorts_like_the_tuple_reference(_cone_key, cone_tuple_key, 157)
 
 
 def test_latex_output():
