@@ -49,7 +49,6 @@ from .memo import memoized
 from .permutations import (
     Permutation,
     bruhat_leq,
-    permutation_from_schubert_rank,
     schubert_rank,
 )
 from .poly import Context, Polynomial
@@ -316,26 +315,42 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
 
 
 def _schubert_cell(x: list[list[Fraction]]) -> Permutation:
-    """The Schubert cell of an invertible matrix, read off its lower-left ranks."""
+    """The Schubert cell of an invertible matrix, by one column elimination.
+
+    Column by column, the pivot rows of the columns before it are cleared,
+    lowest pivot first; each reduced column is zero below its pivot, so a
+    clearing never refills a lower pivot row.  sigma(j) is then the lowest
+    nonzero row of column j: the reduced columns 1..j have distinct lowest
+    rows, so rows i..n of them have rank #{k <= j : sigma(k) >= i}, the
+    lower-left rank of both x and sigma.  A zero column means x is singular.
+    """
     n = len(x)
-    return permutation_from_schubert_rank(
-        [
-            [rational_rank([row[:j] for row in x[i - 1:]]) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    )
+    pivots = {}  # pivot row -> its reduced column
+    window = []
+    for j in range(n):
+        col = [Fraction(row[j]) for row in x]
+        for p in sorted(pivots, reverse=True):
+            if col[p]:
+                c = pivots[p]
+                f = col[p] / c[p]
+                for i in range(p + 1):
+                    col[i] -= f * c[i]
+        low = next((i for i in range(n - 1, -1, -1) if col[i]), None)
+        if low is None:
+            raise ValueError("singular matrix")
+        pivots[low] = col
+        window.append(low + 1)
+    return Permutation(window)
 
 
 def identify_cells(x: list[list[Fraction]]) -> tuple[Permutation, Permutation]:
     """The (Schubert cell, opposite cell) pair of an invertible matrix.
 
     sigma is read off the lower-left justified ranks; tau is w0 times the
-    Schubert cell of the row-reversed matrix.
+    Schubert cell of the row-reversed matrix.  Raises ValueError if x is
+    singular.
     """
-    n = len(x)
-    if rational_rank(x) < n:
-        raise ValueError("singular matrix")
-    return _schubert_cell(x), Permutation.longest(n) * _schubert_cell(x[::-1])
+    return _schubert_cell(x), Permutation.longest(len(x)) * _schubert_cell(x[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +379,11 @@ def _small_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def sample_richardson_point(
-    tau: Permutation, sigma: Permutation, seed: int = 0, attempts: int = 40
-):
+# randomized solves sample_richardson_point tries before it gives up
+SAMPLE_ATTEMPTS = 40
+
+
+def sample_richardson_point(tau: Permutation, sigma: Permutation, seed: int = 0):
     """A rational point of the open stratum (Schubert cell of sigma) meet
     (opposite cell of tau), or None if the randomized solve fails.
 
@@ -403,7 +420,7 @@ def sample_richardson_point(
     system = IdealGens(ctx, opposite_minors(cellm, tau))
     rng = random.Random(seed)
 
-    for _ in range(max(1, attempts)):
+    for _ in range(SAMPLE_ATTEMPTS):
         ideal, solved = solve_linear_variables(system)
         while ideal.generators and not any(g.is_constant() for g in ideal.generators):
             counts = Counter(i for g in ideal.generators for i in g.variables())

@@ -10,18 +10,23 @@ Subcommands:
 * ``verify {product-iso|mult|hpoly|singlocus|points|kl-vs-h|smooth-table|
   dimension} --n N [--seed S] [--exhaustive | --samples K]`` runs one check
   of the harness over its case list.  CHECKS holds every check once, with
-  its default sample count, its case generator and its runner; it feeds
-  the argument parser, case generation and dispatch alike.
+  its default sample count (None for kl-vs-h and smooth-table, which take
+  no samples), its largest n, its case generator and its runner; it feeds
+  the argument parser, the usage check, case generation and dispatch
+  alike.  The largest n is 7 for the checks that list the Bruhat pairs of
+  S_n (PAIRS_MAX_N), 9 for kl-vs-h and 5 for smooth-table: past it the
+  case list alone would not fit the time or memory of one run.
 
 Exit status: 0 when the command ran and, for verify, no law failed on the
 cases checked; 1 when a law failed; 2 for a usage error (bad flags,
 malformed or size-mismatched permutations, out of range ``--n``,
 ``--samples``, ``--trials``, ``--jobs``, ``--timeout`` (0..TIMEOUT_MAX s,
-0 for no limit), ``--parabolic`` or ``--degree-bound``, ``smooth-table``
-past its largest n, a fixed point off the variety), with a one-line
-message; 3 when a verify run checked no case, because its cases timed
-out or had nothing to check.  A timeout is recorded as a finding per
-case.  Identical argument vectors and seeds produce byte-identical JSON.
+0 for no limit), ``--parabolic`` or ``--degree-bound``, ``--n`` past the
+check's largest n, ``--samples`` for a check that takes none, a fixed
+point off the variety), with a one-line message; 3 when a verify run
+checked no case, because its cases timed out or had nothing to check.
+A timeout is recorded as a finding per case.  Identical argument vectors
+and seeds produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -57,49 +62,37 @@ from .verify import (
 TIMEOUT_MAX = 10**9  # seconds: setitimer takes it, also with a 32-bit time_t
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Parsed flags."""
+def _format_flag(cmd: argparse.ArgumentParser, *more: str) -> None:
+    cmd.add_argument("--format", default="json", choices=("json", *more))
 
-    subcommand: str
-    check: str | None = None
-    n: int | None = None
-    u: str | None = None
-    v: str | None = None
-    w: str | None = None
-    sigma: str | None = None
-    parabolic: tuple[int, ...] = ()
-    degree_bound: int = ORACLE_DEGREE
-    trials: int = 5
-    seed: int = 0
-    exhaustive: bool = False
-    samples: int | None = None
-    jobs: int = 1
-    timeout: float = 300.0
-    output_format: str = "json"
+
+def _degree_bound_flag(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--degree-bound", type=int, default=ORACLE_DEGREE, dest="degree_bound",
+                     help="truncation oracle degree bound D")
 
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="richardson", description=__doc__)
+    # flags only some subcommands take; _check_usage reads them for all
+    p.set_defaults(u=None, v=None, w=None, sigma=None, parabolic=None)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     inv = sub.add_parser("invariants", help="local invariants at a fixed point")
     inv.add_argument("--v", required=True)
     inv.add_argument("--w", required=True)
     inv.add_argument("--sigma", required=True)
-    inv.add_argument("--parabolic", default="", help="comma-separated simple reflections")
-    inv.add_argument("--degree-bound", type=int, default=ORACLE_DEGREE, dest="degree_bound",
-                     help="truncation oracle degree bound D")
-    inv.add_argument("--format", default="json", choices=("json", "text", "csv"))
+    inv.add_argument("--parabolic", help="comma-separated simple reflections")
+    _degree_bound_flag(inv)
+    _format_flag(inv, "text", "csv")
 
     sw = sub.add_parser("sweep", help="generic chart matrix and its sweeps")
     sw.add_argument("--u", required=True)
-    sw.add_argument("--format", default="json", choices=("json", "latex"))
+    _format_flag(sw, "latex")
 
     kl = sub.add_parser("klpoly", help="Kazhdan-Lusztig polynomial")
     kl.add_argument("--v", required=True)
     kl.add_argument("--w", required=True)
-    kl.add_argument("--format", default="json", choices=("json", "text"))
+    _format_flag(kl, "text")
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("check", choices=CHECKS)
@@ -109,11 +102,10 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--exhaustive", action="store_true")
     group.add_argument("--samples", type=int)
     ver.add_argument("--trials", type=int, default=5, help="point trials per pair (points only)")
-    ver.add_argument("--degree-bound", type=int, default=ORACLE_DEGREE, dest="degree_bound",
-                     help="truncation oracle degree bound D")
+    _degree_bound_flag(ver)
     ver.add_argument("--timeout", type=float, default=300.0, help="seconds per case (0: none)")
     ver.add_argument("--jobs", type=int, default=1)
-    ver.add_argument("--format", default="json", choices=("json", "text"))
+    _format_flag(ver, "text")
     return p
 
 
@@ -121,39 +113,36 @@ class UsageError(Exception):
     """Arguments the commands cannot run on; reported as exit status 2."""
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for f in ("check", "n", "u", "v", "w", "sigma", "seed", "exhaustive", "samples", "jobs",
-              "timeout", "trials", "degree_bound"):
-        if hasattr(args, f) and getattr(args, f) is not None:
-            setattr(cfg, f, getattr(args, f))
-    if getattr(args, "parabolic", ""):
+def _check_usage(args: argparse.Namespace) -> None:
+    """Raise UsageError for arguments no command accepts.
+
+    The permutation flags are replaced by their Permutations and
+    --parabolic by its tuple of indices, so no command parses them again.
+    """
+    if args.parabolic is not None:
         try:
-            cfg.parabolic = tuple(int(x) for x in args.parabolic.split(",") if x)
+            args.parabolic = tuple(int(x) for x in args.parabolic.split(",") if x)
         except ValueError:
             raise UsageError(f"--parabolic {args.parabolic!r} is not a list of integers")
-    cfg.output_format = getattr(args, "format", "json")
-    return cfg
-
-
-def _check_usage(cfg: RunConfig) -> None:
-    """Raise UsageError for arguments no command accepts."""
     # oracle exponents up to the degree bound must fit the packed fields
-    if cfg.subcommand in ("invariants", "verify") and not 0 <= cfg.degree_bound <= _FIELD_MAX:
-        raise UsageError(f"--degree-bound must lie in 0..{_FIELD_MAX}, got {cfg.degree_bound}")
-    if cfg.subcommand == "verify":
+    if args.subcommand in ("invariants", "verify") and not 0 <= args.degree_bound <= _FIELD_MAX:
+        raise UsageError(f"--degree-bound must lie in 0..{_FIELD_MAX}, got {args.degree_bound}")
+    if args.subcommand == "verify":
         # n, samples or trials below 1 would pass having checked nothing; jobs would name no worker
         for flag in ("n", "samples", "trials", "jobs"):
-            value = getattr(cfg, flag)
+            value = getattr(args, flag)
             if value is not None and value < 1:
                 raise UsageError(f"--{flag} must be at least 1, got {value}")
-        if not 0 <= cfg.timeout <= TIMEOUT_MAX:  # nan too
-            raise UsageError(f"--timeout must lie in 0..{TIMEOUT_MAX}, got {cfg.timeout}")
-    if cfg.check == "smooth-table" and cfg.n > SMOOTH_TABLE_MAX_N:
-        raise UsageError(f"smooth-table needs --n at most {SMOOTH_TABLE_MAX_N}, got {cfg.n}")
+        if not 0 <= args.timeout <= TIMEOUT_MAX:  # nan too
+            raise UsageError(f"--timeout must lie in 0..{TIMEOUT_MAX}, got {args.timeout}")
+        check = CHECKS[args.check]
+        if args.n > check.max_n:
+            raise UsageError(f"{args.check} needs --n at most {check.max_n}, got {args.n}")
+        if check.samples is None and args.samples is not None:
+            raise UsageError(f"{args.check} takes no samples, got --samples {args.samples}")
     perms = {}
     for flag in ("u", "v", "w", "sigma"):
-        text = getattr(cfg, flag)
+        text = getattr(args, flag)
         if text is not None:
             try:
                 perms[flag] = Permutation.from_string(text)
@@ -164,9 +153,10 @@ def _check_usage(cfg: RunConfig) -> None:
         given = ", ".join(f"--{f} {p}" for f, p in perms.items())
         raise UsageError(f"size mismatch: {given}")
     n = min(sizes, default=0)
-    bad = [j for j in cfg.parabolic if not 1 <= j < n]
+    bad = [j for j in args.parabolic or () if not 1 <= j < n]
     if bad:
         raise UsageError(f"--parabolic indices must lie in 1..{n - 1}, got {bad}")
+    vars(args).update(perms)
 
 
 class _CaseTimeout(Exception):
@@ -195,20 +185,20 @@ def _bruhat_pairs(n: int):
     return [(v, w) for v in elems for w in elems if bruhat_leq(v, w)]
 
 
-def _pair_cases(cfg: RunConfig, k: int):
-    pairs = _bruhat_pairs(cfg.n)
-    if not cfg.exhaustive:
-        rng = random.Random(cfg.seed)
+def _pair_cases(args: argparse.Namespace, k: int):
+    pairs = _bruhat_pairs(args.n)
+    if not args.exhaustive:
+        rng = random.Random(args.seed)
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(k)]
     return [(str(v), str(w)) for (v, w) in pairs]
 
 
-def _iso_cases(cfg: RunConfig, k: int):
-    elems, pairs = Permutation.all(cfg.n), _bruhat_pairs(cfg.n)
-    if cfg.exhaustive:
+def _iso_cases(args: argparse.Namespace, k: int):
+    elems, pairs = Permutation.all(args.n), _bruhat_pairs(args.n)
+    if args.exhaustive:
         triples = [(u, v, w) for u in elems for (v, w) in pairs]
     else:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         triples = [
             (elems[rng.randrange(len(elems))],) + pairs[rng.randrange(len(pairs))]
             for _ in range(k)
@@ -218,56 +208,68 @@ def _iso_cases(cfg: RunConfig, k: int):
 
 @dataclasses.dataclass(frozen=True)
 class _Check:
-    """One verify check: its default sample count, case keys and runner."""
+    """One verify check: its default sample count, largest --n, case keys and runner."""
 
     samples: int | None  # None: the check takes no samples
-    cases: Callable[[RunConfig, int | None], list]  # (cfg, sample count) -> case keys
-    run: Callable[..., VerificationReport]  # (cfg, *case key) -> report
+    max_n: int
+    cases: Callable[[argparse.Namespace, int | None], list]  # (args, sample count) -> case keys
+    run: Callable[..., VerificationReport]  # (args, *case key) -> report
 
 
 _P = Permutation.from_string
+
+# the pair list of S_n takes n!^2 Bruhat tests: S7's 3.55M pairs take 20 s
+# and 263 MB, while S8's list was still growing after 30 s, at 607 MB
+PAIRS_MAX_N = 7
 
 # runners name the checkers through the module globals at call time, so a
 # checker rebound on this module is the one that runs
 CHECKS = {
     "product-iso": _Check(
-        50, _iso_cases, lambda cfg, u, v, w: product_iso_report(_P(u), _P(v), _P(w))
+        50, PAIRS_MAX_N, _iso_cases,
+        lambda args, u, v, w: product_iso_report(_P(u), _P(v), _P(w)),
     ),
     **{  # mult, hpoly, singlocus: one product law each
         spec.check: _Check(
             20,
+            PAIRS_MAX_N,
             _pair_cases,
-            lambda cfg, v, w, law=law: verify_factorization(_P(v), _P(w), law, cfg.degree_bound),
+            lambda args, v, w, law=law: verify_factorization(_P(v), _P(w), law, args.degree_bound),
         )
         for law, spec in LAWS.items()
     },
     "points": _Check(
         20,
+        PAIRS_MAX_N,
         _pair_cases,
-        lambda cfg, v, w: verify_theorem_at_points(
-            _P(v), _P(w), trials=cfg.trials, seed=cfg.seed, oracle=cfg.degree_bound
+        lambda args, v, w: verify_theorem_at_points(
+            _P(v), _P(w), trials=args.trials, seed=args.seed, oracle=args.degree_bound
         ),
     ),
     "kl-vs-h": _Check(
         None,
-        lambda cfg, k: [(str(w),) for w in Permutation.all(cfg.n) if is_covexillary(w)],
-        lambda cfg, w: verify_kl_vs_h(_P(w), cfg.degree_bound),
+        9,  # the case list filters S_n alone: 61 s at S9
+        lambda args, k: [(str(w),) for w in Permutation.all(args.n) if is_covexillary(w)],
+        lambda args, w: verify_kl_vs_h(_P(w), args.degree_bound),
     ),
     "smooth-table": _Check(
         None,
-        lambda cfg, k: [("table", str(cfg.n))],
-        lambda cfg, _, n: schubert_smoothness_table(
-            cfg.n, full_scan=cfg.n <= 4, oracle=cfg.degree_bound
+        SMOOTH_TABLE_MAX_N,
+        lambda args, k: [("table", str(args.n))],
+        lambda args, _, n: schubert_smoothness_table(
+            args.n, full_scan=args.n <= 4, oracle=args.degree_bound
         ),
     ),
-    "dimension": _Check(20, _pair_cases, lambda cfg, v, w: verify_dimension_law(_P(v), _P(w))),
+    "dimension": _Check(
+        20, PAIRS_MAX_N, _pair_cases, lambda args, v, w: verify_dimension_law(_P(v), _P(w))
+    ),
 }
 
 
-def _verify_cases(cfg: RunConfig) -> list:
+def _verify_cases(args: argparse.Namespace) -> list:
     """The sorted case keys of the requested check."""
-    check = CHECKS[cfg.check]
-    return sorted(check.cases(cfg, check.samples if cfg.samples is None else cfg.samples))
+    check = CHECKS[args.check]
+    return sorted(check.cases(args, check.samples if args.samples is None else args.samples))
 
 
 def _dispatch_case(job):
@@ -275,9 +277,9 @@ def _dispatch_case(job):
 
     Module-level so that a worker pool can execute cases.
     """
-    key, cfg = job
+    key, args = job
     try:
-        return ("ok", _run_with_timeout(lambda: CHECKS[cfg.check].run(cfg, *key), cfg.timeout))
+        return ("ok", _run_with_timeout(lambda: CHECKS[args.check].run(args, *key), args.timeout))
     except _CaseTimeout:
         return ("timeout", None)
 
@@ -287,19 +289,19 @@ def _pool_size(jobs: int, ncases: int) -> int:
     return min(jobs, ncases, os.cpu_count() or 1)
 
 
-def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
+def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     total = VerificationReport(
-        check=cfg.check,
+        check=args.check,
         params={
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "exhaustive": cfg.exhaustive,
-            "samples": cfg.samples,
+            "n": args.n,
+            "seed": args.seed,
+            "exhaustive": args.exhaustive,
+            "samples": args.samples,
         },
     )
-    keys = _verify_cases(cfg)
-    jobs = [(key, cfg) for key in keys]
-    workers = _pool_size(cfg.jobs, len(jobs))
+    keys = _verify_cases(args)
+    jobs = [(key, args) for key in keys]
+    workers = _pool_size(args.jobs, len(jobs))
     if workers > 1:
         # case order, not completion order, fixes the output
         import multiprocessing
@@ -324,7 +326,7 @@ def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
             total.failures.append({"kind": "all-cases-timed-out", "timeouts": timeouts})
         else:
             total.failures.append({"kind": "no-cases-checked"})
-    if cfg.output_format == "text":
+    if args.format == "text":
         out.write(total.to_text() + "\n")
     else:
         out.write(total.to_json() + "\n")
@@ -333,11 +335,11 @@ def _run_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
     return 0 if total.ok else 1
 
 
-def _run_sweep(cfg: RunConfig, out: io.TextIOBase) -> int:
-    u = Permutation.from_string(cfg.u)
+def _run_sweep(args: argparse.Namespace, out: io.TextIOBase) -> int:
+    u = args.u
     x = generic_matrix(u)
     up, down = sweep_images(u)
-    if cfg.output_format == "latex":
+    if args.format == "latex":
         out.write("x =\n" + x.to_latex() + "\n")
         out.write("eta1(x) =\n" + up.to_latex() + "\n")
         out.write("eta2(x) =\n" + down.to_latex() + "\n")
@@ -352,11 +354,10 @@ def _run_sweep(cfg: RunConfig, out: io.TextIOBase) -> int:
     return 0
 
 
-def _run_klpoly(cfg: RunConfig, out: io.TextIOBase) -> int:
-    v = Permutation.from_string(cfg.v)
-    w = Permutation.from_string(cfg.w)
+def _run_klpoly(args: argparse.Namespace, out: io.TextIOBase) -> int:
+    v, w = args.v, args.w
     kl = kl_polynomial(v, w)
-    if cfg.output_format == "text":
+    if args.format == "text":
         out.write(f"P[{v},{w}] = {kl}\n")
     else:
         payload = {"v": str(v), "w": str(w), "coefficients": list(kl.coefficients)}
@@ -364,27 +365,25 @@ def _run_klpoly(cfg: RunConfig, out: io.TextIOBase) -> int:
     return 0
 
 
-def _run_invariants(cfg: RunConfig, out: io.TextIOBase) -> int:
-    v = Permutation.from_string(cfg.v)
-    w = Permutation.from_string(cfg.w)
-    sigma = Permutation.from_string(cfg.sigma)
+def _run_invariants(args: argparse.Namespace, out: io.TextIOBase) -> int:
+    v, w, sigma = args.v, args.w, args.sigma
     try:
-        if cfg.parabolic:
-            inv = parabolic_invariants(v, w, sigma, set(cfg.parabolic), cfg.degree_bound)
+        if args.parabolic:
+            inv = parabolic_invariants(v, w, sigma, set(args.parabolic), args.degree_bound)
         else:
-            inv = richardson_invariants(v, w, sigma, cfg.degree_bound)
+            inv = richardson_invariants(v, w, sigma, args.degree_bound)
     except NotOnVariety as e:
         print(f"richardson: error: --sigma {sigma}: {e}", file=sys.stderr)
         return 2
     record = {"v": str(v), "w": str(w), "sigma": str(sigma)} | inv.to_json()
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         cols = ["v", "w", "sigma", "dimension", "tangent_dim", "smooth", "mult", "h_poly"]
         vals = [
             str(record[c]) if c != "h_poly" else ";".join(map(str, record[c]))
             for c in cols
         ]
         out.write(",".join(cols) + "\n" + ",".join(vals) + "\n")
-    elif cfg.output_format == "text":
+    elif args.format == "text":
         for k in ("v", "w", "sigma", "dimension", "tangent_dim", "smooth", "mult"):
             out.write(f"{k}: {record[k]}\n")
         out.write(f"h_poly: {inv.h_polynomial}\n")
@@ -409,12 +408,11 @@ def run(argv, out: io.TextIOBase | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        cfg = _config_from_args(args)
-        _check_usage(cfg)
+        _check_usage(args)
     except UsageError as e:
         print(f"richardson: error: {e}", file=sys.stderr)
         return 2
-    return _COMMANDS[cfg.subcommand](cfg, out)
+    return _COMMANDS[args.subcommand](args, out)
 
 
 def main() -> None:

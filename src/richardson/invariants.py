@@ -9,13 +9,12 @@ local ring, not to the embedding, so the kernel computes them on the
 ring groebner.solve_linear_variables leaves once the point is moved to
 the origin: every variable some generator is linear in, and absent from
 the rest of that generator, is solved for and substituted away.
-Whenever oracle checking is on (the default), the tangent-cone Hilbert
-function up to the oracle degree is cross-checked against
-groebner.local_hilbert_oracle, an elimination of the truncated Macaulay
-matrix that does not use the Buchberger kernel and is handed the ideal
-in every variable of the chart, and every such check bumps
-ORACLE_CHECKS.  The oracle degree is an explicit parameter,
-ORACLE_DEGREE by default, and None turns the check off.
+On every record the tangent-cone Hilbert function up to the oracle
+degree is cross-checked against groebner.local_hilbert_oracle, an
+elimination of the truncated Macaulay matrix that does not use the
+Buchberger kernel and is handed the ideal in every variable of the
+chart, and every such check bumps ORACLE_CHECKS.  The oracle degree is
+an explicit parameter, ORACLE_DEGREE by default.
 
 A record at a torus-fixed point is computed at the origin of the point's
 chart, where localize has nothing to translate.  Its dimension and
@@ -24,8 +23,7 @@ tangent dimension are then checked against Bruhat order, l(w) - l(v) and
 mismatch raises.  A Schubert record is the Richardson record at v = id
 and an opposite record the one at w = w0, so there is one memoized record
 (see memo) per (v, w, sigma, oracle degree): a record checked at one
-degree, or not checked at all, is never served to a call that asks for
-another.
+degree is never served to a call that asks for another.
 
 Local rings at fixed points repeat: once their linear variables are
 solved, the S4 records come down to 21 distinct reduced systems.  So the
@@ -130,19 +128,18 @@ def _jacobian_corank(gens, n: int) -> int:
     return n - rational_rank(rows) if rows else n
 
 
-def local_invariants_at(I: IdealGens, p, oracle: int | None = ORACLE_DEGREE) -> LocalInvariants:
+def local_invariants_at(I: IdealGens, p, oracle: int = ORACLE_DEGREE) -> LocalInvariants:
     """The full invariant record of V(I) at the point p of its chart.
 
     The kernel runs on the reduced ring of the localized ideal I0, once
     per position-canonical reduced system (_reduced_invariants); the
     tangent cone is checked by the oracle, on I0 itself, up to degree
-    oracle, on every call.  None skips the check.
+    oracle, on every call.
     """
     I0 = localize(I, p)
     J, _ = solve_linear_variables(I0)
     hd, inv = _reduced_invariants(J)
-    if oracle is not None:
-        _concordance_check(I0, hd, oracle)
+    _concordance_check(I0, hd, oracle)
     return inv
 
 
@@ -212,7 +209,7 @@ def _concordance_check(I0: IdealGens, hd, degree: int) -> None:
 
 # a record is only as checked as the oracle degree it was checked at
 @memoized(lambda v, w, sigma, oracle: (v.window, w.window, sigma.window, oracle))
-def _fixed_point_invariants(v, w, sigma, oracle: int | None) -> LocalInvariants:
+def _fixed_point_invariants(v, w, sigma, oracle: int) -> LocalInvariants:
     """The record of X_w^v at sigma, memoized.
 
     A Schubert record is the case v = id, an opposite record w = w0, so
@@ -255,7 +252,7 @@ def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: P
 
 
 def schubert_invariants(
-    w: Permutation, sigma: Permutation, oracle: int | None = ORACLE_DEGREE
+    w: Permutation, sigma: Permutation, oracle: int = ORACLE_DEGREE
 ) -> LocalInvariants:
     """Invariants of X_w at the fixed point sigma, in the chart of sigma."""
     if not bruhat_leq(sigma, w):
@@ -264,7 +261,7 @@ def schubert_invariants(
 
 
 def opposite_invariants(
-    v: Permutation, tau: Permutation, oracle: int | None = ORACLE_DEGREE
+    v: Permutation, tau: Permutation, oracle: int = ORACLE_DEGREE
 ) -> LocalInvariants:
     """Invariants of the opposite Schubert variety X^v at the fixed point tau."""
     if not bruhat_leq(v, tau):
@@ -273,7 +270,7 @@ def opposite_invariants(
 
 
 def richardson_invariants(
-    v: Permutation, w: Permutation, sigma: Permutation, oracle: int | None = ORACLE_DEGREE
+    v: Permutation, w: Permutation, sigma: Permutation, oracle: int = ORACLE_DEGREE
 ) -> LocalInvariants:
     """Invariants of X_w^v at the fixed point sigma."""
     if not (bruhat_leq(v, sigma) and bruhat_leq(sigma, w)):
@@ -286,7 +283,7 @@ def richardson_invariants_at_point(
     w: Permutation,
     u: Permutation,
     point,
-    oracle: int | None = ORACLE_DEGREE,
+    oracle: int = ORACLE_DEGREE,
 ) -> tuple[LocalInvariants, Permutation, Permutation]:
     """Invariants of X_w^v at a rational point of the chart of u, plus the
     (Schubert cell, opposite cell) pair of the point."""
@@ -302,7 +299,7 @@ def parabolic_invariants(
     w: Permutation,
     sigma: Permutation,
     J,
-    oracle: int | None = ORACLE_DEGREE,
+    oracle: int = ORACLE_DEGREE,
 ) -> LocalInvariants:
     """Invariants of the Richardson variety in G/P at a fixed point.
 

@@ -293,25 +293,6 @@ def bruhat_interval(v: Permutation, w: Permutation) -> list[Permutation]:
     return [Permutation(z) for _, z in ranked]
 
 
-def permutation_from_schubert_rank(rank) -> Permutation:
-    """Inverse of schubert_rank; raises if no permutation matches."""
-    n = len(rank)
-    window = []
-    for j in range(1, n + 1):
-        hits = [
-            i
-            for i in range(1, n + 1)
-            if rank[i - 1][j - 1] - (rank[i - 1][j - 2] if j > 1 else 0) == 1
-        ]
-        if not hits:
-            raise ValueError("rank table is not a permutation rank matrix")
-        window.append(max(hits))
-    w = Permutation(window)
-    if schubert_rank(w) != tuple(tuple(r) for r in rank):
-        raise ValueError("rank table is not a permutation rank matrix")
-    return w
-
-
 def coset_reps(w: Permutation, J: frozenset[int] | set[int]) -> tuple[Permutation, Permutation]:
     """Minimal- and maximal-length representatives of the coset w W_J.
 

@@ -223,11 +223,11 @@ LAWS = {
 
 
 def verify_factorization(
-    v: Permutation, w: Permutation, law: str, oracle: int | None = ORACLE_DEGREE
+    v: Permutation, w: Permutation, law: str, oracle: int = ORACLE_DEGREE
 ) -> VerificationReport:
     """LAWS[law] for X_w^v = X_w meet X^v at every fixed point sigma in [v, w].
 
-    Every record is checked by the oracle up to degree oracle (None: not at all).
+    Every record is checked by the oracle up to degree oracle.
     """
     start = time.monotonic()
     spec = LAWS[law]
@@ -278,7 +278,7 @@ def verify_theorem_at_points(
     trials: int = 10,
     seed: int = 0,
     properties: tuple[str, ...] = tuple(LAWS),
-    oracle: int | None = ORACLE_DEGREE,
+    oracle: int = ORACLE_DEGREE,
 ) -> VerificationReport:
     """The laws named in properties at sampled points that are not fixed.
 
@@ -364,7 +364,7 @@ def verify_theorem_at_points(
 # ---------------------------------------------------------------------------
 
 
-def verify_kl_vs_h(w: Permutation, oracle: int | None = ORACLE_DEGREE) -> VerificationReport:
+def verify_kl_vs_h(w: Permutation, oracle: int = ORACLE_DEGREE) -> VerificationReport:
     """Coefficientwise P_{v,w} <= H at vB in X_w, for covexillary w."""
     if not is_covexillary(w):
         raise ValueError("the comparison is only asserted for 3412-avoiding w")
@@ -405,7 +405,7 @@ SMOOTH_TABLE_MAX_N = 5
 
 
 def schubert_smoothness_table(
-    n: int, full_scan: bool = True, oracle: int | None = ORACLE_DEGREE
+    n: int, full_scan: bool = True, oracle: int = ORACLE_DEGREE
 ) -> VerificationReport:
     """Compare computed global smoothness of X_w with pattern avoidance.
 

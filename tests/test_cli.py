@@ -315,3 +315,23 @@ def test_pool_size_is_capped(monkeypatch):
     assert cli._pool_size(1, 4) == 1
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert cli._pool_size(3, 4) == 3
+
+
+@pytest.mark.parametrize("check", [
+    "product-iso", "mult", "hpoly", "singlocus", "points", "dimension", "kl-vs-h",
+])
+def test_verify_past_the_largest_n_exits_2(check, capsys):
+    # checked before any case is listed: the pair list of S8 alone would
+    # run for minutes; smooth-table has its own test above
+    from richardson.cli import CHECKS
+
+    max_n = CHECKS[check].max_n
+    assert max_n == (9 if check == "kl-vs-h" else 7)
+    err = _usage_error(["verify", check, "--n", str(max_n + 1), "--timeout", "1"], capsys)
+    assert f"{check} needs --n at most {max_n}, got {max_n + 1}" in err
+
+
+@pytest.mark.parametrize("check", ["kl-vs-h", "smooth-table"])
+def test_samples_for_a_check_without_samples_exits_2(check, capsys):
+    # such a check runs every case, so samples would be reported, not used
+    assert "--samples" in _usage_error(["verify", check, "--n", "3", "--samples", "4"], capsys)
