@@ -16,17 +16,20 @@ Subcommands:
   alike.  The largest n is 7 for the checks that list the Bruhat pairs of
   S_n (PAIRS_MAX_N), 9 for kl-vs-h and 5 for smooth-table: past it the
   case list alone would not fit the time or memory of one run.
+  ``product-iso --exhaustive`` lists n! triples per pair, so it stops at
+  n = 5 (ISO_EXHAUSTIVE_MAX_N).
 
 Exit status: 0 when the command ran and, for verify, no law failed on the
 cases checked; 1 when a law failed; 2 for a usage error (bad flags,
 malformed or size-mismatched permutations, out of range ``--n``,
 ``--samples``, ``--trials``, ``--jobs``, ``--timeout`` (0..TIMEOUT_MAX s,
 0 for no limit), ``--parabolic`` or ``--degree-bound``, ``--n`` past the
-check's largest n, ``--samples`` for a check that takes none, a fixed
-point off the variety), with a one-line message; 3 when a verify run
-checked no case, because its cases timed out or had nothing to check.
-A timeout is recorded as a finding per case.  Identical argument vectors
-and seeds produce byte-identical JSON.
+check's largest n or past 5 for ``product-iso --exhaustive``, ``--samples``
+for a check that takes none, a fixed point off the variety), with a
+one-line message; 3 when a verify run checked no case, because its cases
+timed out or had nothing to check.  A timeout is recorded as a finding
+per case.  Identical argument vectors and seeds produce byte-identical
+JSON.
 """
 
 from __future__ import annotations
@@ -140,6 +143,10 @@ def _check_usage(args: argparse.Namespace) -> None:
             raise UsageError(f"{args.check} needs --n at most {check.max_n}, got {args.n}")
         if check.samples is None and args.samples is not None:
             raise UsageError(f"{args.check} takes no samples, got --samples {args.samples}")
+        if args.check == "product-iso" and args.exhaustive and args.n > ISO_EXHAUSTIVE_MAX_N:
+            raise UsageError(
+                f"product-iso --exhaustive needs --n at most {ISO_EXHAUSTIVE_MAX_N}, got {args.n}"
+            )
     perms = {}
     for flag in ("u", "v", "w", "sigma"):
         text = getattr(args, flag)
@@ -221,6 +228,10 @@ _P = Permutation.from_string
 # the pair list of S_n takes n!^2 Bruhat tests: S7's 3.55M pairs take 20 s
 # and 263 MB, while S8's list was still growing after 30 s, at 607 MB
 PAIRS_MAX_N = 7
+
+# exhaustive product-iso lists n! triples per pair: S5's 453,720 take 2.6 s
+# and 163 MB to list, S6's 70.9M would not fit in memory
+ISO_EXHAUSTIVE_MAX_N = 5
 
 # runners name the checkers through the module globals at call time, so a
 # checker rebound on this module is the one that runs

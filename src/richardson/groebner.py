@@ -251,8 +251,11 @@ def _reduce_raw(work: dict, reducers, keyf, pk: _Pack):
 def _monic_raw(terms: dict, keyf):
     lt = max(terms, key=keyf)
     lc = terms[lt]
-    if lc != 1:
-        terms = {m: c / lc for m, c in terms.items()}
+    if lc == -1:
+        terms = {m: -c for m, c in terms.items()}
+    elif lc != 1:
+        inv = Fraction(1, lc)  # exact: an int lc never meets `/`
+        terms = {m: c * inv for m, c in terms.items()}
     tail = {m: c for m, c in terms.items() if m != lt}
     return lt, tail
 
@@ -386,7 +389,7 @@ def buchberger(ideal: IdealGens) -> GroebnerBasis:
     ctx = ideal.ctx
     comp = _completion_for(ctx, ideal.generators, degrevlex_key(ctx))
     basis = tuple(
-        Polynomial(ctx, {lt: Fraction(1), **tail}) for lt, tail in comp.reduced_elements()
+        Polynomial(ctx, {lt: 1, **tail}) for lt, tail in comp.reduced_elements()
     )
     return GroebnerBasis(basis=basis, ctx=ctx)
 
@@ -482,7 +485,9 @@ def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Pol
         _, k, a, v = pick
         g = gens.pop(k)
         c = g.terms[a]
-        image = Polynomial(ctx, {b: -d / c for b, d in g.terms.items() if b != a})
+        # x = -h/c; exact, as an int c never meets `/`
+        scale = -c if c == 1 or c == -1 else -Fraction(1, c)
+        image = Polynomial(ctx, {b: d * scale for b, d in g.terms.items() if b != a})
         solved.append((ctx.names[v], image))
         shift = pk.shifts[v]
         unit = pk.units[v]
@@ -703,7 +708,7 @@ def tangent_cone(I: IdealGens) -> IdealGens:
     for lt, tail in comp.reduced_elements():
         # dehomogenize (t -> 1) and take the lowest-degree form; the element is
         # homogeneous, so no two of its terms have the same part outside t
-        g = Polynomial(ctx, {down(a): c for a, c in [*tail.items(), (lt, Fraction(1))]})
+        g = Polynomial(ctx, {down(a): c for a, c in [*tail.items(), (lt, 1)]})
         out.append(g.lowest_degree_form())
     return IdealGens(ctx, out)
 

@@ -46,7 +46,7 @@ class Permutation:
     '25143'
     """
 
-    __slots__ = ("window", "_inv")
+    __slots__ = ("window", "_inv", "_str")
 
     def __init__(self, window):
         win = tuple(int(x) for x in window)
@@ -54,6 +54,7 @@ class Permutation:
             raise ValueError(f"not a permutation window: {win}")
         self.window = win
         self._inv = None
+        self._str = None
 
     # -- constructors -----------------------------------------------------
 
@@ -134,9 +135,10 @@ class Permutation:
         return self.window < other.window
 
     def __str__(self) -> str:
-        if self.n <= 9:
-            return "".join(str(v) for v in self.window)
-        return ",".join(str(v) for v in self.window)
+        # built once: case keys and report params name the same permutations many times
+        if self._str is None:
+            self._str = ("" if self.n <= 9 else ",").join(map(str, self.window))
+        return self._str
 
     def __repr__(self) -> str:
         return f"Permutation({self})"

@@ -1,10 +1,20 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator).  A monomial is one packed integer: the exponent of
-variable i sits in bits 8i..8i+7, whose top bit is a guard that stays clear
-(so every exponent lies in 0..127), and the total degree sits above the
-last variable's field.  A product of monomials is one integer addition,
+Coefficients are exact rationals of two types: a Python int, or a
+`fractions.Fraction` (reduced, positive denominator).  Construction
+(`Context.const`, `Polynomial.from_terms`, a product with a scalar) makes
+every integral coefficient an int, and sums and products of ints stay ints,
+so chart matrices, their sweeps and minors carry ints only.  A Fraction
+appears where the Groebner kernel divides by a coefficient other than +-1,
+and arithmetic on Fractions may leave one whose denominator is 1.  No
+coefficient is ever a float: no `/` has two int operands.  An int and a
+Fraction of the same value compare, hash, print and key alike, so which
+type holds a value changes no result.
+
+A monomial is one packed integer: the exponent of variable i sits in
+bits 8i..8i+7, whose top bit is a guard that stays clear (so every
+exponent lies in 0..127), and the total degree sits above the last
+variable's field.  A product of monomials is one integer addition,
 divisibility is one masked subtraction, and a polynomial is a map from
 packed monomials to nonzero coefficients, which the Groebner kernel and
 the oracle use as it is.  The layout depends on the variable count, so a
@@ -17,8 +27,8 @@ bases, and the cone order of its one tangent-cone completion, which adds
 a field to that key (groebner._cone_key).  So its sorts and heaps compare
 plain ints.  All values are immutable after construction and may be
 shared freely between threads; every operation is a pure function
-returning a canonical result, so two equal polynomials have identical
-term maps.
+returning a canonical result, so two equal polynomials have equal term
+maps (the same monomials, with values equal as numbers).
 
 Variables are interned integer indices inside a :class:`Context`; chart
 variables use row-major naming over free positions, e.g. ``z42``.  The
@@ -35,6 +45,20 @@ from typing import Iterable, Mapping, Sequence, Union
 from .memo import memoized
 
 Coeff = Union[Fraction, int]
+
+
+def _exact(c) -> Coeff:
+    """The coefficient c in its exact form: an int when c is integral, else
+    a Fraction.
+
+    >>> _exact(Fraction(4, 2)), _exact(True), _exact(Fraction(1, 2))
+    (2, 1, Fraction(1, 2))
+    """
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
 
 _FIELD_BITS = 8
 _FIELD_MAX = (1 << (_FIELD_BITS - 1)) - 1  # guard bit must stay free
@@ -177,7 +201,7 @@ class Context:
         return f"Context({list(self.names)!r})"
 
     def var(self, name: str) -> "Polynomial":
-        return Polynomial(self, {self.pack.units[self.index(name)]: Fraction(1)})
+        return Polynomial(self, {self.pack.units[self.index(name)]: 1})
 
     def gens(self) -> tuple["Polynomial", ...]:
         if self._gens is None:
@@ -185,7 +209,7 @@ class Context:
         return self._gens
 
     def const(self, c: Coeff) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Polynomial(self, {})
         return Polynomial(self, {MONOMIAL_ONE: c})
@@ -215,11 +239,16 @@ def degrevlex_key(ctx: Context):
 
 
 class Polynomial:
-    """Sparse polynomial: a map from packed monomials to nonzero rational coefficients."""
+    """Sparse polynomial: a map from packed monomials to nonzero rational
+    coefficients, each an int or a Fraction (see the module docstring).
+
+    The constructor takes the map as it is; Polynomial.from_terms and
+    Context.const put each coefficient in exact form first.
+    """
 
     __slots__ = ("ctx", "terms", "_hash", "_key")
 
-    def __init__(self, ctx: Context, terms: dict[int, Fraction]):
+    def __init__(self, ctx: Context, terms: dict[int, Coeff]):
         self.ctx = ctx
         self.terms = terms
         self._hash = None
@@ -229,9 +258,9 @@ class Polynomial:
 
     @staticmethod
     def from_terms(ctx: Context, items: Iterable[tuple[int, Coeff]]) -> "Polynomial":
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, Coeff] = {}
         for m, c in items:
-            c = Fraction(c)
+            c = _exact(c)
             if c == 0:
                 continue
             acc = terms.get(m)
@@ -254,8 +283,8 @@ class Polynomial:
         """No term has a variable; the zero polynomial counts as constant."""
         return all(m == MONOMIAL_ONE for m in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(MONOMIAL_ONE, Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.terms.get(MONOMIAL_ONE, 0)
 
     def is_homogeneous(self) -> bool:
         ds = self.ctx.pack.degshift
@@ -320,7 +349,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = _exact(other)
             if c == 0:
                 return Polynomial(self.ctx, {})
             return Polynomial(self.ctx, {m: cc * c for m, cc in self.terms.items()})
@@ -329,7 +358,7 @@ class Polynomial:
         if len(a) > len(b):
             a, b = b, a
         hi = self.ctx.pack.himask
-        out: dict[int, Fraction] = {}
+        out: dict[int, Coeff] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = ma + mb
@@ -456,8 +485,8 @@ class Polynomial:
         ds = self.ctx.pack.degshift
         return Polynomial(self.ctx, {m: c for m, c in self.terms.items() if m >> ds == d})
 
-    def linear_coefficient(self, var_index: int) -> Fraction:
-        return self.terms.get(self.ctx.pack.units[var_index], Fraction(0))
+    def linear_coefficient(self, var_index: int) -> Coeff:
+        return self.terms.get(self.ctx.pack.units[var_index], 0)
 
     # -- canonical text form ----------------------------------------------
 
@@ -474,7 +503,7 @@ class Polynomial:
             )
         return self._key
 
-    def sorted_terms(self) -> list[tuple[int, Fraction]]:
+    def sorted_terms(self) -> list[tuple[int, Coeff]]:
         """Terms in canonical order: ascending degree, earliest variables first."""
         ds = self.ctx.pack.degshift
         shifts = self.ctx.pack.shifts
@@ -529,7 +558,7 @@ class Polynomial:
         return f"<Polynomial {self}>"
 
 
-def _latex_frac(c: Fraction) -> str:
+def _latex_frac(c: Coeff) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}"

@@ -120,7 +120,7 @@ def _divide_once(p: Polynomial, basis, keyf):
         ltg = _lt(g, keyf)
         ltp = _lt(p, keyf)
         if divides(dense(ctx, ltg), dense(ctx, ltp)):
-            c = p.terms[ltp] / g.terms[ltg]
+            c = Fraction(p.terms[ltp]) / g.terms[ltg]
             return p - _term(ctx, quotient(dense(ctx, ltp), dense(ctx, ltg)), c) * g
     return None
 
@@ -154,8 +154,8 @@ def naive_buchberger(gens) -> list[Polynomial]:
         ltf, ltg = dense(ctx, _lt(f, keyf)), dense(ctx, _lt(g, keyf))
         l = lcm(ltf, ltg)
         s = (
-            _term(ctx, quotient(l, ltf), 1 / f.terms[_lt(f, keyf)]) * f
-            - _term(ctx, quotient(l, ltg), 1 / g.terms[_lt(g, keyf)]) * g
+            _term(ctx, quotient(l, ltf), Fraction(1) / f.terms[_lt(f, keyf)]) * f
+            - _term(ctx, quotient(l, ltg), Fraction(1) / g.terms[_lt(g, keyf)]) * g
         )
         r = naive_normal_form(s, basis, keyf)
         if not r.is_zero():
@@ -165,7 +165,7 @@ def naive_buchberger(gens) -> list[Polynomial]:
     monic = []
     for g in basis:
         lt = _lt(g, keyf)
-        monic.append(g * (1 / g.terms[lt]))
+        monic.append(g * (Fraction(1) / g.terms[lt]))
     minimal = []
     for g in monic:
         lt = _lt(g, keyf)
@@ -427,7 +427,7 @@ def rank_by_fractions(rows: list[list[Fraction]]) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         top = rows[rank]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / top[col]
+            f = Fraction(rows[i][col]) / top[col]
             if f:
                 rows[i] = [a - f * b for a, b in zip(rows[i], top)]
         rank += 1

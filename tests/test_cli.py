@@ -295,6 +295,20 @@ def test_smooth_table_past_its_bound_exits_2(capsys):
         schubert_smoothness_table(SMOOTH_TABLE_MAX_N + 1)
 
 
+def test_product_iso_exhaustive_past_its_bound_exits_2(capsys, monkeypatch):
+    from richardson import cli
+
+    def no_listing(n):
+        raise AssertionError("the pair list was built")
+
+    monkeypatch.setattr(cli, "_bruhat_pairs", no_listing)
+    n = str(cli.ISO_EXHAUSTIVE_MAX_N + 1)
+    err = _usage_error(["verify", "product-iso", "--n", n, "--exhaustive"], capsys)
+    assert f"at most {cli.ISO_EXHAUSTIVE_MAX_N}, got {n}" in err
+    at_bound = ["verify", "product-iso", "--n", str(cli.ISO_EXHAUSTIVE_MAX_N), "--exhaustive"]
+    cli._check_usage(cli._parser().parse_args(at_bound))  # accepted
+
+
 def test_parabolic_out_of_range_exits_2(capsys):
     base = ["invariants", "--v", "1234", "--w", "4321", "--sigma", "2143"]
     assert "1..3" in _usage_error(base + ["--parabolic", "7"], capsys)
