@@ -229,8 +229,8 @@ _P = Permutation.from_string
 # and 263 MB, while S8's list was still growing after 30 s, at 607 MB
 PAIRS_MAX_N = 7
 
-# exhaustive product-iso lists n! triples per pair: S5's 453,720 take 2.6 s
-# and 163 MB to list, S6's 70.9M would not fit in memory
+# exhaustive product-iso lists n! triples per pair: S5's 453,720 take 0.7 s
+# and 80 MB to list, S6's 70.9M would not fit in memory
 ISO_EXHAUSTIVE_MAX_N = 5
 
 # runners name the checkers through the module globals at call time, so a
