@@ -146,9 +146,7 @@ class ChartMatrix:
                 if sub.is_zero():
                     continue
                 term = e * sub
-                if (k - 1 + t) % 2 == 1:
-                    term = -term
-                out = out + term
+                out = out - term if (k - 1 + t) % 2 == 1 else out + term
         self._det_memo[key] = out
         return out
 

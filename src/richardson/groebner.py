@@ -20,7 +20,13 @@ A local invariant at the origin is computed on the ring that
 solve_linear_variables leaves: while some generator is g = c*x + h with x
 not in h, x = -h/c is substituted exactly and g and x are dropped, which
 is an isomorphism of quotient rings sending the origin to the origin.
-The oracle shares no code with this kernel, that elimination included:
+At a fixed point most generators are single coordinates c*x, whose image
+is 0, so before each general pick both eliminations drain them: every
+such x is set to zero in one pass, keeping the terms that hold none of
+them, until no generator c*x is left.  Each pick rule takes these
+generators before any other, so the drain reaches the ring that one
+variable per pass reaches.
+The oracle shares no code with this kernel, those eliminations included:
 it takes the ideal as it was, solves away every variable a generator is
 linear in by its own truncated power-series substitution, then runs one
 fraction-free integer elimination of the truncated Macaulay matrix of
@@ -452,27 +458,60 @@ def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Pol
     While some generator is g = c*x + h with c a nonzero rational and x
     not in h, x = -h/c is substituted exactly into the other generators,
     and g and x are dropped: R/(g) is R' by x -> -h/c, so R/I is R'/I'.
-    The shortest such g goes first, then the earliest variable.  When no
-    generator has a constant term, neither has h, so the isomorphism
-    sends the origin to the origin and every local invariant there is
-    unchanged.  What is left is repacked over the remaining variables,
-    which keep their names.
+    First every generator c*x (h = 0) is drained: all such x go to zero
+    in one pass, the generators drop every term holding one of them and
+    vanish if nothing is left, and the pass repeats while new generators
+    c*x appear.  Then the shortest other g goes first, then the earliest
+    variable, and the drain runs again.  That is the ring the shortest-g
+    rule alone reaches one variable at a time, since it takes every c*x
+    first.  When no generator has a constant term, neither has h, so the
+    isomorphism sends the origin to the origin and every local invariant
+    there is unchanged.  What is left is repacked over the remaining
+    variables, which keep their names.
 
     solved lists (name of x, -h/c) in the order of elimination, each image
-    in I.ctx; it may hold variables solved later, so a point of V(I') lifts
+    in I.ctx; the zero images of one drain pass come in variable order.
+    An image may hold variables solved later, so a point of V(I') lifts
     to V(I) by evaluating the images in reverse.  (I, []) comes back when
     nothing is solved.
     """
     ctx = I.ctx
     pk = ctx.pack
     fm = _FIELD_MASK
+    low = pk.lowmask
     linear = {unit: v for v, unit in enumerate(pk.units)}
     gens = list(I.generators)
     live = list(range(ctx.nvars))
     solved: list[tuple[str, Polynomial]] = []
+    zero = Polynomial(ctx, {})
     while True:
+        # the drain: every generator c*x takes its x to zero, all in one pass
+        drained = set()
+        rest = []
+        for g in gens:
+            v = linear.get(next(iter(g.terms))) if len(g.terms) == 1 else None
+            if v is None:
+                rest.append(g)
+            else:
+                drained.add(v)
+        if drained:
+            mask = 0  # the guard bits of the zeroed variables
+            for v in sorted(drained):
+                mask |= pk.support_mask(pk.units[v])
+                solved.append((ctx.names[v], zero))
+            gens = []
+            for f in rest:
+                terms = {b: d for b, d in f.terms.items() if not ((b & low) + low) & mask}
+                if len(terms) == len(f.terms):
+                    gens.append(f)
+                elif terms:
+                    gens.append(Polynomial(ctx, terms))
+            live = [v for v in live if v not in drained]
+            continue  # zeroing may leave new generators c*x
         pick = None
         for k, g in enumerate(gens):
+            if len(g.terms) == 1:  # a monomial of degree >= 2: the drain took the rest
+                continue
             for a in g.terms:
                 v = linear.get(a)
                 if v is None or (pick is not None and (len(g.terms), v) >= pick[0]):
@@ -790,7 +829,11 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
     solved for x as a series x = -h/c truncated at D (when x occurs in h,
     by D rounds of fixed-point substitution, each fixing one more degree);
     the series replaces x in the other generators, and g and x are
-    dropped.  By the formal inverse function theorem the completions of
+    dropped.  A one-term g = c*x gives x = 0, and the pick (x absent from
+    h, then the shortest g) takes those first, so they are drained in bulk
+    before each other pick: every such x is dropped with every term that
+    holds it, in one pass repeated while new ones appear.  By the formal
+    inverse function theorem the completions of
     R/I and R'/I' at the origin are isomorphic with m onto m', and
     dim R/(I + m^{d+1}) for d <= D depends only on the generators mod
     m^{D+1}, so every truncated quotient dimension is unchanged.  Each step
@@ -798,13 +841,33 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
     n - rank(linear parts) variables are left.
     """
     fm = _FIELD_MASK
+    low = pk.lowmask
     limit = (degree_bound + 1) << pk.degshift
     linear = {unit: v for v, unit in enumerate(pk.units)}
     live = list(range(pk.n))
     while True:
+        # a one-term series c*x solves to x = 0: drop every such g and every
+        # term holding such an x in one pass, then look again
+        zeroed = 0
+        rest = []
+        for g in gens:
+            if len(g) == 1 and next(iter(g)) in linear:
+                zeroed |= pk.support_mask(next(iter(g)))
+            else:
+                rest.append(g)
+        if zeroed:
+            gens.clear()
+            for g in rest:
+                f = {b: c for b, c in g.items() if not ((b & low) + low) & zeroed}
+                if f:
+                    gens.append(f)
+            live = [v for v in live if not pk.support_mask(pk.units[v]) & zeroed]
+            continue
         # prefer x absent from h (one substitution), then the shortest g
         best = None
         for k, g in enumerate(gens):
+            if len(g) == 1:  # a monomial of degree >= 2: the drain took the rest
+                continue
             for a in g:
                 v = linear.get(a)
                 if v is not None:

@@ -39,6 +39,7 @@ golden-file tests pin that form.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -310,7 +311,8 @@ class Polynomial:
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
-        if self.ctx != other.ctx:
+        # one shared Context is the common case: no name tuples to compare
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("polynomials have mismatched variable contexts")
 
     def __add__(self, other) -> "Polynomial":
@@ -340,9 +342,27 @@ class Polynomial:
         return Polynomial(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
+        """self - other in one pass, with the terms in the order of
+        self + (-other): the longer map's terms first."""
         if not isinstance(other, Polynomial):
             other = self.ctx.const(other)
-        return self.__add__(other.__neg__())
+        self._check(other)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            out, rest, combine = {m: -c for m, c in b.items()}, a, operator.add
+        else:
+            out, rest, combine = dict(a), b, operator.sub
+        for m, c in rest.items():
+            acc = out.get(m)
+            if acc is None:
+                out[m] = combine(0, c)
+            else:
+                acc = combine(acc, c)
+                if acc == 0:
+                    del out[m]
+                else:
+                    out[m] = acc
+        return Polynomial(self.ctx, out)
 
     def __rsub__(self, other) -> "Polynomial":
         return self.__neg__().__add__(other)

@@ -13,13 +13,17 @@ package's rank-table order by default), Kazhdan-Lusztig polynomials are
 solved from the defining degree and inversion conditions via
 R-polynomials, monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
-ranks, one matrix per degree.  The opposite-side
+ranks, one matrix per degree.  The kernel's exact linear solve and the
+oracle's series elimination are redone one variable per pass on dense
+term maps, by the pick rules they had before either drained its
+one-term generators in bulk.  The opposite-side
 references read upper-left ranks directly, not through w0, and the
 rank-condition references count ranks off the permutation.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations as itpermutations, product
@@ -458,6 +462,152 @@ def truncated_quotient_dims(gens, nvars: int, degree_bound: int) -> list[int]:
                     rows.append(row)
         out.append(len(cols) - rank_by_fractions(rows))
     return out
+
+
+# ---------------------------------------------------------------------------
+# linear elimination one variable at a time, on dense exponent tuples
+# ---------------------------------------------------------------------------
+
+
+def _shifted(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _dense_powers(series: dict, nvars: int, upto: int, degree_bound) -> list[dict]:
+    """series^0 .. series^upto in nvars variables, truncated past
+    degree_bound unless it is None, ending early at a zero power."""
+    out = [{(0,) * nvars: Fraction(1)}]
+    while len(out) <= upto:
+        nxt: dict = {}
+        for a, c in out[-1].items():
+            for b, d in series.items():
+                t = _shifted(a, b)
+                if degree_bound is None or sum(t) <= degree_bound:
+                    nxt[t] = nxt.get(t, 0) + c * d
+        nxt = {t: c for t, c in nxt.items() if c}
+        if not nxt:
+            break
+        out.append(nxt)
+    return out
+
+
+def _dense_substitute(f: dict, v: int, powers: list[dict], degree_bound) -> dict:
+    """f with variable v replaced by the series whose powers are given; a
+    power past the list is zero."""
+    out: dict = {}
+    for a, c in f.items():
+        e = a[v]
+        if not e:
+            out[a] = out.get(a, 0) + c
+        elif e < len(powers):
+            base = a[:v] + (0,) + a[v + 1:]
+            for b, d in powers[e].items():
+                t = _shifted(base, b)
+                if degree_bound is None or sum(t) <= degree_bound:
+                    out[t] = out.get(t, 0) + c * d
+    return {t: c for t, c in out.items() if c}
+
+
+def _linear_variable(a: tuple[int, ...]):
+    """The variable of a degree-one exponent vector, else None."""
+    return a.index(1) if sum(a) == 1 else None
+
+
+def solve_one_at_a_time(I) -> tuple[list[str], list[dict], list[tuple[str, dict]]]:
+    """The exact linear solve, one variable per pass: (names left,
+    generators as dense term maps over those names, solved).
+
+    While some generator g = c*x + h has x not in h, the shortest such g
+    goes first, then the earliest x, then the earliest g; x = -h/c is
+    substituted into the others, and g and x are dropped.  solved lists
+    (name of x, -h/c as a dense term map over every variable) in order;
+    repeated generators left at the end are dropped, first kept.
+    """
+    ctx = I.ctx
+    gens = [{dense(ctx, m): Fraction(c) for m, c in g.terms.items()} for g in I.generators]
+    live = list(range(ctx.nvars))
+    solved = []
+    while True:
+        pick = None
+        for k, g in enumerate(gens):
+            for a in g:
+                v = _linear_variable(a)
+                if v is None or any(b != a and b[v] for b in g):
+                    continue
+                if pick is None or (len(g), v) < pick[0]:
+                    pick = ((len(g), v), k, a, v)
+        if pick is None:
+            break
+        _, k, a, v = pick
+        g = gens.pop(k)
+        c = g.pop(a)
+        image = {b: -d / c for b, d in g.items()}
+        solved.append((ctx.names[v], image))
+        top = max((b[v] for f in gens for b in f), default=0)
+        powers = _dense_powers(image, ctx.nvars, top, None)
+        gens = [f for f in (_dense_substitute(f, v, powers, None) for f in gens) if f]
+        live.remove(v)
+    out = {}
+    for f in gens:
+        out.setdefault(frozenset((tuple(a[v] for v in live), c) for a, c in f.items()), None)
+    return [ctx.names[v] for v in live], [dict(f) for f in out], solved
+
+
+def series_elimination_one_at_a_time(gens: list[dict], nvars: int, degree_bound: int):
+    """The oracle's series elimination, one variable per pass: (series
+    left, variables left).
+
+    gens are dense term maps with no constant term, truncated past degree
+    D = degree_bound; their order and the order of their terms break
+    ties.  While some g has a linear term c*x, the g with x absent from
+    h = g - c*x goes first, then the shortest, then the earliest g and
+    term; x = -h/c is solved as a series truncated at D by rounds of
+    substitution from x = 0, it replaces x in the others, and g and x are
+    dropped.
+    """
+    gens = [dict(g) for g in gens]
+    live = list(range(nvars))
+    while True:
+        best = None
+        for k, g in enumerate(gens):
+            for a in g:
+                v = _linear_variable(a)
+                if v is not None:
+                    rank = (any(b != a and b[v] for b in g), len(g))
+                    if best is None or rank < best[0]:
+                        best = (rank, k, a, v)
+        if best is None:
+            return gens, live
+        _, k, a, v = best
+        h = gens.pop(k)
+        scale = -1 / Fraction(h.pop(a))
+        top = max((b[v] for b in h), default=0)
+        series: dict = {}
+        for _ in range(degree_bound):
+            powers = _dense_powers(series, nvars, top, degree_bound)
+            nxt = {b: scale * d for b, d in _dense_substitute(h, v, powers, degree_bound).items()}
+            if nxt == series:
+                break
+            series = nxt
+        top = max((b[v] for f in gens for b in f), default=0)
+        powers = _dense_powers(series, nvars, top, degree_bound)
+        gens = [f for f in (_dense_substitute(f, v, powers, degree_bound) for f in gens) if f]
+        live.remove(v)
+
+
+def integer_rows(gens: list[dict], live: list[int]) -> list[dict]:
+    """Dense rational series as coprime integer rows of packed monomials
+    over the variables live, in the layout of a context of that size."""
+    small = Context([f"u{k}" for k in range(len(live))])
+    rows = []
+    for g in gens:
+        den = math.lcm(*(Fraction(c).denominator for c in g.values()))
+        ints = {a: int(c * den) for a, c in g.items()}
+        content = math.gcd(*ints.values())
+        rows.append({
+            packed(small, tuple(a[v] for v in live)): c // content for a, c in ints.items()
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------
