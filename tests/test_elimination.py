@@ -18,6 +18,7 @@ from oracles import (
     series_elimination_one_at_a_time,
     solve_one_at_a_time,
 )
+from test_invariants import _s4_triples, _s5_sample_triples
 import richardson.groebner as gr
 from richardson.charts import richardson_ideal_in_chart
 from richardson.groebner import (
@@ -26,7 +27,6 @@ from richardson.groebner import (
     local_hilbert_oracle,
     solve_linear_variables,
 )
-from richardson.permutations import Permutation, bruhat_interval, bruhat_leq
 from richardson.poly import Context
 
 CTX4 = Context(("x", "y", "z", "w"))
@@ -75,30 +75,6 @@ def _check_series(I, degree_bound=ORACLE_DEGREE):
         len(ref_live), rows, degree_bound
     )
     return ref_gens, ref_live
-
-
-def _s4_triples():
-    elems = Permutation.all(4)
-    return [
-        (v, s, w)
-        for v in elems
-        for s in elems
-        if bruhat_leq(v, s)
-        for w in elems
-        if bruhat_leq(s, w)
-    ]
-
-
-def _s5_sample_triples(size, seed):
-    elems = Permutation.all(5)
-    triples = [
-        (v, s, w)
-        for v in elems
-        for w in elems
-        if bruhat_leq(v, w)
-        for s in bruhat_interval(v, w)
-    ]
-    return random.Random(seed).sample(triples, size)
 
 
 def test_fixed_point_eliminations_match_the_references():
