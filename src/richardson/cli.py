@@ -13,11 +13,12 @@ Subcommands:
   its default sample count (None for kl-vs-h and smooth-table, which take
   no samples), its largest n, its case generator and its runner; it feeds
   the argument parser, the usage check, case generation and dispatch
-  alike.  The largest n is 7 for the checks that list the Bruhat pairs of
-  S_n (PAIRS_MAX_N), 9 for kl-vs-h and 5 for smooth-table: past it the
-  case list alone would not fit the time or memory of one run.
-  ``product-iso --exhaustive`` lists n! triples per pair, so it stops at
-  n = 5 (ISO_EXHAUSTIVE_MAX_N).
+  alike.  The largest n is 7 for the checks that draw Bruhat pairs of S_n
+  (PAIRS_MAX_N), 9 for kl-vs-h and 5 for smooth-table: past it the case
+  list alone would not fit the time or memory of one run.  The pairs are
+  counted and ranked, never listed (_BruhatPairs): S7's 3.55M in 0.6 s,
+  S8's 170M in 9.4 s at 403 MB.  ``product-iso --exhaustive`` lists n!
+  triples per pair, so it stops at n = 5 (ISO_EXHAUSTIVE_MAX_N).
 
 Exit status: 0 when the command ran and, for verify, no law failed on the
 cases checked; 1 when a law failed; 2 for a usage error (bad flags,
@@ -42,11 +43,13 @@ import os
 import random
 import signal
 import sys
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable
 
 from .charts import generic_matrix
 from .invariants import ORACLE_DEGREE, NotOnVariety, parabolic_invariants, richardson_invariants
-from .permutations import Permutation, bruhat_leq, is_covexillary, kl_polynomial
+from .permutations import Permutation, is_covexillary, kl_polynomial
 from .poly import _FIELD_MAX
 from .sweep import sweep_images
 from .verify import (
@@ -170,47 +173,114 @@ class _CaseTimeout(Exception):
     pass
 
 
+def _raise_timeout(signum, frame):
+    raise _CaseTimeout()
+
+
 def _run_with_timeout(fn, timeout: float):
-    """Run one case under SIGALRM, with no limit at timeout 0; raises _CaseTimeout on expiry."""
+    """Run one case under the alarm, with no limit at timeout 0; raises _CaseTimeout on expiry.
+
+    The SIGALRM handler that raises is installed once per run, by _run_verify.
+    """
     if timeout <= 0 or not hasattr(signal, "setitimer"):
         return fn()
-
-    def handler(signum, frame):
-        raise _CaseTimeout()
-
-    old = signal.signal(signal.SIGALRM, handler)
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
         return fn()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, old)
 
 
-def _bruhat_pairs(n: int):
-    elems = Permutation.all(n)
-    return [(v, w) for v in elems for w in elems if bruhat_leq(v, w)]
+class _BruhatPairs:
+    """The pairs v <= w of S_n, v-major in window order, counted and ranked, never listed.
+
+    Tableau criterion (Bjorner-Brenti, Thm 2.6.3): v <= w iff for every i
+    and j, w(1..i) has at least as many values >= j as v(1..i).  The state
+    (S, v[i:]) stands for the completions of a prefix of w whose value set
+    is the bitmask S (bit x-1 for value x) and dominates v's first i values,
+    the complement of v[i:].  Its memo entry holds its count and its
+    children (x, count, children of the child) in ascending x, so pairs[k]
+    is a bisection over the counts per v followed by one walk down the
+    children, and iteration walks all of them depth first.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.elems = Permutation.all(n)
+        self._by_window = {p.window: p for p in self.elems}
+        self._memo: dict = {}
+        self._roots = [self._node(0, v.window) for v in self.elems]
+        self._ends = list(accumulate(count for count, _ in self._roots))
+
+    def _node(self, S: int, rest: tuple[int, ...]):
+        node = self._memo.get((S, rest))
+        if node is None:
+            if not rest:
+                node = (1, ())
+            else:
+                # adding x to S and y = rest[0] to v's prefix keeps the
+                # domination iff S leads by one at every j in x+1..y: iff x
+                # is at least the largest j <= y where S does not lead
+                prefix = (1 << self.n) - 1 - sum(1 << (z - 1) for z in rest)
+                lo = rest[0]
+                while (S >> (lo - 1)).bit_count() > (prefix >> (lo - 1)).bit_count():
+                    lo -= 1
+                children = tuple(
+                    (x, *self._node(S | 1 << (x - 1), rest[1:]))
+                    for x in range(lo, self.n + 1)
+                    if not S >> (x - 1) & 1
+                )
+                node = (sum(count for _, count, _ in children), children)
+            self._memo[(S, rest)] = node
+        return node
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, k: int):
+        """The k-th pair of the v-major list."""
+        i = bisect_right(self._ends, k)
+        k -= self._ends[i - 1] if i else 0
+        children, w = self._roots[i][1], []
+        while children:
+            for x, count, below in children:
+                if k < count:
+                    break
+                k -= count
+            children = below
+            w.append(x)
+        return self.elems[i], self._by_window[tuple(w)]
+
+    def __iter__(self):
+        for v, (_, children) in zip(self.elems, self._roots):
+            for w in self._walk(children, ()):
+                yield v, self._by_window[w]
+
+    def _walk(self, children, w: tuple[int, ...]):
+        if not children:
+            yield w
+        for x, _, below in children:
+            yield from self._walk(below, w + (x,))
 
 
 def _pair_cases(args: argparse.Namespace, k: int):
-    pairs = _bruhat_pairs(args.n)
-    if not args.exhaustive:
-        rng = random.Random(args.seed)
-        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(k)]
-    return [(str(v), str(w)) for (v, w) in pairs]
+    pairs = _BruhatPairs(args.n)
+    if args.exhaustive:
+        return list(pairs)
+    # the pairs' order is the key order, so sorted draws give sorted keys
+    rng = random.Random(args.seed)
+    return [pairs[j] for j in sorted(rng.randrange(len(pairs)) for _ in range(k))]
 
 
 def _iso_cases(args: argparse.Namespace, k: int):
-    elems, pairs = Permutation.all(args.n), _bruhat_pairs(args.n)
+    pairs = _BruhatPairs(args.n)
+    elems = pairs.elems
     if args.exhaustive:
-        triples = [(u, v, w) for u in elems for (v, w) in pairs]
-    else:
-        rng = random.Random(args.seed)
-        triples = [
-            (elems[rng.randrange(len(elems))],) + pairs[rng.randrange(len(pairs))]
-            for _ in range(k)
-        ]
-    return [tuple(map(str, t)) for t in triples]
+        listed = list(pairs)
+        return [(u, v, w) for u in elems for (v, w) in listed]
+    rng = random.Random(args.seed)
+    draws = sorted((rng.randrange(len(elems)), rng.randrange(len(pairs))) for _ in range(k))
+    return [(elems[i],) + pairs[j] for i, j in draws]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,14 +289,13 @@ class _Check:
 
     samples: int | None  # None: the check takes no samples
     max_n: int
-    cases: Callable[[argparse.Namespace, int | None], list]  # (args, sample count) -> case keys
+    # (args, sample count) -> case keys in ascending order, each the runner's arguments
+    cases: Callable[[argparse.Namespace, int | None], list]
     run: Callable[..., VerificationReport]  # (args, *case key) -> report
 
 
-_P = Permutation.from_string
-
-# the pair list of S_n takes n!^2 Bruhat tests: S7's 3.55M pairs take 20 s
-# and 263 MB, while S8's list was still growing after 30 s, at 607 MB
+# counting the pairs of S_n takes S7's 3.55M 0.6 s at 52 MB, but S8's 170M
+# 9.4 s at 403 MB before the first case
 PAIRS_MAX_N = 7
 
 # exhaustive product-iso lists n! triples per pair: S5's 453,720 take 0.7 s
@@ -238,14 +307,14 @@ ISO_EXHAUSTIVE_MAX_N = 5
 CHECKS = {
     "product-iso": _Check(
         50, PAIRS_MAX_N, _iso_cases,
-        lambda args, u, v, w: product_iso_report(_P(u), _P(v), _P(w)),
+        lambda args, u, v, w: product_iso_report(u, v, w),
     ),
     **{  # mult, hpoly, singlocus: one product law each
         spec.check: _Check(
             20,
             PAIRS_MAX_N,
             _pair_cases,
-            lambda args, v, w, law=law: verify_factorization(_P(v), _P(w), law, args.degree_bound),
+            lambda args, v, w, law=law: verify_factorization(v, w, law, args.degree_bound),
         )
         for law, spec in LAWS.items()
     },
@@ -254,14 +323,14 @@ CHECKS = {
         PAIRS_MAX_N,
         _pair_cases,
         lambda args, v, w: verify_theorem_at_points(
-            _P(v), _P(w), trials=args.trials, seed=args.seed, oracle=args.degree_bound
+            v, w, trials=args.trials, seed=args.seed, oracle=args.degree_bound
         ),
     ),
     "kl-vs-h": _Check(
         None,
         9,  # the case list filters S_n alone: 61 s at S9
-        lambda args, k: [(str(w),) for w in Permutation.all(args.n) if is_covexillary(w)],
-        lambda args, w: verify_kl_vs_h(_P(w), args.degree_bound),
+        lambda args, k: [(w,) for w in Permutation.all(args.n) if is_covexillary(w)],
+        lambda args, w: verify_kl_vs_h(w, args.degree_bound),
     ),
     "smooth-table": _Check(
         None,
@@ -272,15 +341,15 @@ CHECKS = {
         ),
     ),
     "dimension": _Check(
-        20, PAIRS_MAX_N, _pair_cases, lambda args, v, w: verify_dimension_law(_P(v), _P(w))
+        20, PAIRS_MAX_N, _pair_cases, lambda args, v, w: verify_dimension_law(v, w)
     ),
 }
 
 
 def _verify_cases(args: argparse.Namespace) -> list:
-    """The sorted case keys of the requested check."""
+    """The case keys of the requested check, in ascending order."""
     check = CHECKS[args.check]
-    return sorted(check.cases(args, check.samples if args.samples is None else args.samples))
+    return check.cases(args, check.samples if args.samples is None else args.samples)
 
 
 def _dispatch_case(job):
@@ -313,20 +382,27 @@ def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     keys = _verify_cases(args)
     jobs = [(key, args) for key in keys]
     workers = _pool_size(args.jobs, len(jobs))
-    if workers > 1:
-        # case order, not completion order, fixes the output
-        import multiprocessing
+    # one handler for the whole run, inherited by forked workers
+    alarm = args.timeout > 0 and hasattr(signal, "setitimer")
+    previous = signal.signal(signal.SIGALRM, _raise_timeout) if alarm else None
+    try:
+        if workers > 1:
+            # case order, not completion order, fixes the output
+            import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            outcomes = list(pool.imap(_dispatch_case, jobs))
-    else:
-        outcomes = [_dispatch_case(job) for job in jobs]
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(processes=workers) as pool:
+                outcomes = list(pool.imap(_dispatch_case, jobs))
+        else:
+            outcomes = [_dispatch_case(job) for job in jobs]
+    finally:
+        if alarm:
+            signal.signal(signal.SIGALRM, previous)
     timeouts = 0
     for key, (status, rep) in zip(keys, outcomes):
         if status == "timeout":
             timeouts += 1
-            total.findings.append({"kind": "timeout", "case": list(key)})
+            total.findings.append({"kind": "timeout", "case": [str(p) for p in key]})
         else:
             total.merge(rep)
     # a run that checked nothing must not pass, whether its cases timed out

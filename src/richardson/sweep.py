@@ -30,6 +30,7 @@ def _sweep_rows(rows, u: Permutation, upward: bool):
     Works uniformly on polynomial and rational entries.  Columns are
     processed by the row of their 1: decreasing for the upward sweep,
     increasing for the downward one, so no column needs a second pass.
+    Only the nonzero entries of the pivot row are subtracted.
     """
     n = u.n
     uinv = u.inverse()
@@ -39,15 +40,20 @@ def _sweep_rows(rows, u: Permutation, upward: bool):
         j = uinv(r)  # column whose 1 sits in row r
         span = range(1, r) if upward else range(r + 1, n + 1)
         pivot = rows[r - 1]
+        live = [(k, b) for k, b in enumerate(pivot) if not _is_zero(b)]
         for i in span:
-            c = rows[i - 1][j - 1]
-            if isinstance(c, Polynomial):
-                if c.is_zero():
-                    continue
-            elif c == 0:
+            row = rows[i - 1]
+            c = row[j - 1]
+            if _is_zero(c):
                 continue
-            rows[i - 1] = [a - c * b for a, b in zip(rows[i - 1], pivot)]
+            for k, b in live:
+                row[k] = row[k] - c * b
     return rows
+
+
+def _is_zero(c) -> bool:
+    # Polynomial has no __bool__, and == 0 would compare it to an int
+    return c.is_zero() if isinstance(c, Polynomial) else c == 0
 
 
 @memoized(lambda u: u.window)

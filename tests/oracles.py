@@ -9,7 +9,8 @@ kernel; it also has no pair criteria.  Krull dimension is the search for the lar
 set meeting no leading-monomial support, not a Hilbert series.  Bruhat
 order goes through the subword property on reduced words (the
 reflection count of a tangent space takes the order as a parameter, the
-package's rank-table order by default), Kazhdan-Lusztig polynomials are
+package's rank-table order by default), and the Bruhat pairs of S_n are
+a scan of all of S_n x S_n on counted rank tables.  Kazhdan-Lusztig polynomials are
 solved from the defining degree and inversion conditions via
 R-polynomials, monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
@@ -24,8 +25,9 @@ rank-condition references count ranks off the permutation.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations, permutations as itpermutations, product
 
 from richardson.poly import Context, Polynomial
@@ -250,6 +252,23 @@ def subword_interval(v: Permutation, w: Permutation, leq=subword_bruhat_leq) -> 
     out = [z for z in Permutation.all(w.n) if leq(v, z) and leq(z, w)]
     out.sort(key=lambda z: (z.length(), z.window))
     return out
+
+
+@cache
+def bruhat_pairs_by_scan(n: int) -> tuple[tuple[Permutation, Permutation], ...]:
+    """Every pair v <= w of S_n, v-major in window order: r_v <= r_w entrywise,
+    with r_w(i,j) = #{k <= j : w(k) >= i} counted for each w."""
+    elems = Permutation.all(n)
+    ranks = [
+        tuple(sum(1 for k in range(j) if w.window[k] >= i) for i in range(1, n + 1) for j in range(1, n + 1))
+        for w in elems
+    ]
+    return tuple(
+        (v, w)
+        for v, rv in zip(elems, ranks)
+        for w, rw in zip(elems, ranks)
+        if all(map(operator.le, rv, rw))
+    )
 
 
 def tangent_count_by_reflections(v: Permutation, w: Permutation, sigma: Permutation,

@@ -298,10 +298,10 @@ def test_smooth_table_past_its_bound_exits_2(capsys):
 def test_product_iso_exhaustive_past_its_bound_exits_2(capsys, monkeypatch):
     from richardson import cli
 
-    def no_listing(n):
-        raise AssertionError("the pair list was built")
+    def no_pairs(n):
+        raise AssertionError("the pairs were counted")
 
-    monkeypatch.setattr(cli, "_bruhat_pairs", no_listing)
+    monkeypatch.setattr(cli, "_BruhatPairs", no_pairs)
     n = str(cli.ISO_EXHAUSTIVE_MAX_N + 1)
     err = _usage_error(["verify", "product-iso", "--n", n, "--exhaustive"], capsys)
     assert f"at most {cli.ISO_EXHAUSTIVE_MAX_N}, got {n}" in err

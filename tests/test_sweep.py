@@ -116,6 +116,13 @@ def test_recovery_round_trip_s3_s4():
             assert recovery_round_trip(u)
 
 
+def test_sweep_isomorphism_on_all_of_s6():
+    # product-iso runs up to S7, whose 5,040 charts (about 10 s) stay out of tier-1
+    for u in Permutation.all(6):
+        assert claim_structure_check(u), u
+        assert recovery_round_trip(u), u
+
+
 def test_recovery_round_trip_identity_chart():
     u = Permutation.identity(5)
     rec = recover(u)
