@@ -10,8 +10,8 @@ set meeting no leading-monomial support, not a Hilbert series.  Bruhat
 order goes through the subword property on reduced words (the
 reflection count of a tangent space takes the order as a parameter, the
 package's rank-table order by default), and the Bruhat pairs of S_n are
-a scan of all of S_n x S_n on counted rank tables.  Kazhdan-Lusztig polynomials are
-solved from the defining degree and inversion conditions via
+a scan of all of S_n x S_n on counted rank tables.  Kazhdan-Lusztig
+polynomials are solved from the defining degree and inversion conditions via
 R-polynomials, monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
 ranks, one matrix per degree.  The kernel's exact linear solve and the
