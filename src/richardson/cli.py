@@ -17,20 +17,23 @@ Subcommands:
   (PAIRS_MAX_N), 9 for kl-vs-h and 5 for smooth-table: past it the case
   list alone would not fit the time or memory of one run.  The pairs are
   counted and ranked, never listed (_BruhatPairs): S7's 3.55M in 0.6 s,
-  S8's 170M in 9.4 s at 403 MB.  ``product-iso --exhaustive`` lists n!
-  triples per pair, so it stops at n = 5 (ISO_EXHAUSTIVE_MAX_N).
+  S8's 170M in 9.4 s at 403 MB.  With ``--exhaustive`` every check has a
+  second bound, checked before any pair is counted: 6 for the pair checks
+  (PAIRS_EXHAUSTIVE_MAX_N), which then run all of S6's 98,407 pairs and
+  not S7's 3.55M, and 5 for product-iso, which lists n! triples per pair
+  (ISO_EXHAUSTIVE_MAX_N).
 
 Exit status: 0 when the command ran and, for verify, no law failed on the
 cases checked; 1 when a law failed; 2 for a usage error (bad flags,
 malformed or size-mismatched permutations, out of range ``--n``,
 ``--samples``, ``--trials``, ``--jobs``, ``--timeout`` (0..TIMEOUT_MAX s,
 0 for no limit), ``--parabolic`` or ``--degree-bound``, ``--n`` past the
-check's largest n or past 5 for ``product-iso --exhaustive``, ``--samples``
-for a check that takes none, a fixed point off the variety), with a
-one-line message; 3 when a verify run checked no case, because its cases
-timed out or had nothing to check.  A timeout is recorded as a finding
-per case.  Identical argument vectors and seeds produce byte-identical
-JSON.
+check's largest n, or with ``--exhaustive`` past 6 for the pair checks and
+5 for product-iso, ``--samples`` for a check that takes none, a fixed
+point off the variety), with a one-line message; 3 when a verify run
+checked no case, because its cases timed out or had nothing to check.  A
+timeout is recorded as a finding per case.  Identical argument vectors
+and seeds produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -146,9 +149,9 @@ def _check_usage(args: argparse.Namespace) -> None:
             raise UsageError(f"{args.check} needs --n at most {check.max_n}, got {args.n}")
         if check.samples is None and args.samples is not None:
             raise UsageError(f"{args.check} takes no samples, got --samples {args.samples}")
-        if args.check == "product-iso" and args.exhaustive and args.n > ISO_EXHAUSTIVE_MAX_N:
+        if args.exhaustive and args.n > check.exhaustive_max_n:
             raise UsageError(
-                f"product-iso --exhaustive needs --n at most {ISO_EXHAUSTIVE_MAX_N}, got {args.n}"
+                f"{args.check} --exhaustive needs --n at most {check.exhaustive_max_n}, got {args.n}"
             )
     perms = {}
     for flag in ("u", "v", "w", "sigma"):
@@ -285,10 +288,12 @@ def _iso_cases(args: argparse.Namespace, k: int):
 
 @dataclasses.dataclass(frozen=True)
 class _Check:
-    """One verify check: its default sample count, largest --n, case keys and runner."""
+    """One verify check: its default sample count, largest --n with and without
+    --exhaustive, case keys and runner."""
 
     samples: int | None  # None: the check takes no samples
     max_n: int
+    exhaustive_max_n: int
     # (args, sample count) -> case keys in ascending order, each the runner's arguments
     cases: Callable[[argparse.Namespace, int | None], list]
     run: Callable[..., VerificationReport]  # (args, *case key) -> report
@@ -302,17 +307,21 @@ PAIRS_MAX_N = 7
 # and 80 MB to list, S6's 70.9M would not fit in memory
 ISO_EXHAUSTIVE_MAX_N = 5
 
+# the other pair checks run every pair exhaustively: S6's 98,407, not S7's 3.55M
+PAIRS_EXHAUSTIVE_MAX_N = 6
+
 # runners name the checkers through the module globals at call time, so a
 # checker rebound on this module is the one that runs
 CHECKS = {
     "product-iso": _Check(
-        50, PAIRS_MAX_N, _iso_cases,
+        50, PAIRS_MAX_N, ISO_EXHAUSTIVE_MAX_N, _iso_cases,
         lambda args, u, v, w: product_iso_report(u, v, w),
     ),
     **{  # mult, hpoly, singlocus: one product law each
         spec.check: _Check(
             20,
             PAIRS_MAX_N,
+            PAIRS_EXHAUSTIVE_MAX_N,
             _pair_cases,
             lambda args, v, w, law=law: verify_factorization(v, w, law, args.degree_bound),
         )
@@ -321,6 +330,7 @@ CHECKS = {
     "points": _Check(
         20,
         PAIRS_MAX_N,
+        PAIRS_EXHAUSTIVE_MAX_N,
         _pair_cases,
         lambda args, v, w: verify_theorem_at_points(
             v, w, trials=args.trials, seed=args.seed, oracle=args.degree_bound
@@ -329,11 +339,13 @@ CHECKS = {
     "kl-vs-h": _Check(
         None,
         9,  # the case list filters S_n alone: 61 s at S9
+        9,  # every run is exhaustive
         lambda args, k: [(w,) for w in Permutation.all(args.n) if is_covexillary(w)],
         lambda args, w: verify_kl_vs_h(w, args.degree_bound),
     ),
     "smooth-table": _Check(
         None,
+        SMOOTH_TABLE_MAX_N,
         SMOOTH_TABLE_MAX_N,
         lambda args, k: [("table", str(args.n))],
         lambda args, _, n: schubert_smoothness_table(
@@ -341,7 +353,8 @@ CHECKS = {
         ),
     ),
     "dimension": _Check(
-        20, PAIRS_MAX_N, _pair_cases, lambda args, v, w: verify_dimension_law(v, w)
+        20, PAIRS_MAX_N, PAIRS_EXHAUSTIVE_MAX_N, _pair_cases,
+        lambda args, v, w: verify_dimension_law(v, w),
     ),
 }
 

@@ -20,10 +20,15 @@ A record at a torus-fixed point is computed at the origin of the point's
 chart, where localize has nothing to translate.  Its dimension and
 tangent dimension are then checked against Bruhat order, l(w) - l(v) and
 #{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
-mismatch raises.  A Schubert record is the Richardson record at v = id
-and an opposite record the one at w = w0, so there is one memoized record
-(see memo) per (v, w, sigma, oracle degree): a record checked at one
-degree is never served to a call that asks for another.
+mismatch raises.  The count comes per pair: the transpositions t with
+t sigma <= w, and those with v <= t sigma, are bitmasks memoized by the
+window pairs (sigma, w) and (v, sigma), at most one entry per Bruhat pair
+(98,407 at S6), and the count is the popcount of their meet; the
+comparison runs on every record computed.  A Schubert record is the
+Richardson record at v = id and an opposite record the one at w = w0, so
+there is one memoized record (see memo) per (v, w, sigma, oracle
+degree): a record checked at one degree is never served to a call that
+asks for another.
 
 Local rings at fixed points repeat: once their linear variables are
 solved, the S4 records come down to 21 distinct reduced systems.  So the
@@ -32,7 +37,9 @@ generator terms with the variable names dropped (_reduced_invariants):
 the reduced ring's layout depends only on the variable count.  What is
 cheap or is a check runs on every call: localize, the linear solve, the
 oracle's concordance check on the unreduced ideal, and at fixed points
-the Bruhat check.
+the Bruhat check.  The cone's series prefix that the oracle is compared
+with is expanded once per reduced system and degree, and kept with the
+system's entry.
 """
 
 from __future__ import annotations
@@ -138,8 +145,10 @@ def local_invariants_at(I: IdealGens, p, oracle: int = ORACLE_DEGREE) -> LocalIn
     """
     I0 = localize(I, p)
     J, _ = solve_linear_variables(I0)
-    hd, inv = _reduced_invariants(J)
-    _concordance_check(I0, hd, oracle)
+    hd, inv, prefixes = _reduced_invariants(J)
+    if oracle not in prefixes:  # one expansion per reduced system and degree
+        prefixes[oracle] = hd.series_prefix(oracle)
+    _concordance_check(I0, prefixes[oracle], oracle)
     return inv
 
 
@@ -154,8 +163,10 @@ def _reduced_key(J: IdealGens) -> tuple:
 
 
 @memoized(_reduced_key)
-def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants]:
-    """(tangent-cone Hilbert data, record) of the reduced ideal J at the origin.
+def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, dict]:
+    """(tangent-cone Hilbert data, record, series prefixes) of the reduced
+    ideal J at the origin; the prefixes, keyed by degree, start empty and
+    are filled by local_invariants_at.
 
     Two completions, one when J has no generators: the degrevlex basis of
     J gives the dimension, and tangent_cone's one completion gives the
@@ -185,14 +196,13 @@ def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants]:
         smooth=(tangent == dim),
         multiplicity=mult,
         h_polynomial=h_poly,
-    )
+    ), {}
 
 
-def _concordance_check(I0: IdealGens, hd, degree: int) -> None:
-    """First differences of the truncation oracle must match the cone."""
+def _concordance_check(I0: IdealGens, hf: list[int], degree: int) -> None:
+    """First differences of the truncation oracle must match the cone's series hf."""
     global ORACLE_CHECKS
     counts = local_hilbert_oracle(I0, degree)
-    hf = hd.series_prefix(degree)
     diffs = [counts[0]] + [counts[d] - counts[d - 1] for d in range(1, len(counts))]
     if diffs != hf:
         raise RuntimeError(
@@ -230,17 +240,13 @@ def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: P
     by those of the transpositions t with v <= t sigma <= w
     (Lakshmibai-Seshadri), so its dimension is #{t : v <= t sigma <= w};
     the variety has dimension l(w) - l(v).  Neither count uses the Groebner
-    kernel.  Each t sigma is a window compared with v and w by two packed
-    rank-word tests, as bruhat_leq does.
+    kernel.  The tangent count is the popcount of the meet of two
+    reflection masks, each filled once per pair (_below_mask, _above_mask);
+    the comparison runs on every record computed.
     """
     global TANGENT_CHECKS
-    n = sigma.n
-    low, high, win = v.window, w.window, sigma.window
-    tangent = 0
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            ts = tuple(b if x == a else a if x == b else x for x in win)
-            tangent += _leq(low, ts) and _leq(ts, high)
+    win = sigma.window
+    tangent = (_below_mask(win, w.window) & _above_mask(v.window, win)).bit_count()
     expected = (w.length() - v.length(), tangent)
     if (inv.dimension, inv.tangent_dim) != expected:
         raise RuntimeError(
@@ -249,6 +255,33 @@ def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: P
         )
     with _COUNTER_LOCK:
         TANGENT_CHECKS += 1
+
+
+def _reflection_mask(win: tuple[int, ...], test) -> int:
+    """Bit k is set iff test(t win), for t the k-th transposition (a b), a < b,
+    in lexicographic order; t win is a window, compared by packed rank words."""
+    n = len(win)
+    mask = bit = 0
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            if test(tuple(b if x == a else a if x == b else x for x in win)):
+                mask |= 1 << bit
+            bit += 1
+    return mask
+
+
+# each table holds one entry per Bruhat pair a record meets: at most the
+# 98,407 pairs of S6 at n = 6
+@memoized(lambda sigma, w: (sigma, w))
+def _below_mask(sigma: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """The transpositions t with t sigma <= w; their count is #{t : t sigma <= w}."""
+    return _reflection_mask(sigma, lambda ts: _leq(ts, w))
+
+
+@memoized(lambda v, sigma: (v, sigma))
+def _above_mask(v: tuple[int, ...], sigma: tuple[int, ...]) -> int:
+    """The transpositions t with v <= t sigma."""
+    return _reflection_mask(sigma, lambda ts: _leq(v, ts))
 
 
 def schubert_invariants(

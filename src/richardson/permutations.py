@@ -23,7 +23,9 @@ field above and keeps its guard bit exactly when r_v <= r_w.  So one
 subtraction compares the whole tables.  Intervals and the Kazhdan-Lusztig
 recursion run on windows (tuples), with memoized rank words, lengths and
 lower covers, at most n! entries per table and size; Permutation objects
-are built only for what the public functions return.
+are built only for what the public functions return.  A window is
+validated once and then served from a table of the same bound, and
+identity(n) and longest(n) are built once per n.
 """
 
 from __future__ import annotations
@@ -49,20 +51,19 @@ class Permutation:
     __slots__ = ("window", "_inv", "_str")
 
     def __init__(self, window):
-        win = tuple(int(x) for x in window)
-        if sorted(win) != list(range(1, len(win) + 1)):
-            raise ValueError(f"not a permutation window: {win}")
-        self.window = win
+        self.window = _checked_window(tuple(map(int, window)))
         self._inv = None
         self._str = None
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
+    @memoized()
     def identity(n: int) -> "Permutation":
         return Permutation(range(1, n + 1))
 
     @staticmethod
+    @memoized()
     def longest(n: int) -> "Permutation":
         return Permutation(range(n, 0, -1))
 
@@ -142,6 +143,15 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self})"
+
+
+# at most n! entries for each size n in use; a bad window raises and is never stored
+@memoized()
+def _checked_window(win: tuple[int, ...]) -> tuple[int, ...]:
+    """The window itself, once it is known to hold 1..n."""
+    if sorted(win) != list(range(1, len(win) + 1)):
+        raise ValueError(f"not a permutation window: {win}")
+    return win
 
 
 def _field_width(n: int) -> int:

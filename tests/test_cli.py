@@ -309,6 +309,23 @@ def test_product_iso_exhaustive_past_its_bound_exits_2(capsys, monkeypatch):
     cli._check_usage(cli._parser().parse_args(at_bound))  # accepted
 
 
+@pytest.mark.parametrize("check", ["mult", "hpoly", "singlocus", "points", "dimension"])
+def test_pair_check_exhaustive_past_its_bound_exits_2(check, capsys, monkeypatch):
+    # S7's 3,550,919 pairs: the usage error comes before any pair is counted,
+    # while S6 exhaustive and S7 sampled runs pass the usage check
+    from richardson import cli
+
+    def no_pairs(n):
+        raise AssertionError("the pairs were counted")
+
+    monkeypatch.setattr(cli, "_BruhatPairs", no_pairs)
+    assert cli.CHECKS[check].exhaustive_max_n == cli.PAIRS_EXHAUSTIVE_MAX_N == 6
+    err = _usage_error(["verify", check, "--n", "7", "--exhaustive"], capsys)
+    assert f"{check} --exhaustive needs --n at most 6, got 7" in err
+    for argv in (["--n", "6", "--exhaustive"], ["--n", "7", "--samples", "3"]):
+        cli._check_usage(cli._parser().parse_args(["verify", check, *argv]))  # accepted
+
+
 def test_parabolic_out_of_range_exits_2(capsys):
     base = ["invariants", "--v", "1234", "--w", "4321", "--sigma", "2143"]
     assert "1..3" in _usage_error(base + ["--parabolic", "7"], capsys)

@@ -452,7 +452,7 @@ def test_one_cone_completion_gives_the_cone_hilbert_data():
     assert len(s4) == 21 and len(s5) >= 40
     clear_memos()
     for J in [*s4.values(), *s5.values()]:
-        hd, _ = rinv._reduced_invariants(J)
+        hd = rinv._reduced_invariants(J)[0]
         assert hd == hilbert_numerator(tangent_cone(J)), J.generators
 
 
@@ -589,3 +589,73 @@ def test_tangent_dim_matches_reflection_count_s4():
     for v, tau in pairs:
         count = tangent_count_by_reflections(v, w0, tau)
         assert opposite_invariants(v, tau).tangent_dim == count
+
+
+def _mask_by_scan(sigma, keep):
+    """Bit k set iff keep(t sigma), t the k-th transposition (a b), a < b, in
+    lexicographic order, each t sigma built by Permutation.swap_values."""
+    pairs = combinations(range(1, sigma.n + 1), 2)
+    return sum(1 << k for k, (a, b) in enumerate(pairs) if keep(sigma.swap_values(a, b)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_reflection_masks_match_a_scan_on_every_pair(n):
+    # the Bruhat check's per-pair tables: for x <= y, _below_mask(x, y) marks
+    # the t with t x <= y and _above_mask(x, y) those with x <= t y; their
+    # popcounts are the Lakshmibai-Seshadri counts of X_y at x and X^x at y
+    import richardson.invariants as rinv
+
+    elems = Permutation.all(n)
+    ident, w0 = Permutation.identity(n), Permutation.longest(n)
+    pairs = [(x, y) for x in elems for y in elems if bruhat_leq(x, y)]
+    assert len(pairs) == {4: 213, 5: 3781}[n]
+    clear_memos()
+    for x, y in pairs:
+        below = rinv._below_mask(x.window, y.window)
+        above = rinv._above_mask(x.window, y.window)
+        assert below == _mask_by_scan(x, lambda t: bruhat_leq(t, y)), (x, y)
+        assert above == _mask_by_scan(y, lambda t: bruhat_leq(x, t)), (x, y)
+        assert below.bit_count() == tangent_count_by_reflections(ident, y, x)
+        assert above.bit_count() == tangent_count_by_reflections(x, w0, y)
+
+
+def test_reflection_masks_are_cleared_and_records_checked_again():
+    import inspect
+
+    import richardson.invariants as rinv
+
+    v, w, sigma = Permutation([1, 3, 2, 4]), Permutation([4, 2, 3, 1]), Permutation([2, 4, 1, 3])
+    tables = [inspect.getclosurevars(f).nonlocals["table"] for f in (rinv._below_mask, rinv._above_mask)]
+    clear_memos()
+    richardson_invariants(v, w, sigma)
+    assert [dict(t) for t in tables] == [
+        {(sigma.window, w.window): rinv._below_mask(sigma.window, w.window)},
+        {(v.window, sigma.window): rinv._above_mask(v.window, sigma.window)},
+    ]
+    clear_memos()
+    assert [len(t) for t in tables] == [0, 0]
+    tangent_before, oracle_before = rinv.TANGENT_CHECKS, rinv.ORACLE_CHECKS
+    richardson_invariants(v, w, sigma)
+    assert rinv.TANGENT_CHECKS == tangent_before + 1
+    assert rinv.ORACLE_CHECKS == oracle_before + 1
+    assert [len(t) for t in tables] == [1, 1]
+
+
+def test_the_cone_series_is_expanded_once_per_reduced_system_and_degree(monkeypatch):
+    # S4's 1,088 records at two oracle degrees: 21 reduced systems, each
+    # expanded once per degree, and every record still checked by the oracle
+    import richardson.groebner as gr
+    import richardson.invariants as rinv
+
+    degrees = []
+    real = gr.HilbertData.series_prefix
+    monkeypatch.setattr(gr.HilbertData, "series_prefix",
+                        lambda hd, upto: degrees.append(upto) or real(hd, upto))
+    clear_memos()
+    triples = _s4_triples()
+    before = rinv.ORACLE_CHECKS
+    for degree in (6, 3):
+        for v, sigma, w in triples:
+            richardson_invariants(v, w, sigma, oracle=degree)
+    assert sorted(degrees) == [3] * 21 + [6] * 21
+    assert rinv.ORACLE_CHECKS - before == 2 * len(triples) == 2176

@@ -37,6 +37,22 @@ def test_window_validation():
         Permutation([0, 1])
 
 
+def test_window_validation_after_the_window_table_is_filled():
+    # valid windows are validated once and then served from a table; a bad
+    # window is never stored, so it raises however many good ones came first
+    for n in range(1, 7):
+        Permutation.all(n)
+    for bad in ([1, 1, 3], [0, 1, 2], [2, 3], (1, 2, 2), "11"):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    for n in range(1, 9):
+        assert Permutation.identity(n).window == tuple(range(1, n + 1))
+        assert Permutation.longest(n).window == tuple(range(n, 0, -1))
+        assert Permutation.identity(n) is Permutation.identity(n)
+    table = inspect.getclosurevars(perm._checked_window).nonlocals["table"]
+    assert (1, 1, 3) not in table and (2, 3) not in table
+
+
 def test_parse_and_print():
     assert str(Permutation.from_string("31542")) == "31542"
     big = Permutation.from_string("10,3,1,2,4,5,6,7,8,9")
