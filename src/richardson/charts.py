@@ -19,8 +19,19 @@ submatrix, so at most C(2n, n) entries (252 at n = 5, 924 at n = 6), and
 ``clear_memos()`` drops it with the matrix.  Which minors a permutation
 asks for does not depend on the chart, so its (rows, cols) index list is
 built once per permutation (``_schubert_index`` and ``_opposite_index``,
-memoized by window, at most n! entries each) and every chart, sweep image
-and sampled cell reads its minors from that list.
+memoized by window, at most n! entries each, like the condition tables
+they are built from) and every chart, sweep image and sampled cell reads
+its minors from that list.
+
+A condition that u's own permutation matrix violates locates a unit
+minor (``_unit_minor``): if (rows, j, b) fails at u, b+1 columns k <= j
+have u(k) in rows, and the (b+1)-minor on those columns and the rows u(k)
+is in the condition's index list.  In every chart-form matrix of u (the
+generic matrix and both sweep images) row u(k) has its 1 in column k and
+zeros right of it, so that submatrix is unitriangular up to row order
+and the minor is +-1.  u violates a condition of w exactly when u is not
+below w (Fulton's essential set), so off [v, w] each ideal has such a
+generator.
 
 The opposite side is derived from the Schubert side.  The opposite
 Schubert variety is a translate, X^v = w0 X_{w0 v}, and left
@@ -222,22 +233,47 @@ def _minor_index(conditions):
 
 
 @memoized(lambda w: w.window)
-def _schubert_index(w: Permutation):
-    """The minors of schubert_minors(_, w), one index list per permutation."""
+def _schubert_conditions(w: Permutation):
+    """The essential conditions of w as (rows, j, b): rank at most b on rows
+    `rows` (a range i..n) and columns 1..j."""
     n = w.n
-    return _minor_index((range(i, n + 1), j, b) for i, j, b in _essential_schubert_conditions(w))
+    return tuple((range(i, n + 1), j, b) for i, j, b in _essential_schubert_conditions(w))
 
 
 @memoized(lambda v: v.window)
-def _opposite_index(v: Permutation):
-    """The minors of opposite_minors(_, v): the conditions of w0 v read on
-    the row-reversed matrix, put back in (i, j) order."""
+def _opposite_conditions(v: Permutation):
+    """The conditions of w0 v read on the row-reversed matrix, put back in
+    (i, j) order, as (rows 1..i, j, b)."""
     n = v.n
     conditions = sorted(
         (n + 1 - i, j, b)
         for i, j, b in _essential_schubert_conditions(Permutation.longest(n) * v)
     )
-    return _minor_index((range(1, i + 1), j, b) for i, j, b in conditions)
+    return tuple((range(1, i + 1), j, b) for i, j, b in conditions)
+
+
+@memoized(lambda w: w.window)
+def _schubert_index(w: Permutation):
+    """The minors of schubert_minors(_, w), one index list per permutation."""
+    return _minor_index(_schubert_conditions(w))
+
+
+@memoized(lambda v: v.window)
+def _opposite_index(v: Permutation):
+    """The minors of opposite_minors(_, v)."""
+    return _minor_index(_opposite_conditions(v))
+
+
+def _unit_minor(conditions, u: Permutation):
+    """The (rows, cols) of the +-1 minor that the first of the conditions
+    violated by u's permutation matrix locates (see the module docstring),
+    on its first b+1 columns; None when u meets every condition."""
+    win = u.window
+    for rows, j, b in conditions:
+        cols = [k for k, x in enumerate(win[:j], 1) if x in rows][: b + 1]
+        if len(cols) > b:
+            return tuple(sorted(win[k - 1] for k in cols)), tuple(cols)
+    return None
 
 
 def schubert_minors(matrix: ChartMatrix, w: Permutation) -> list[Polynomial]:

@@ -211,17 +211,17 @@ def _reduce_raw(work: dict, reducers, keyf, pk: _Pack):
     """
     monos, polys = reducers
     hi = pk.himask
+    low = pk.lowmask
     degshift = pk.degshift
     work = dict(work)
     out: dict[int, Fraction] = {}
-    support_mask = pk.support_mask
     while work:
         m = max(work, key=keyf)
         c = work.pop(m)
         if m & hi:
             raise OverflowError(f"an exponent exceeds {_FIELD_MAX}")
         mdeg = m >> degshift
-        mmask = support_mask(m)
+        mmask = ((m & low) + low) & hi  # pk.support_mask(m)
         mh = m | hi
         killed = False
         for (_, _, ld, lmask, lt, _) in monos:
@@ -290,17 +290,18 @@ class _Completion:
         degshift = pk.degshift
         new_ltdeg = lt >> degshift
         divides = pk.divides
-        coprime = pk.coprime
+        lcm = pk.lcm
+        hi, low = pk.himask, pk.lowmask
+        ltmask = ((lt & low) + low) & hi  # pk.support_mask(lt)
         lcms = {}
         live = []
         blockers = []
-        for i in range(t):
-            l = pk.lcm(self.lts[i], lt)
-            lcms[i] = l
-            if coprime(self.lts[i], lt):
+        for i, li in enumerate(self.lts):
+            lcms[i] = lcm(li, lt)
+            if ((li & low) + low) & ltmask:
+                live.append(i)
+            else:  # coprime leading terms
                 blockers.append(i)
-                continue
-            live.append(i)
         # pairs whose S-polynomial is identically zero act only as blockers,
         # so the quadratic filter runs over the few live candidates
         pending = sorted(live, key=lambda i: (keyf(lcms[i]), i))
@@ -316,7 +317,7 @@ class _Completion:
             if (i, j) in self.dead_pairs:
                 continue
             if new_ltdeg <= (l >> degshift) and divides(lt, l):
-                if pk.lcm(self.lts[i], lt) != l and pk.lcm(self.lts[j], lt) != l:
+                if lcm(self.lts[i], lt) != l and lcm(self.lts[j], lt) != l:
                     self.dead_pairs.add((i, j))
         if kept:
             uniq = {lcms[j] for j in blockers}
@@ -335,7 +336,7 @@ class _Completion:
                     heapq.heappush(self.pairs, (keyf(li), i, t, li))
         self.lts.append(lt)
         self.tails.append(tail)
-        entry = (keyf(lt), t, new_ltdeg, pk.support_mask(lt), lt, tail)
+        entry = (keyf(lt), t, new_ltdeg, ltmask, lt, tail)
         insort(self._polys if tail else self._monos, entry, key=lambda e: e[:2])
 
     def pop_pair(self):

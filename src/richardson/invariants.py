@@ -257,31 +257,43 @@ def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: P
         TANGENT_CHECKS += 1
 
 
-def _reflection_mask(win: tuple[int, ...], test) -> int:
+def _reflection_mask(win: tuple[int, ...], test, down: bool) -> int:
     """Bit k is set iff test(t win), for t the k-th transposition (a b), a < b,
-    in lexicographic order; t win is a window, compared by packed rank words."""
+    in lexicographic order; t win is a window, compared by packed rank words.
+
+    t win is below win when b stands left of a in win, above it otherwise.
+    With down, test is x <= w for a w >= win, which each t win below win
+    passes by transitivity; without, test is v <= x for a v <= win, which
+    each t win above win passes.  Those bits are set untested.
+    """
     n = len(win)
+    pos = {x: p for p, x in enumerate(win)}
     mask = bit = 0
     for a in range(1, n):
         for b in range(a + 1, n + 1):
-            if test(tuple(b if x == a else a if x == b else x for x in win)):
+            if (pos[b] < pos[a]) == down or test(
+                tuple(b if x == a else a if x == b else x for x in win)
+            ):
                 mask |= 1 << bit
             bit += 1
     return mask
 
 
 # each table holds one entry per Bruhat pair a record meets: at most the
-# 98,407 pairs of S6 at n = 6
+# 98,407 pairs of S6 at n = 6; both serve only pairs in Bruhat order, the
+# only pairs _bruhat_check reaches
 @memoized(lambda sigma, w: (sigma, w))
 def _below_mask(sigma: tuple[int, ...], w: tuple[int, ...]) -> int:
-    """The transpositions t with t sigma <= w; their count is #{t : t sigma <= w}."""
-    return _reflection_mask(sigma, lambda ts: _leq(ts, w))
+    """The transpositions t with t sigma <= w, for sigma <= w; their count is
+    #{t : t sigma <= w}.  Each t sigma < sigma <= w is set untested."""
+    return _reflection_mask(sigma, lambda ts: _leq(ts, w), True)
 
 
 @memoized(lambda v, sigma: (v, sigma))
 def _above_mask(v: tuple[int, ...], sigma: tuple[int, ...]) -> int:
-    """The transpositions t with v <= t sigma."""
-    return _reflection_mask(sigma, lambda ts: _leq(v, ts))
+    """The transpositions t with v <= t sigma, for v <= sigma.  Each
+    t sigma > sigma >= v is set untested."""
+    return _reflection_mask(sigma, lambda ts: _leq(v, ts), False)
 
 
 def schubert_invariants(

@@ -61,7 +61,7 @@ def _exact(c) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-_FIELD_BITS = 8
+_FIELD_BITS = 8  # one byte per field: _Pack.lcm sums the bytes for the degree
 _FIELD_MAX = (1 << (_FIELD_BITS - 1)) - 1  # guard bit must stay free
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
@@ -87,28 +87,25 @@ class _Pack:
         return ((a | hi) - b) & hi == hi
 
     def lcm(self, a: int, b: int) -> int:
+        """The fieldwise max, with no loop: (a | guards) - b keeps a field's
+        guard bit exactly when a's field is at least b's, and guard minus
+        guard >> 7 turns each kept guard into that field's exponent mask,
+        which selects a's field; b fills the others.  The degree is the sum
+        of the exponent fields, which are the bytes of the result."""
         if a == b:
             return a
-        fm = _FIELD_MASK
-        out = 0
-        deg = 0
-        for s in self.shifts:
-            fa = (a >> s) & fm
-            fb = (b >> s) & fm
-            f = fa if fa >= fb else fb
-            if f:
-                out |= f << s
-                deg += f
-        return out | (deg << self.degshift)
+        low = self.lowmask
+        a &= low
+        b &= low
+        ge = ((a | self.himask) - b) & self.himask
+        out = b ^ ((a ^ b) & (ge - (ge >> (_FIELD_BITS - 1))))
+        return out | (sum(out.to_bytes(self.n, "little")) << self.degshift)
 
     def support_mask(self, a: int) -> int:
         """The guard bit of every variable of a: adding 127 to a field of at
         most 127 reaches its guard bit exactly when the field is nonzero."""
         low = self.lowmask
         return ((a & low) + low) & self.himask
-
-    def coprime(self, a: int, b: int) -> bool:
-        return not self.support_mask(a) & self.support_mask(b)
 
 
 # a pack holds no caches, so a Context may keep its pack past clear_memos()

@@ -27,8 +27,9 @@ from operator import attrgetter, mul
 from typing import Callable
 
 from .charts import (
-    _opposite_index,
-    _schubert_index,
+    _opposite_conditions,
+    _schubert_conditions,
+    _unit_minor,
     chart,
     generic_matrix,
     opposite_minors,
@@ -131,24 +132,23 @@ def pullback_ideal(u: Permutation, v: Permutation, w: Permutation) -> IdealGens:
 
 
 def _minor_sides(u: Permutation, v: Permutation, w: Permutation):
-    """(pullback side, Richardson side): the (matrix, index list) pairs
-    whose minors generate pullback_ideal(u, v, w) and
-    richardson_ideal_in_chart(v, w, u), in the same order."""
+    """(pullback side, Richardson side): (matrix, (rows, cols) or None)
+    pairs, the unit minor a condition of w failing at u locates on eta1(x)
+    and x, and the one a condition of v failing at u locates on eta2(x)
+    and x."""
     up, down = sweep_images(u)
     x = generic_matrix(u)
-    schubert, opposite = _schubert_index(w), _opposite_index(v)
-    return ((up, schubert), (down, opposite)), ((x, schubert), (x, opposite))
+    above = _unit_minor(_schubert_conditions(w), u)
+    below = _unit_minor(_opposite_conditions(v), u)
+    return ((up, above), (down, below)), ((x, above), (x, below))
 
 
 def _constant_minor(side) -> bool:
-    """Whether some minor of the side is a nonzero constant; stops at the first.
-
-    The minors land in each matrix's table, so a full build reuses them.
-    """
-    for matrix, index in side:
-        minor = matrix.minor
-        for r, c in index:
-            g = minor(r, c)
+    """Whether a located minor of the side, computed from its matrix, is a
+    nonzero constant."""
+    for matrix, at in side:
+        if at is not None:
+            g = matrix.minor(*at)
             if g.terms and g.is_constant():  # the zero polynomial is constant too
                 return True
     return False
@@ -157,16 +157,21 @@ def _constant_minor(side) -> bool:
 def product_iso_report(u: Permutation, v: Permutation, w: Permutation) -> VerificationReport:
     """Ideal equality of the sweep pullback with the Richardson chart ideal.
 
-    First each side's minors are scanned for a nonzero constant c.  When
-    both sides have one the case passes: c lies in the ideal, so does
-    1 = c^-1 * c, and both ideals are the whole ring.  The scan decides
-    from the minors alone; on every triple of S3 and S4 and a sample of
-    S5 it hits exactly when u is not in [v, w], where the chart of u
-    misses X_w^v.  Otherwise both ideals are built, and the case passes
-    when ideal_equal proves it: both reduced bases are equal, and every
-    generator of both ideals reduces to zero against that basis.  Only a
-    failing case runs the containment tests of each side against the
-    other's basis, for its report.
+    Off [v, w] the chart of u misses X_w^v, and Bruhat order locates one
+    generator of each ideal that should be a unit: if u is not below w,
+    some essential rank condition (i, j, b) of w fails at u, so b+1
+    columns k <= j have u(k) >= i, and the (b+1)-minor on the rows u(k)
+    and those columns k is one of w's generators.  Each row u(k) of a
+    chart-form matrix, x, eta1(x) or eta2(x), has its 1 in column k and
+    zeros right of it, so that submatrix is unitriangular up to row order
+    and the minor is +-1; dually for v not below u.  The minor is still
+    computed from each side's own matrix, and when both sides have a
+    nonzero constant c the case passes: c lies in the ideal, so does 1 =
+    c^-1 * c, and both ideals are the whole ring.  Otherwise both ideals
+    are built, and the case passes when ideal_equal proves it: both
+    reduced bases are equal, and every generator of both ideals reduces to
+    zero against that basis.  Only a failing case runs the containment
+    tests of each side against the other's basis, for its report.
     """
     if not (u.n == v.n == w.n):
         raise ValueError("size mismatch")

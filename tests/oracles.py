@@ -721,3 +721,15 @@ def lower_left_schubert_minors(matrix, w: Permutation, prune: bool = True) -> li
                         seen.add(m.key())
                         out.append(m)
     return out
+
+
+def constant_minor_by_scan(side) -> bool:
+    """Whether some minor of the side's (matrix, index list) pairs is a
+    nonzero constant, by computing every minor of every list in order: the
+    product-iso shortcut before Bruhat order located its minor."""
+    for matrix, index in side:
+        for rows, cols in index:
+            g = matrix.minor(rows, cols)
+            if g.terms and not any(g.ctx.exponents(m) for m in g.terms):
+                return True
+    return False

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cone_tuple_key, degrevlex_tuple_key
+from oracles import cone_tuple_key, degrevlex_tuple_key, lcm, packed
 from richardson.groebner import _cone_key
 from richardson.poly import MONOMIAL_ONE, Context, Polynomial, degrevlex_key
 
@@ -240,6 +240,25 @@ def test_monomial_and_exponents_are_inverse():
                 for i in sorted(rng.sample(range(nvars), rng.randint(0, nvars)))
             )
             assert ctx.exponents(ctx.monomial(pairs)) == pairs
+
+
+def test_packed_lcm_is_the_fieldwise_max_with_its_degree():
+    # the loop-free lcm against the tuple reference, at every field count
+    # the kernel meets, with the extreme exponents 0 and 127 and equal inputs
+    rng = random.Random(24)
+    for nvars in range(1, 17):
+        ctx = Context(tuple(f"x{i}" for i in range(nvars)))
+        pk = ctx.pack
+        draws = [
+            tuple(rng.choice((0, 127, rng.randint(0, 127))) for _ in range(nvars))
+            for _ in range(40)
+        ]
+        draws += [(0,) * nvars, (127,) * nvars]
+        for a, b in zip(draws, draws[1:] + draws[:1]):
+            for x, y in ((a, b), (b, a), (a, a)):
+                m = pk.lcm(packed(ctx, x), packed(ctx, y))
+                assert m == packed(ctx, lcm(x, y)), (x, y)
+                assert m >> pk.degshift == sum(lcm(x, y)), (x, y)
 
 
 def _golden_poly(ctx, terms):

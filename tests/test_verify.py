@@ -7,11 +7,21 @@ import random
 
 import pytest
 
+from oracles import constant_minor_by_scan
 from richardson import clear_memos, groebner, verify
-from richardson.charts import ChartMatrix
+from richardson.charts import (
+    ChartMatrix,
+    _opposite_conditions,
+    _opposite_index,
+    _schubert_conditions,
+    _schubert_index,
+    _unit_minor,
+    generic_matrix,
+)
 from richardson.cli import run
 from richardson.groebner import IdealGens, _q_poly
 from richardson.permutations import Permutation, bruhat_leq
+from richardson.sweep import sweep_images
 from richardson.verify import (
     pattern_smooth,
     product_iso_report,
@@ -267,8 +277,53 @@ def test_constant_minor_exactly_off_the_interval():
         assert verify._constant_minor(pull_side) == off, (u, v, w)
         assert verify._constant_minor(rich_side) == off, (u, v, w)
         found.add((off, bruhat_leq(u, w)))
+        _assert_located_minors_are_units(u, v, w)
     # both ways off the interval occur: u not below w, and u not above v only
     assert found == {(False, True), (True, False), (True, True)}
+
+
+def _assert_located_minors_are_units(u, v, w):
+    # each located minor is a (b+1)-minor of the first condition u violates,
+    # in its side's own index list and +-1 on x, eta1(x) and eta2(x); the
+    # scan of every listed minor finds a constant exactly where one is located
+    x = generic_matrix(u)
+    up, down = sweep_images(u)
+    units = (x.ctx.one(), -x.ctx.one())
+    schubert, opposite = _schubert_index(w), _opposite_index(v)
+    for conditions, index, on in (
+        (_schubert_conditions(w), schubert, bruhat_leq(u, w)),
+        (_opposite_conditions(v), opposite, bruhat_leq(v, u)),
+    ):
+        at = _unit_minor(conditions, u)
+        assert (at is None) == on, (u, v, w)
+        if on:
+            continue
+        b = next(b for rows, j, b in conditions if sum(u(k) in rows for k in range(1, j + 1)) > b)
+        assert len(at[0]) == len(at[1]) == b + 1, (u, v, w, at)
+        assert at in index, (u, v, w, at)
+        assert all(m.minor(*at) in units for m in (x, up, down)), (u, v, w, at)
+    pull_side, rich_side = verify._minor_sides(u, v, w)
+    assert constant_minor_by_scan(((up, schubert), (down, opposite))) == verify._constant_minor(pull_side)
+    assert constant_minor_by_scan(((x, schubert), (x, opposite))) == verify._constant_minor(rich_side)
+
+
+def test_product_iso_off_the_interval_computes_only_located_minors(monkeypatch):
+    # off [v, w] no ideal is built or completed, and from cold tables the
+    # 4,024 S4 cases add 200 minor-table entries (734 when each side's whole
+    # index list was scanned)
+    def refuse(*args):
+        raise AssertionError("an ideal was built off the interval")
+
+    elems = Permutation.all(4)
+    off = [(u, v, w) for u, v, w in _triples(4) if not (bruhat_leq(v, u) and bruhat_leq(u, w))]
+    assert len(off) == 4024
+    clear_memos()
+    for name in ("pullback_ideal", "richardson_ideal_in_chart"):
+        monkeypatch.setattr(verify, name, refuse)
+    monkeypatch.setattr(groebner, "_completion_for", refuse)
+    assert all(product_iso_report(u, v, w).ok for u, v, w in off)
+    matrices = [m for u in elems for m in (generic_matrix(u),) + sweep_images(u)]
+    assert sum(len(m._det_memo) for m in matrices) == 200
 
 
 def test_product_iso_completes_only_on_the_interval(monkeypatch):
