@@ -20,8 +20,8 @@ submatrix, so at most C(2n, n) entries (252 at n = 5, 924 at n = 6), and
 asks for does not depend on the chart, so its (rows, cols) index list is
 built once per permutation (``_schubert_index`` and ``_opposite_index``,
 memoized by window, at most n! entries each, like the condition tables
-they are built from) and every chart, sweep image and sampled cell reads
-its minors from that list.
+they are built from) and every chart and sweep image reads its minors
+from that list.
 
 A condition that u's own permutation matrix violates locates a unit
 minor (``_unit_minor``): if (rows, j, b) fails at u, b+1 columns k <= j
@@ -41,11 +41,14 @@ rank conditions of v at (i, j) are the lower-left conditions of w0 v at
 the opposite cell of a matrix is w0 times the Schubert cell of its
 row reversal.
 
-A rational point of an open stratum is sampled in the Schubert cell:
-its opposite rank equalities are solved by the kernel's exact linear
+A rational point of an open stratum (Schubert cell of sigma) meet
+(opposite cell of tau) is sampled in the chart of sigma, whose slice
+D_up = 0 is the Schubert cell: the opposite minors of tau on the generic
+matrix, read from its shared minor table, with the D_up coordinates
+added as generators, are solved by the kernel's exact linear
 elimination, groebner.solve_linear_variables, with random rationals for
-whatever it cannot solve, and every point is checked with
-identify_cells.
+whatever it cannot solve.  The point's matrix is read off its chart
+coordinates, and every point is checked with identify_cells.
 """
 
 from __future__ import annotations
@@ -392,21 +395,6 @@ def identify_cells(x: list[list[Fraction]]) -> tuple[Permutation, Permutation]:
 # ---------------------------------------------------------------------------
 
 
-def cell_form_matrix(sigma: Permutation, values) -> list[list[Fraction]]:
-    """Canonical Schubert-cell representative: 1s at sigma, values above them.
-
-    values maps D_down(sigma) positions (i, j) to rationals.
-    """
-    n = sigma.n
-    ch = chart(sigma)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        out[sigma(j) - 1][j - 1] = Fraction(1)
-    for (i, j) in sorted(ch.d_down):
-        out[i - 1][j - 1] = Fraction(values.get((i, j), 0))
-    return out
-
-
 def _small_fraction(rng: random.Random) -> Fraction:
     num = rng.choice([-3, -2, -1, 1, 2, 3])
     den = rng.choice([1, 1, 2, 3])
@@ -421,37 +409,28 @@ def sample_richardson_point(tau: Permutation, sigma: Permutation, seed: int = 0)
     """A rational point of the open stratum (Schubert cell of sigma) meet
     (opposite cell of tau), or None if the randomized solve fails.
 
-    The Schubert cell of sigma is parametrized by its D_down positions,
-    and the opposite rank equalities of tau are the minor system on them.
-    groebner.solve_linear_variables solves it exactly; while generators
+    The Schubert cell of sigma is the slice D_up = 0 of the chart of
+    sigma, so the system is the opposite minors of tau on the generic
+    matrix with the D_up coordinates added as generators; the drain of
+    groebner.solve_linear_variables zeroes those coordinates before any
+    random draw.  It solves the system exactly; while generators
     are left, the most shared variable is set to a small random rational
     and the system is solved again.  The variables left over get random
     values, the solved ones follow from their images in reverse, and an
-    attempt that meets a nonzero constant starts over.  Every returned
-    point is verified with identify_cells.
+    attempt that meets a nonzero constant starts over.  The matrix is read
+    off the chart point: 1 at (sigma(j), j), the point's value at each free
+    position, 0 elsewhere.  Every returned point is verified with
+    identify_cells.
     """
     if not bruhat_leq(tau, sigma):
         raise ValueError("tau is not below sigma in Bruhat order")
     n = sigma.n
     ch = chart(sigma)
-    positions = sorted(ch.d_down)
-    if not positions:
-        return cell_form_matrix(sigma, {})
-    ctx = Context(tuple(_var_name(i, j) for (i, j) in positions))
-    name_to_pos = dict(zip(ctx.names, positions))
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if sigma(j) == i:
-                row.append(ctx.one())
-            elif (i, j) in ch.d_down:
-                row.append(ctx.var(_var_name(i, j)))
-            else:
-                row.append(ctx.zero())
-        rows.append(row)
-    cellm = ChartMatrix(ch, rows)  # chart only supplies n; ctx differs
-    system = IdealGens(ctx, opposite_minors(cellm, tau))
+    ctx = ch.ctx
+    system = IdealGens(
+        ctx,
+        opposite_minors(generic_matrix(sigma), tau) + [ch.var(i, j) for (i, j) in sorted(ch.d_up)],
+    )
     rng = random.Random(seed)
 
     for _ in range(SAMPLE_ATTEMPTS):
@@ -469,7 +448,11 @@ def sample_richardson_point(tau: Permutation, sigma: Permutation, seed: int = 0)
         point = {nm: _small_fraction(rng) for nm in ideal.ctx.names}
         for nm, image in reversed(solved):
             point[nm] = image.evaluate(point)
-        matrix = cell_form_matrix(sigma, {name_to_pos[nm]: c for nm, c in point.items()})
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for j in range(1, n + 1):
+            matrix[sigma(j) - 1][j - 1] = Fraction(1)
+        for (i, j), nm in zip(ch.free_positions, ctx.names):
+            matrix[i - 1][j - 1] = point[nm]
         if identify_cells(matrix) == (sigma, tau):
             return matrix
     return None

@@ -29,8 +29,9 @@ malformed or size-mismatched permutations, out of range ``--n``,
 ``--samples``, ``--trials``, ``--jobs``, ``--timeout`` (0..TIMEOUT_MAX s,
 0 for no limit), ``--parabolic`` or ``--degree-bound``, ``--n`` past the
 check's largest n, or with ``--exhaustive`` past 6 for the pair checks and
-5 for product-iso, ``--samples`` for a check that takes none, a fixed
-point off the variety), with a one-line message; 3 when a verify run
+5 for product-iso, ``--samples`` for a check that takes none,
+``--trials`` for a check other than points, a fixed point off the
+variety), with a one-line message; 3 when a verify run
 checked no case, because its cases timed out or had nothing to check.  A
 timeout is recorded as a finding per case.  Identical argument vectors
 and seeds produce byte-identical JSON.
@@ -69,6 +70,8 @@ from .verify import (
 
 
 TIMEOUT_MAX = 10**9  # seconds: setitimer takes it, also with a 32-bit time_t
+
+POINT_TRIALS = 5  # sampled points per pair of verify points; no other check takes --trials
 
 
 def _format_flag(cmd: argparse.ArgumentParser, *more: str) -> None:
@@ -110,7 +113,9 @@ def _parser() -> argparse.ArgumentParser:
     group = ver.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true")
     group.add_argument("--samples", type=int)
-    ver.add_argument("--trials", type=int, default=5, help="point trials per pair (points only)")
+    ver.add_argument(
+        "--trials", type=int, help=f"point trials per pair (points only, default {POINT_TRIALS})"
+    )
     _degree_bound_flag(ver)
     ver.add_argument("--timeout", type=float, default=300.0, help="seconds per case (0: none)")
     ver.add_argument("--jobs", type=int, default=1)
@@ -149,6 +154,11 @@ def _check_usage(args: argparse.Namespace) -> None:
             raise UsageError(f"{args.check} needs --n at most {check.max_n}, got {args.n}")
         if check.samples is None and args.samples is not None:
             raise UsageError(f"{args.check} takes no samples, got --samples {args.samples}")
+        if args.check != "points":
+            if args.trials is not None:
+                raise UsageError(f"{args.check} takes no trials, got --trials {args.trials}")
+        elif args.trials is None:
+            args.trials = POINT_TRIALS
         if args.exhaustive and args.n > check.exhaustive_max_n:
             raise UsageError(
                 f"{args.check} --exhaustive needs --n at most {check.exhaustive_max_n}, got {args.n}"

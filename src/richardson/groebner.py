@@ -382,11 +382,11 @@ class _Completion:
         return [(self.lts[i], _reduce_raw(self.tails[i], reducers, keyf, pk)) for i in minimal]
 
 
-def _completion_for(ctx: Context, generators: Iterable[Polynomial], keyf) -> _Completion:
-    """The finished completion of the generators under the order of the int
-    key keyf, seeded in ascending order of leading term."""
-    comp = _Completion(keyf, ctx.pack)
-    comp.seed(sorted((g.terms for g in generators), key=lambda t: keyf(max(t, key=keyf))))
+def _completion_for(pk: _Pack, term_maps: Iterable[dict], keyf) -> _Completion:
+    """The finished completion of the term maps, packed in pk, under the
+    order of the int key keyf, seeded in ascending order of leading term."""
+    comp = _Completion(keyf, pk)
+    comp.seed(sorted(term_maps, key=lambda t: keyf(max(t, key=keyf))))
     comp.run()
     return comp
 
@@ -394,7 +394,7 @@ def _completion_for(ctx: Context, generators: Iterable[Polynomial], keyf) -> _Co
 def buchberger(ideal: IdealGens) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis; deterministic for fixed input."""
     ctx = ideal.ctx
-    comp = _completion_for(ctx, ideal.generators, degrevlex_key(ctx))
+    comp = _completion_for(ctx.pack, (g.terms for g in ideal.generators), degrevlex_key(ctx))
     basis = tuple(
         Polynomial(ctx, {lt: 1, **tail}) for lt, tail in comp.reduced_elements()
     )
@@ -418,7 +418,19 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
-    return normal_form(f, gb).is_zero()
+    return all_in_ideal((f,), gb)
+
+
+def all_in_ideal(polys: Iterable[Polynomial], gb: GroebnerBasis) -> bool:
+    """Every polynomial reduces to zero against gb; the reducers of gb are
+    built once for all of them."""
+    reducers, keyf, pk = _basis_reducers(gb)
+    for f in polys:
+        if f.ctx is not gb.ctx and f.ctx != gb.ctx:
+            raise ValueError("context mismatch")
+        if _reduce_raw(f.terms, reducers, keyf, pk):
+            return False
+    return True
 
 
 def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
@@ -443,8 +455,7 @@ def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     gi = buchberger(I)
     if not same and gi.basis != buchberger(J).basis:
         return False
-    reducers, keyf, pk = _basis_reducers(gi)
-    return not any(_reduce_raw(g.terms, reducers, keyf, pk) for g in gens)
+    return all_in_ideal(gens, gi)
 
 
 # ---------------------------------------------------------------------------
@@ -681,18 +692,9 @@ def hilbert_numerator(I: IdealGens) -> HilbertData:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_name(ctx: Context, base: str) -> str:
-    if base not in ctx.names:
-        return base
-    k = 0
-    while f"{base}{k}" in ctx.names:
-        k += 1
-    return f"{base}{k}"
-
-
-def _cone_key(big: Context):
-    """Packed monomial -> int key of the cone order on big, whose last
-    variable is the homogenizing t: the t-exponent first, then the degree
+def _cone_key(pk: _Pack):
+    """Packed monomial -> int key of the cone order on the layout pk, whose
+    last variable is the homogenizing t: the t-exponent first, then the degree
     outside t, then degrevlex on the other variables.
 
     With ds the degree shift, the key is the degrevlex key plus
@@ -701,7 +703,6 @@ def _cone_key(big: Context):
     monomials exactly like the tuple (t, deg - t, -a_{n-1}, ..., -a_0)
     of t and the other variables.
     """
-    pk = big.pack
     low = pk.lowmask
     ts = pk.shifts[-1]
     lift = (1 << 2 * pk.degshift) - (1 << pk.degshift)
@@ -731,20 +732,20 @@ def tangent_cone(I: IdealGens) -> IdealGens:
             raise ValueError("generator with nonzero constant term at the origin")
     if not I.generators:
         return I
-    big = ctx.extend((_fresh_name(ctx, "t"),))
-    t = big.pack.units[ctx.nvars]
+    big = _pack_for(ctx.nvars + 1)
+    t = big.units[ctx.nvars]
     degshift = ctx.pack.degshift
-    up = _repacker(ctx.pack, big.pack, range(ctx.nvars))
+    up = _repacker(ctx.pack, big, range(ctx.nvars))
     hom = []
     for g in I.generators:
         d = g.total_degree()
         if d - g.min_degree() > _FIELD_MAX:
             raise OverflowError(f"a power of the homogenizing variable exceeds {_FIELD_MAX}")
-        hom.append(Polynomial(big, {up(a) + (d - (a >> degshift)) * t: c for a, c in g.terms.items()}))
+        hom.append({up(a) + (d - (a >> degshift)) * t: c for a, c in g.terms.items()})
     comp = _completion_for(big, hom, _cone_key(big))
 
     out = []
-    down = _repacker(big.pack, ctx.pack, range(ctx.nvars))
+    down = _repacker(big, ctx.pack, range(ctx.nvars))
     for lt, tail in comp.reduced_elements():
         # dehomogenize (t -> 1) and take the lowest-degree form; the element is
         # homogeneous, so no two of its terms have the same part outside t

@@ -331,8 +331,13 @@ def richardson_invariants_at_point(
     oracle: int = ORACLE_DEGREE,
 ) -> tuple[LocalInvariants, Permutation, Permutation]:
     """Invariants of X_w^v at a rational point of the chart of u, plus the
-    (Schubert cell, opposite cell) pair of the point."""
+    (Schubert cell, opposite cell) pair of the point.  A coordinate the
+    point omits is 0; a name that is not a coordinate of the chart raises
+    ValueError."""
     ideal = richardson_ideal_in_chart(v, w, u)
+    unknown = sorted(set(point) - set(ideal.ctx.names))
+    if unknown:
+        raise ValueError(f"not coordinates of the chart of {u}: {unknown}")
     point = {nm: Fraction(point.get(nm, 0)) for nm in ideal.ctx.names}
     sigma, tau = identify_cells(generic_matrix(u).evaluate(point))
     inv = local_invariants_at(ideal, point, oracle)

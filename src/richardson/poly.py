@@ -218,11 +218,6 @@ class Context:
     def one(self) -> "Polynomial":
         return self.const(1)
 
-    def extend(self, extra: Iterable[str], latex_extra: Iterable[str] | None = None) -> "Context":
-        extra = tuple(extra)
-        latex_extra = tuple(latex_extra) if latex_extra is not None else extra
-        return Context(self.names + extra, self.latex_names + latex_extra)
-
 
 def degrevlex_key(ctx: Context):
     """Packed monomial -> int key of degrevlex in the context order

@@ -67,40 +67,32 @@ def sweep_images(u: Permutation) -> tuple[ChartMatrix, ChartMatrix]:
 
 def eta1(x: ChartMatrix) -> ChartMatrix:
     """Upward sweep; preserves the Schubert cell of the argument."""
-    _check_chart_form(x)
+    _check_chart_form(x.rows, x.chart.u)
     return ChartMatrix(x.chart, _sweep_rows(x.rows, x.chart.u, upward=True))
 
 
 def eta2(x: ChartMatrix) -> ChartMatrix:
     """Downward sweep; preserves the opposite Schubert cell."""
-    _check_chart_form(x)
+    _check_chart_form(x.rows, x.chart.u)
     return ChartMatrix(x.chart, _sweep_rows(x.rows, x.chart.u, upward=False))
 
 
-def _check_chart_form(x: ChartMatrix) -> None:
-    u = x.chart.u
-    n = u.n
+def _check_chart_form(rows, u: Permutation) -> None:
+    """Raise ValueError unless every row i, polynomial or rational, has the
+    structural 1 at column u^-1(i) and zeros right of it."""
     uinv = u.inverse()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e = x.entry(i, j)
-            if j == uinv(i):
-                if e != x.ctx.one():
-                    raise ValueError(f"entry ({i},{j}) must be the structural 1")
-            elif j > uinv(i) and not e.is_zero():
-                raise ValueError(f"entry ({i},{j}) must vanish right of the 1")
+    for i, row in enumerate(rows, 1):
+        j = uinv(i)
+        if row[j - 1] != 1:
+            raise ValueError(f"entry ({i},{j}) must be the structural 1")
+        for k in range(j + 1, u.n + 1):
+            if not _is_zero(row[k - 1]):
+                raise ValueError(f"entry ({i},{k}) must vanish right of the 1")
 
 
 def eta_on_point(u: Permutation, x: list[list[Fraction]]):
     """Numeric sweeps of a rational matrix in the chart of u."""
-    n = u.n
-    uinv = u.inverse()
-    for i in range(1, n + 1):
-        if x[i - 1][uinv(i) - 1] != 1:
-            raise ValueError("matrix is not in chart standard form")
-        for j in range(uinv(i) + 1, n + 1):
-            if x[i - 1][j - 1] != 0:
-                raise ValueError("matrix is not in chart standard form")
+    _check_chart_form(x, u)
     up = [[Fraction(e) for e in row] for row in _sweep_rows(x, u, upward=True)]
     down = [[Fraction(e) for e in row] for row in _sweep_rows(x, u, upward=False)]
     return up, down

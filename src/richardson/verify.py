@@ -39,7 +39,7 @@ from .charts import (
     opposite_ideal_in_chart,
     schubert_minors,
 )
-from .groebner import IdealGens, _q_coeffs, buchberger, ideal_equal, in_ideal, krull_dimension
+from .groebner import IdealGens, _q_coeffs, all_in_ideal, buchberger, ideal_equal, krull_dimension
 from .invariants import (
     ORACLE_DEGREE,
     LocalInvariants,
@@ -192,8 +192,8 @@ def product_iso_report(u: Permutation, v: Permutation, w: Permutation) -> Verifi
         report.failures.append(
             {
                 "case": {"u": str(u), "v": str(v), "w": str(w)},
-                "pullback_in_richardson": all(in_ideal(g, gr) for g in pull.generators),
-                "richardson_in_pullback": all(in_ideal(g, gp) for g in rich.generators),
+                "pullback_in_richardson": all_in_ideal(pull.generators, gr),
+                "richardson_in_pullback": all_in_ideal(rich.generators, gp),
                 "pullback_basis": [str(g) for g in gp.basis],
                 "richardson_basis": [str(g) for g in gr.basis],
             }

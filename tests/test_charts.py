@@ -358,6 +358,24 @@ def test_sample_point_rejects_incomparable():
         sample_richardson_point(Permutation([2, 1, 3]), Permutation([1, 3, 2]))
 
 
+def test_sampler_builds_no_context_once_the_charts_are_warm(monkeypatch):
+    # the system lives in the chart of sigma itself: after one call has
+    # built the chart, its generic matrix and the index list of tau, a
+    # second sample reads them all back
+    from richardson import charts
+
+    tau, sigma = Permutation([1, 3, 2, 4]), Permutation([4, 2, 3, 1])
+    first = sample_richardson_point(tau, sigma, seed=5)
+    assert first is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler built a Context")
+
+    monkeypatch.setattr(charts, "Context", refuse)
+    assert sample_richardson_point(tau, sigma, seed=5) == first
+    assert identify_cells(sample_richardson_point(tau, sigma, seed=6)) == (sigma, tau)
+
+
 def test_sample_points_match_golden():
     """Every seeded sample is the exact matrix recorded in the golden file."""
     cases = json.loads((GOLDEN / "sample_points.json").read_text())["cases"]

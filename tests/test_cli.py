@@ -366,3 +366,12 @@ def test_verify_past_the_largest_n_exits_2(check, capsys):
 def test_samples_for_a_check_without_samples_exits_2(check, capsys):
     # such a check runs every case, so samples would be reported, not used
     assert "--samples" in _usage_error(["verify", check, "--n", "3", "--samples", "4"], capsys)
+
+
+@pytest.mark.parametrize("check", [
+    "product-iso", "mult", "hpoly", "singlocus", "dimension", "kl-vs-h", "smooth-table",
+])
+def test_trials_for_a_check_other_than_points_exits_2(check, capsys):
+    # only points samples points, so trials would be reported, not used
+    err = _usage_error(["verify", check, "--n", "3", "--trials", "7"], capsys)
+    assert f"{check} takes no trials, got --trials 7" in err

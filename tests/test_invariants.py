@@ -180,6 +180,15 @@ def test_richardson_at_origin_matches_fixed_point():
     assert inv == fixed
 
 
+def test_richardson_at_point_rejects_names_outside_the_chart():
+    v, w, u = Permutation([1, 3, 2, 4]), Permutation([4, 2, 3, 1]), Permutation([2, 4, 1, 3])
+    with pytest.raises(ValueError, match="z99"):
+        richardson_invariants_at_point(v, w, u, {"z99": 5})
+    # row 2 of the chart of 2413 has its 1 in column 1: z21 is no coordinate
+    with pytest.raises(ValueError, match="z21"):
+        richardson_invariants_at_point(v, w, u, {"z11": 1, "z21": 0})
+
+
 def test_richardson_at_point_v_identity_reduces_to_schubert():
     from richardson.charts import sample_richardson_point
 

@@ -147,7 +147,7 @@ def test_context_mismatch_rejected():
 # (the cone order reads the last variable as the homogenizing t)
 ORDERS = {
     "degrevlex": (degrevlex_key, degrevlex_tuple_key),
-    "cone": (_cone_key, cone_tuple_key),
+    "cone": (lambda ctx: _cone_key(ctx.pack), cone_tuple_key),
 }
 
 
@@ -208,7 +208,7 @@ def test_degrevlex_int_key_sorts_like_the_tuple_reference():
 
 def test_cone_int_key_sorts_like_the_tuple_reference():
     # the last variable is the homogenizing t; one variable is t alone
-    _sorts_like_the_tuple_reference(_cone_key, cone_tuple_key, 157)
+    _sorts_like_the_tuple_reference(lambda ctx: _cone_key(ctx.pack), cone_tuple_key, 157)
 
 
 def test_latex_output():

@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from richardson.charts import chart, generic_matrix, identify_cells
+from richardson.charts import ChartMatrix, chart, generic_matrix, identify_cells
 from richardson.permutations import Permutation
 from richardson.sweep import (
     claim_structure_check,
     eta1,
+    eta2,
     eta_on_point,
     recover,
     recovery_round_trip,
@@ -179,6 +181,26 @@ def test_eta_on_point_preserves_cells():
 def test_eta_on_point_rejects_malformed():
     with pytest.raises(ValueError):
         eta_on_point(Permutation([2, 1]), [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+
+
+@pytest.mark.parametrize("fault, message", [
+    ((2, 5, 2), r"entry \(2,5\) must be the structural 1"),  # 2 in place of the 1 of row 2
+    ((1, 3, 1), r"entry \(1,3\) must vanish right of the 1"),  # nonzero right of the 1 of row 1
+], ids=["not-the-one", "right-of-the-one"])
+def test_every_sweep_rejects_the_same_malformed_forms(fault, message):
+    # eta1 and eta2 on a ChartMatrix and eta_on_point on rationals share
+    # one check of the chart form of U = 31542
+    i, j, c = fault
+    x = generic_matrix(U)
+    ctx = x.chart.ctx
+    rows = [list(r) for r in x.rows]
+    rows[i - 1][j - 1] = ctx.const(c)
+    bad = ChartMatrix(x.chart, rows)
+    point = [[Fraction(1 if U(b) == a else 0) for b in range(1, 6)] for a in range(1, 6)]
+    point[i - 1][j - 1] = Fraction(c)
+    for sweep, matrix in ((eta1, bad), (eta2, bad), (partial(eta_on_point, U), point)):
+        with pytest.raises(ValueError, match=message):
+            sweep(matrix)
 
 
 def test_single_nonzero_coordinate_one_step():

@@ -225,6 +225,9 @@ def test_product_iso_failure_report(monkeypatch):
         return IdealGens(ideal.ctx, ideal.generators[:-1])
 
     monkeypatch.setattr(verify, "richardson_ideal_in_chart", one_generator_short)
+    builds = []
+    real_reducers = groebner._basis_reducers
+    monkeypatch.setattr(groebner, "_basis_reducers", lambda gb: builds.append(gb) or real_reducers(gb))
     u, v, w = (Permutation.from_string(s) for s in ("123", "123", "213"))
     assert product_iso_report(u, v, w).to_json() == (
         '{"cases":1,"check":"product-iso","failures":[{"case":{"u":"123","v":"123","w":"213"},'
@@ -232,6 +235,8 @@ def test_product_iso_failure_report(monkeypatch):
         '"richardson_basis":["z31","z21*z32"],"richardson_in_pullback":true}],'
         '"findings":[],"ok":false,"params":{"n":3,"u":"123","v":"123","w":"213"}}'
     )
+    # the bases differ, so ideal_equal builds no reducers: one build per side
+    assert len(builds) == 2 and builds[0] != builds[1]
     assert verify_product_iso(u, v, w) is False
 
 
