@@ -385,8 +385,10 @@ def identify_cells(x: list[list[Fraction]]) -> tuple[Permutation, Permutation]:
 
     sigma is read off the lower-left justified ranks; tau is w0 times the
     Schubert cell of the row-reversed matrix.  Raises ValueError if x is
-    singular.
+    not square or is singular.
     """
+    if any(len(row) != len(x) for row in x):
+        raise ValueError("not a square matrix")
     return _schubert_cell(x), Permutation.longest(len(x)) * _schubert_cell(x[::-1])
 
 

@@ -179,37 +179,33 @@ def _spoly(lt1: int, tail1: dict, lt2: int, tail2: dict, lcm: int):
     return out
 
 
-def _make_reducers(items, keyf, pk: _Pack):
-    """Split monic (lt, tail) pairs into monomial and polynomial groups.
+def _reducer(seq: int, lt: int, tail: dict, keyf, pk: _Pack) -> tuple:
+    """The reducer entry of a monic element: (has a tail, order key, seq),
+    its sort key, then (degree, support mask, lt, tail) for the scan."""
+    return (bool(tail), keyf(lt), seq, lt >> pk.degshift, pk.support_mask(lt), lt, tail)
 
-    A dividing monomial reducer simply deletes the term, so monomials are
-    tried first; both groups carry (order key, degree, support mask, ...)
-    prechecks and are kept sorted by the term order for determinism.
+
+def _make_reducers(items, keyf, pk: _Pack) -> list:
+    """The reducer list of monic (lt, tail) pairs, sorted by entry.
+
+    A dividing monomial reducer simply deletes the term, so monomials come
+    first; each group is in term order, ties by position, for determinism.
+    The sort key (the first three fields) is unique, so no tail is compared.
     """
-    monos = []
-    polys = []
-    degshift = pk.degshift
-    for seq, (lt, tail) in enumerate(items):
-        entry = (keyf(lt), seq, lt >> degshift, pk.support_mask(lt), lt, tail)
-        if tail:
-            polys.append(entry)
-        else:
-            monos.append(entry)
-    monos.sort(key=lambda it: it[:2])
-    polys.sort(key=lambda it: it[:2])
-    return monos, polys
+    return sorted(_reducer(seq, lt, tail, keyf, pk) for seq, (lt, tail) in enumerate(items))
 
 
 def _reduce_raw(work: dict, reducers, keyf, pk: _Pack):
-    """Full normal form of a packed term dict against split monic reducers.
+    """Full normal form of a packed term dict against a sorted reducer list.
 
-    The first dividing leading term in order wins (monomial reducers
-    first), so reduction is deterministic.  Every term of a basis element
-    or remainder passes through here, so a term whose exponent a product
-    carried past 127 raises OverflowError here: two fields of at most 127
-    sum below 256, into the guard bit but never into the next field.
+    One scan: the first reducer in the list whose leading term divides
+    wins, so monomial reducers are tried first and reduction is
+    deterministic, and a reducer with no tail just drops the term.  Every
+    term of a basis element or remainder passes through here, so a term
+    whose exponent a product carried past 127 raises OverflowError here:
+    two fields of at most 127 sum below 256, into the guard bit but never
+    into the next field.
     """
-    monos, polys = reducers
     hi = pk.himask
     low = pk.lowmask
     degshift = pk.degshift
@@ -223,22 +219,12 @@ def _reduce_raw(work: dict, reducers, keyf, pk: _Pack):
         mdeg = m >> degshift
         mmask = ((m & low) + low) & hi  # pk.support_mask(m)
         mh = m | hi
-        killed = False
-        for (_, _, ld, lmask, lt, _) in monos:
+        for (_, _, _, ld, lmask, lt, tail) in reducers:
             if ld <= mdeg and not (lmask & ~mmask) and (mh - lt) & hi == hi:
-                killed = True
                 break
-        if killed:
-            continue
-        hit = None
-        for (_, _, ld, lmask, lt, tail) in polys:
-            if ld <= mdeg and not (lmask & ~mmask) and (mh - lt) & hi == hi:
-                hit = (lt, tail)
-                break
-        if hit is None:
+        else:
             out[m] = c
             continue
-        lt, tail = hit
         cof = m - lt
         for tm, tc in tail.items():
             mm = tm + cof
@@ -276,11 +262,7 @@ class _Completion:
         self.tails: list[dict] = []
         self.pairs: list = []  # heap of (lcm_key, i, j, lcm)
         self.dead_pairs: set[tuple[int, int]] = set()
-        self._monos: list = []  # reducer entries, kept sorted
-        self._polys: list = []
-
-    def reducers(self):
-        return (self._monos, self._polys)
+        self.reducers: list = []  # _reducer entries, kept sorted
 
     def add(self, lt: int, tail: dict):
         """Gebauer-Moller pair update with a new monic element."""
@@ -336,8 +318,7 @@ class _Completion:
                     heapq.heappush(self.pairs, (keyf(li), i, t, li))
         self.lts.append(lt)
         self.tails.append(tail)
-        entry = (keyf(lt), t, new_ltdeg, ltmask, lt, tail)
-        insort(self._polys if tail else self._monos, entry, key=lambda e: e[:2])
+        insort(self.reducers, _reducer(t, lt, tail, keyf, pk))
 
     def pop_pair(self):
         while self.pairs:
@@ -348,24 +329,20 @@ class _Completion:
             return i, j, l
         return None
 
+    def absorb(self, terms: dict):
+        """Reduce terms against the basis so far and add the monic remainder."""
+        r = _reduce_raw(terms, self.reducers, self.keyf, self.pk)
+        if r:
+            self.add(*_monic_raw(r, self.keyf))
+
     def seed(self, term_dicts):
         for terms in term_dicts:
-            r = _reduce_raw(terms, self.reducers(), self.keyf, self.pk)
-            if r:
-                lt, tail = _monic_raw(r, self.keyf)
-                self.add(lt, tail)
+            self.absorb(terms)
 
     def run(self):
-        while True:
-            nxt = self.pop_pair()
-            if nxt is None:
-                break
+        while (nxt := self.pop_pair()) is not None:
             i, j, l = nxt
-            s = _spoly(self.lts[i], self.tails[i], self.lts[j], self.tails[j], l)
-            r = _reduce_raw(s, self.reducers(), self.keyf, self.pk)
-            if r:
-                lt, tail = _monic_raw(r, self.keyf)
-                self.add(lt, tail)
+            self.absorb(_spoly(self.lts[i], self.tails[i], self.lts[j], self.tails[j], l))
 
     def reduced_elements(self):
         """Minimalize and tail-reduce, sorted ascending by leading term."""
@@ -402,7 +379,7 @@ def buchberger(ideal: IdealGens) -> GroebnerBasis:
 
 
 def _basis_reducers(gb: GroebnerBasis):
-    """The split monic reducers of a basis, with its order key and pack."""
+    """The reducer list of a basis, with its order key and pack."""
     pk = gb.ctx.pack
     keyf = degrevlex_key(gb.ctx)
     reducers = _make_reducers((_monic_raw(g.terms, keyf) for g in gb.basis), keyf, pk)
@@ -954,8 +931,12 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = ORACLE_DEGREE) -> tup
     n' = n - rank(linear parts) variables and the same quotient dimensions.
     What is left, as coprime integer rows over the n' variables, goes to
     the Macaulay stage (_macaulay_counts), which runs once per
-    position-canonical system: many ideals leave the same rows.
+    position-canonical system: many ideals leave the same rows.  A degree
+    bound outside 0.._FIELD_MAX raises ValueError: the monomials up to it
+    must fit the packed fields.
     """
+    if not 0 <= degree_bound <= _FIELD_MAX:
+        raise ValueError(f"oracle degree bound must lie in 0..{_FIELD_MAX}, got {degree_bound}")
     for g in I.generators:
         if g.constant_term() != 0:
             raise ValueError("generator with nonzero constant term at the origin")

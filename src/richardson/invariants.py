@@ -111,17 +111,19 @@ class LocalInvariants:
 def localize(I: IdealGens, p) -> IdealGens:
     """Translate the generators so that p becomes the origin.
 
-    At the origin itself (every fixed-point record) there is nothing to
-    translate: I comes back unchanged once no generator has a constant term.
+    The translate g(z + p) of a generator has constant term g(p), so p is
+    on V(I) exactly when no translate has one.  At the origin itself
+    (every fixed-point record) there is nothing to translate, and I comes
+    back unchanged.  A name of p outside the ring raises ValueError.
     """
-    if all(p.get(nm) == 0 for nm in I.ctx.names):
-        if any(g.constant_term() != 0 for g in I.generators):
-            raise ValueError("point is not on the variety")
-        return I
-    for g in I.generators:
-        if g.evaluate(p) != 0:
-            raise ValueError("point is not on the variety")
-    return IdealGens(I.ctx, [g.translate(p) for g in I.generators])
+    unknown = sorted(p.keys() - I.ctx.names)
+    if unknown:
+        raise ValueError(f"not variables of the ring: {unknown}")
+    origin = all(p.get(nm) == 0 for nm in I.ctx.names)
+    moved = I.generators if origin else [g.translate(p) for g in I.generators]
+    if any(g.constant_term() != 0 for g in moved):
+        raise ValueError("point is not on the variety")
+    return I if origin else IdealGens(I.ctx, moved)
 
 
 def _jacobian_corank(gens, n: int) -> int:

@@ -290,8 +290,13 @@ def verify_theorem_at_points(
     For sampled pairs tau' <= sigma' inside [v, w], a rational point p of
     the open stratum is drawn; the invariants of X_w^v at p are compared
     with the factor combination at the fixed points sigma'B, tau'B and
-    with the factor combination computed directly at p.
+    with the factor combination computed directly at p.  A name in
+    properties that is not a key of LAWS raises ValueError before any
+    sampling.
     """
+    unknown = [name for name in properties if name not in LAWS]
+    if unknown:
+        raise ValueError(f"unknown laws {unknown}: the laws are {list(LAWS)}")
     start = time.monotonic()
     report = VerificationReport(
         check="points",

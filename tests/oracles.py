@@ -5,8 +5,11 @@ Monomials are read only as dense exponent tuples, through
 Context.exponents and Context.monomial, and divisibility, lcm, quotients,
 degrevlex and the cone order are defined on those tuples, so the
 Buchberger oracle shares no monomial arithmetic or order key with the
-kernel; it also has no pair criteria.  Krull dimension is the search for the largest variable
-set meeting no leading-monomial support, not a Hilbert series.  Bruhat
+kernel; it also has no pair criteria.  The kernel's earlier division,
+monomial reducers scanned in one list and the rest in another, is kept as
+a reference for its one-list scan.  Krull dimension is the search for
+the largest variable set meeting no leading-monomial support, not a
+Hilbert series.  Bruhat
 order goes through the subword property on reduced words (the
 reflection count of a tangent space takes the order as a parameter, the
 package's rank-table order by default), and the Bruhat pairs of S_n are
@@ -142,6 +145,44 @@ def naive_normal_form(p: Polynomial, basis, keyf) -> Polynomial:
         else:
             p = step
     return rem
+
+
+def two_list_normal_form(ctx: Context, work: dict, items, keyf) -> dict:
+    """Full normal form of a packed term map against monic (lt, tail)
+    reducers by the kernel's earlier two-list scan.
+
+    The reducers without a tail (monomials) form one list and the rest
+    another, each sorted by (keyf(lt), position in items).  The largest
+    term left under keyf is deleted by the first monomial whose leading
+    term divides it; failing that, the first such polynomial reduces it;
+    failing that, it goes to the remainder.  Divisibility and quotients
+    are taken on dense exponent tuples.
+    """
+    ranked = sorted(enumerate(items), key=lambda e: (keyf(e[1][0]), e[0]))
+    monos = [dense(ctx, lt) for _, (lt, tail) in ranked if not tail]
+    polys = [(dense(ctx, lt), tail) for _, (lt, tail) in ranked if tail]
+    work = dict(work)
+    out = {}
+    while work:
+        m = max(work, key=keyf)
+        c = work.pop(m)
+        dm = dense(ctx, m)
+        if any(divides(lt, dm) for lt in monos):
+            continue
+        hit = next(((lt, tail) for lt, tail in polys if divides(lt, dm)), None)
+        if hit is None:
+            out[m] = c
+            continue
+        lt, tail = hit
+        cof = quotient(dm, lt)
+        for tm, tc in tail.items():
+            mm = packed(ctx, _shifted(dense(ctx, tm), cof))
+            acc = work.get(mm, 0) - c * tc
+            if acc:
+                work[mm] = acc
+            else:
+                work.pop(mm, None)
+    return out
 
 
 def naive_buchberger(gens) -> list[Polynomial]:

@@ -259,6 +259,13 @@ def test_identify_cells_rejects_singular():
         identify_cells([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
 
 
+def test_identify_cells_rejects_a_matrix_that_is_not_square():
+    # the first two columns of both would read as the identity of S2
+    for m in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="square"):
+            identify_cells(m)
+
+
 def test_fixed_points_are_the_interval():
     # the fixed point sigma lies on X_w^v iff the ideal vanishes at the
     # origin of the chart of sigma

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     dense,
+    divides,
     hilbert_function_by_counting,
     krull_dimension_by_subsets,
     lcm,
@@ -16,6 +17,7 @@ from oracles import (
     packed,
     quotient,
     truncated_quotient_dims,
+    two_list_normal_form,
 )
 from richardson import clear_memos
 from richardson.charts import chart, generic_matrix
@@ -150,6 +152,52 @@ def test_ideal_equal_certifies_one_shared_basis(monkeypatch):
     assert len(real(I).basis) > 1 and ideal_equal(I, I)
     monkeypatch.setattr(gr, "buchberger", last_dropped)
     assert not ideal_equal(I, I)
+
+
+@pytest.mark.parametrize("cone", [False, True], ids=["degrevlex", "cone-order"])
+def test_one_reducer_list_divides_like_the_two_list_scan(cone):
+    # random reducer sets, not Groebner bases: the remainder depends on which
+    # dividing reducer is taken.  Every monomial reducer divides the leading
+    # term of a polynomial one, and the work holds multiples of both
+    rng = random.Random(2601 + cone)
+    both = differs = 0
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        ctx = Context([f"x{i}" for i in range(n)])
+        pk = ctx.pack
+        keyf = gr._cone_key(pk) if cone else degrevlex_key(ctx)
+
+        def vec(top):
+            return tuple(rng.randint(0, top) for _ in range(n))
+
+        def coeff():
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+
+        items = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {packed(ctx, vec(2)): coeff() for _ in range(rng.randint(2, 4))}
+            lt = max(terms, key=keyf)
+            del terms[lt]
+            items.append((lt, terms))
+            below = tuple(rng.randint(0, e) for e in dense(ctx, lt))
+            if any(below):
+                items.append((packed(ctx, below), {}))
+        rng.shuffle(items)
+        work = {packed(ctx, vec(3)): coeff() for _ in range(rng.randint(1, 4))}
+        for lt, _ in rng.sample(items, min(3, len(items))):
+            work[packed(ctx, tuple(a + b for a, b in zip(dense(ctx, lt), vec(1))))] = coeff()
+        reducers = gr._make_reducers(items, keyf, pk)
+        expected = two_list_normal_form(ctx, work, items, keyf)
+        assert gr._reduce_raw(work, reducers, keyf, pk) == expected
+        # the test can tell the orders apart: a term two kinds of reducer
+        # divide, and remainders a key-only order changes
+        lts = [(dense(ctx, lt), bool(tail)) for lt, tail in items]
+        for m in work:
+            hits = {kind for lt, kind in lts if divides(lt, dense(ctx, m))}
+            both += hits == {False, True}
+        key_only = sorted(reducers, key=lambda e: e[1:3])
+        differs += gr._reduce_raw(work, key_only, keyf, pk) != expected
+    assert both > 50 and differs > 5
 
 
 def test_contains_one():
@@ -414,6 +462,22 @@ def test_oracle_trivial_cases():
     assert local_hilbert_oracle(IdealGens(Context(("x",)), []), 3) == (1, 2, 3, 4)
     allv = IdealGens(CTX3, list(CTX3.gens()))
     assert local_hilbert_oracle(allv, 4) == (1, 1, 1, 1, 1)
+
+
+def test_oracle_degree_bound_must_fit_the_packed_fields():
+    from richardson.poly import _FIELD_MAX
+
+    cusp = IdealGens(CTX, [Y * Y - X ** 3])
+    for bad in (-1, -3, _FIELD_MAX + 1):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            local_hilbert_oracle(cusp, bad)
+    assert local_hilbert_oracle(cusp, 0) == (1,)
+    # the records that hand the oracle their degree raise the same error
+    v, w, sigma = (Permutation.from_string(s) for s in ("1234", "4231", "1324"))
+    with pytest.raises(ValueError, match="got -3"):
+        richardson_invariants(v, w, sigma, oracle=-3)
+    with pytest.raises(ValueError, match="got -1"):
+        rinv.local_invariants_at(cusp, {"x": 0, "y": 0}, oracle=-1)
 
 
 def test_oracle_cusp_plateau():

@@ -55,6 +55,10 @@ def test_localize():
     for gens in ([X * Y + 3], [X, Y - Fraction(1, 2)]):
         with pytest.raises(ValueError):
             localize(IdealGens(CTX, gens), origin)
+    # a name outside the ring raises, at the origin and away from it
+    for point in ({"x": 0, "y": 0, "z": 3}, {"x": 1, "y": 0, "z": 3}):
+        with pytest.raises(ValueError, match="'z'"):
+            localize(K, point)
 
 
 def test_tangent_dim():

@@ -100,6 +100,20 @@ def test_theorem_at_points_small():
     assert rep.cases >= 3  # most samples succeed
 
 
+def test_theorem_at_points_rejects_unknown_laws_before_sampling(monkeypatch):
+    import richardson.verify as rv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the law names were checked")
+
+    monkeypatch.setattr(rv, "sample_richardson_point", refuse)
+    monkeypatch.setattr(rv, "bruhat_interval", refuse)
+    v, w = Permutation.from_string("123"), Permutation.from_string("321")
+    for properties, bad in ((("nope",), "'nope'"), (("mult", "hpoly", "x"), "'hpoly', 'x'")):
+        with pytest.raises(ValueError, match=bad):
+            verify_theorem_at_points(v, w, trials=1, properties=properties)
+
+
 def test_theorem_at_points_no_strata():
     w = Permutation([2, 1, 3])
     rep = verify_theorem_at_points(w, w, trials=3, seed=0)
