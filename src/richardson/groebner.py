@@ -25,7 +25,11 @@ is 0, so before each general pick both eliminations drain them: every
 such x is set to zero in one pass, keeping the terms that hold none of
 them, until no generator c*x is left.  Each pick rule takes these
 generators before any other, so the drain reaches the ring that one
-variable per pass reaches.
+variable per pass reaches.  The kernel's drain is one helper on term
+maps (_drain), which buchberger and ideal_equal run too: since
+I = (x) + I|x=0 for a coordinate x of I, buchberger completes only what
+the drain leaves, in the variables left, and ideal_equal drains the
+coordinates both ideals share before it compares them.
 The oracle shares no code with this kernel, those eliminations included:
 it takes the ideal as it was, solves away every variable a generator is
 linear in by its own truncated power-series substitution, then runs one
@@ -55,6 +59,7 @@ from typing import Iterable, Sequence
 
 from .memo import memoized
 from .poly import (
+    _FIELD_BITS,
     _FIELD_MASK,
     _FIELD_MAX,
     Context,
@@ -368,13 +373,92 @@ def _completion_for(pk: _Pack, term_maps: Iterable[dict], keyf) -> _Completion:
     return comp
 
 
+def _drain(pk: _Pack, *systems: list[dict]) -> tuple[Sequence[list[dict]], list[int]]:
+    """Zero every variable x that has a coordinate generator c*x in each of
+    the systems of term maps, packed in pk: with one system, all of its
+    coordinates; with two, those they share.
+
+    Every such x is set to zero in one pass: each map drops the terms that
+    hold one of them (it stays the same map if it drops none, and goes if
+    nothing is left, as c*x does), and the pass repeats while new
+    coordinates appear.  Returns the systems left, each in its order, and
+    the zeroed variables, pass by pass, each pass in ascending order.
+    """
+    hi, low, degshift = pk.himask, pk.lowmask, pk.degshift
+    zeroed: list[int] = []
+    while True:
+        mask = hi  # the guard bits of the variables to zero
+        for maps in systems:
+            seen = 0
+            for t in maps:
+                if len(t) == 1:
+                    for m in t:
+                        if m >> degshift == 1:
+                            seen |= ((m & low) + low) & hi  # pk.support_mask(m)
+            mask &= seen
+        if not mask:
+            return systems, zeroed
+        bits = mask
+        while bits:  # the guard bit of variable v is bit 8v + 7
+            bit = bits & -bits
+            zeroed.append(bit.bit_length() // _FIELD_BITS - 1)
+            bits ^= bit
+        left = []
+        for maps in systems:
+            out = []
+            for t in maps:
+                if len(t) == 1:  # stays or goes whole
+                    for m in t:
+                        if not ((m & low) + low) & mask:
+                            out.append(t)
+                    continue
+                kept = {b: d for b, d in t.items() if not ((b & low) + low) & mask}
+                if len(kept) == len(t):
+                    out.append(t)
+                elif kept:
+                    out.append(kept)
+            left.append(out)
+        systems = left
+
+
+def _restricted(ctx: Context, live: list[int], maps: list[dict]) -> IdealGens:
+    """Term maps in the variables live only, as the ideal they generate in
+    the ring of those variables, which keep their names."""
+    small = Context([ctx.names[v] for v in live], [ctx.latex_names[v] for v in live])
+    move = _repacker(ctx.pack, small.pack, live)
+    return IdealGens(small, [Polynomial(small, {move(b): d for b, d in t.items()}) for t in maps])
+
+
 def buchberger(ideal: IdealGens) -> GroebnerBasis:
-    """Reduced degrevlex Groebner basis; deterministic for fixed input."""
+    """Reduced degrevlex Groebner basis; deterministic for fixed input.
+
+    The coordinates are drained first (_drain): a generator c*x puts x in
+    I, so I = (X) + I', with X the zeroed variables and I' what is left,
+    which holds none of them.  I' is completed in the ring of the live
+    variables, where degrevlex is the restriction of degrevlex here.  The
+    leading terms of that basis are coprime to every x, so with X it is a
+    reduced basis of I, sorted here by leading term; when I' holds a
+    constant the basis is (1,).
+    """
     ctx = ideal.ctx
-    comp = _completion_for(ctx.pack, (g.terms for g in ideal.generators), degrevlex_key(ctx))
-    basis = tuple(
-        Polynomial(ctx, {lt: 1, **tail}) for lt, tail in comp.reduced_elements()
-    )
+    pk = ctx.pack
+    keyf = degrevlex_key(ctx)
+    (maps,), zeroed = _drain(pk, [g.terms for g in ideal.generators])
+    if not zeroed:
+        elems = _completion_for(pk, maps, keyf).reduced_elements()
+    else:
+        live = [v for v in range(pk.n) if v not in zeroed]
+        small = _pack_for(len(live))
+        move, up = _repacker(pk, small, live), _repacker(small, pk, live, lift=True)
+        # degrevlex on the live variables (poly.degrevlex_key)
+        comp = _completion_for(
+            small, [{move(b): d for b, d in t.items()} for t in maps], small.lowmask.__xor__
+        )
+        elems = [(up(lt), {up(b): d for b, d in t.items()}) for lt, t in comp.reduced_elements()]
+        if not (elems and elems[0][0] == 0):  # a constant is first, and alone
+            elems += [(pk.units[v], {}) for v in zeroed]
+            elems.sort(key=lambda e: keyf(e[0]))
+    basis = tuple(Polynomial(ctx, {lt: 1, **tail}) for lt, tail in elems)
     return GroebnerBasis(basis=basis, ctx=ctx)
 
 
@@ -422,9 +506,21 @@ def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     are a certificate that does not trust the completion to have kept
     every element; the reducers of G are built once for all of them, and a
     generator shared by I and J is reduced once.
+
+    First the variables X that are coordinates c*x of both I and J are
+    drained from both (_drain), and the question is decided in the ring R'
+    of the variables left: I = (X) + I' and J = (X) + J', and R/(X) is R'
+    with I, J going to I', J', so I = J exactly when I' = J'.  A variable
+    that is a coordinate of one ideal only is kept: whether the other
+    ideal holds it is part of the question.
     """
     if I.ctx != J.ctx:
         raise ValueError("context mismatch")
+    ctx = I.ctx
+    systems, zeroed = _drain(ctx.pack, *([g.terms for g in K.generators] for K in (I, J)))
+    if zeroed:
+        live = [v for v in range(ctx.nvars) if v not in zeroed]
+        I, J = (_restricted(ctx, live, maps) for maps in systems)
     gens = dict.fromkeys(I.generators + J.generators)
     # IdealGens drops repeats, so I and J have one generator set exactly
     # when their union is no larger than either
@@ -447,16 +543,15 @@ def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Pol
     While some generator is g = c*x + h with c a nonzero rational and x
     not in h, x = -h/c is substituted exactly into the other generators,
     and g and x are dropped: R/(g) is R' by x -> -h/c, so R/I is R'/I'.
-    First every generator c*x (h = 0) is drained: all such x go to zero
-    in one pass, the generators drop every term holding one of them and
-    vanish if nothing is left, and the pass repeats while new generators
-    c*x appear.  Then the shortest other g goes first, then the earliest
-    variable, and the drain runs again.  That is the ring the shortest-g
-    rule alone reaches one variable at a time, since it takes every c*x
-    first.  When no generator has a constant term, neither has h, so the
-    isomorphism sends the origin to the origin and every local invariant
-    there is unchanged.  What is left is repacked over the remaining
-    variables, which keep their names.
+    First every generator c*x (h = 0) is drained (_drain): all such x go
+    to zero in one pass, repeated while new generators c*x appear.  Then
+    the shortest other g goes first, then the earliest variable, and the
+    drain runs again.  That is the ring the shortest-g rule alone reaches
+    one variable at a time, since it takes every c*x first.  When no
+    generator has a constant term, neither has h, so the isomorphism
+    sends the origin to the origin and every local invariant there is
+    unchanged.  What is left is repacked over the remaining variables,
+    which keep their names.
 
     solved lists (name of x, -h/c) in the order of elimination, each image
     in I.ctx; the zero images of one drain pass come in variable order.
@@ -467,85 +562,61 @@ def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Pol
     ctx = I.ctx
     pk = ctx.pack
     fm = _FIELD_MASK
-    low = pk.lowmask
-    linear = {unit: v for v, unit in enumerate(pk.units)}
-    gens = list(I.generators)
+    linear = pk.unit_index
+    gens = [g.terms for g in I.generators]  # term maps, as _drain takes them
     live = list(range(ctx.nvars))
     solved: list[tuple[str, Polynomial]] = []
     zero = Polynomial(ctx, {})
     while True:
-        # the drain: every generator c*x takes its x to zero, all in one pass
-        drained = set()
-        rest = []
-        for g in gens:
-            v = linear.get(next(iter(g.terms))) if len(g.terms) == 1 else None
-            if v is None:
-                rest.append(g)
-            else:
-                drained.add(v)
-        if drained:
-            mask = 0  # the guard bits of the zeroed variables
-            for v in sorted(drained):
-                mask |= pk.support_mask(pk.units[v])
-                solved.append((ctx.names[v], zero))
-            gens = []
-            for f in rest:
-                terms = {b: d for b, d in f.terms.items() if not ((b & low) + low) & mask}
-                if len(terms) == len(f.terms):
-                    gens.append(f)
-                elif terms:
-                    gens.append(Polynomial(ctx, terms))
-            live = [v for v in live if v not in drained]
-            continue  # zeroing may leave new generators c*x
+        (gens,), drained = _drain(pk, gens)
+        for v in drained:
+            solved.append((ctx.names[v], zero))
+            live.remove(v)
         pick = None
-        for k, g in enumerate(gens):
-            if len(g.terms) == 1:  # a monomial of degree >= 2: the drain took the rest
+        for k, t in enumerate(gens):
+            if len(t) == 1:  # a monomial of degree >= 2: the drain took the rest
                 continue
-            for a in g.terms:
+            for a in t:
                 v = linear.get(a)
-                if v is None or (pick is not None and (len(g.terms), v) >= pick[0]):
+                if v is None or (pick is not None and (len(t), v) >= pick[0]):
                     continue
                 shift = pk.shifts[v]
-                if not any(b != a and (b >> shift) & fm for b in g.terms):
-                    pick = ((len(g.terms), v), k, a, v)
+                if not any(b != a and (b >> shift) & fm for b in t):
+                    pick = ((len(t), v), k, a, v)
         if pick is None:
             break
         _, k, a, v = pick
-        g = gens.pop(k)
-        c = g.terms[a]
+        t = gens.pop(k)
+        c = t[a]
         # x = -h/c; exact, as an int c never meets `/`
         scale = -c if c == 1 or c == -1 else -Fraction(1, c)
-        image = Polynomial(ctx, {b: d * scale for b, d in g.terms.items() if b != a})
+        image = Polynomial(ctx, {b: d * scale for b, d in t.items() if b != a})
         solved.append((ctx.names[v], image))
         shift = pk.shifts[v]
         unit = pk.units[v]
         powers = [image]  # image^1, image^2, ...
         out = []
-        for f in gens:
+        for t in gens:
             # f = f_0 + sum_e f_e x^e with x not in the f_e: f(image) = f_0 + sum_e f_e image^e
             parts: dict[int, dict] = {}
-            for b, d in f.terms.items():
+            for b, d in t.items():
                 e = (b >> shift) & fm
                 parts.setdefault(e, {})[b - e * unit] = d
             if parts.keys() == {0}:
-                out.append(f)
+                out.append(t)
                 continue
             while len(powers) < max(parts):
                 powers.append(powers[-1] * image)
             f = Polynomial(ctx, parts.pop(0, {}))
             for e, terms in parts.items():
                 f = f + Polynomial(ctx, terms) * powers[e - 1]
-            if not f.is_zero():
-                out.append(f)
+            if f.terms:
+                out.append(f.terms)
         gens = out
         live.remove(v)
     if not solved:
         return I, solved
-    small = Context([ctx.names[v] for v in live], [ctx.latex_names[v] for v in live])
-    move = _repacker(pk, small.pack, live)
-    return IdealGens(
-        small, [Polynomial(small, {move(b): d for b, d in f.terms.items()}) for f in gens]
-    ), solved
+    return _restricted(ctx, live, gens), solved
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,17 @@ A record at a torus-fixed point is computed at the origin of the point's
 chart, where localize has nothing to translate.  Its dimension and
 tangent dimension are then checked against Bruhat order, l(w) - l(v) and
 #{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
-mismatch raises.  The count comes per pair: the transpositions t with
-t sigma <= w, and those with v <= t sigma, are bitmasks memoized by the
-window pairs (sigma, w) and (v, sigma), at most one entry per Bruhat pair
-(98,407 at S6), and the count is the popcount of their meet; the
-comparison runs on every record computed.  A Schubert record is the
-Richardson record at v = id and an opposite record the one at w = w0, so
-there is one memoized record (see memo) per (v, w, sigma, oracle
-degree): a record checked at one degree is never served to a call that
-asks for another.
+mismatch raises.  verify_theorem_at_points checks each record at a point
+of the open stratum (tau, sigma) the same way, with the tangent count
+#{t : t sigma <= w} + #{t : v <= t tau} - n(n-1)/2 (_bruhat_check).  The
+counts come per pair: the transpositions t with t sigma <= w, and those
+with v <= t tau, are bitmasks memoized by the window pairs (sigma, w)
+and (v, tau), at most one entry per Bruhat pair (98,407 at S6), and each
+count is a popcount; the comparison runs on every record computed.  A
+Schubert record is the Richardson record at v = id and an opposite
+record the one at w = w0, so there is one memoized record (see memo) per
+(v, w, sigma, oracle degree): a record checked at one degree is never
+served to a call that asks for another.
 
 Local rings at fixed points repeat: once their linear variables are
 solved, the S4 records come down to 21 distinct reduced systems.  So the
@@ -235,24 +237,42 @@ def _fixed_point_invariants(v, w, sigma, oracle: int) -> LocalInvariants:
     return inv
 
 
-def _bruhat_check(inv: LocalInvariants, v: Permutation, w: Permutation, sigma: Permutation) -> None:
-    """Dimension and tangent dimension of X_w^v at sigma must match Bruhat order.
+def _bruhat_check(
+    inv: LocalInvariants,
+    v: Permutation,
+    w: Permutation,
+    sigma: Permutation,
+    tau: Permutation | None = None,
+) -> None:
+    """Dimension and tangent dimension of X_w^v at sigma, or with tau at a
+    point of the open stratum (tau, sigma), must match Bruhat order.
 
-    The T-weights on T_sigma(G/B) are distinct, and T_sigma X_w^v is spanned
-    by those of the transpositions t with v <= t sigma <= w
-    (Lakshmibai-Seshadri), so its dimension is #{t : v <= t sigma <= w};
-    the variety has dimension l(w) - l(v).  Neither count uses the Groebner
-    kernel.  The tangent count is the popcount of the meet of two
-    reflection masks, each filled once per pair (_below_mask, _above_mask);
-    the comparison runs on every record computed.
+    The T-weights on T_sigma(G/B) are distinct, and T_sigma X_w is spanned
+    by those of the transpositions t with t sigma <= w, T_tau X^v by those
+    with v <= t tau (Lakshmibai-Seshadri).  At a point p of the Schubert
+    cell of sigma and the opposite cell of tau, X_w looks as it does at
+    sigma and X^v as at tau, and X_w^v is locally their transversal
+    meet (the product theorem), so with N = n(n-1)/2
+    dim T_p X_w^v = #{t : t sigma <= w} + #{t : v <= t tau} - N.  At
+    tau = sigma each t counts in one of the two, so that is
+    #{t : v <= t sigma <= w}.  The variety has dimension l(w) - l(v).
+    Neither count uses the Groebner kernel.  Each tangent count is a
+    popcount of a reflection mask, filled once per pair (_below_mask,
+    _above_mask); the comparison runs on every record computed.
     """
     global TANGENT_CHECKS
     win = sigma.window
-    tangent = (_below_mask(win, w.window) & _above_mask(v.window, win)).bit_count()
+    n = len(win)
+    tangent = (
+        _below_mask(win, w.window).bit_count()
+        + _above_mask(v.window, win if tau is None else tau.window).bit_count()
+        - n * (n - 1) // 2
+    )
     expected = (w.length() - v.length(), tangent)
     if (inv.dimension, inv.tangent_dim) != expected:
+        where = sigma if tau is None else f"a point of the stratum ({tau}, {sigma})"
         raise RuntimeError(
-            f"record of X_{w}^{v} at {sigma} has (dimension, tangent_dim) "
+            f"record of X_{w}^{v} at {where} has (dimension, tangent_dim) "
             f"{(inv.dimension, inv.tangent_dim)}; Bruhat order gives {expected}"
         )
     with _COUNTER_LOCK:

@@ -71,7 +71,7 @@ MONOMIAL_ONE = 0
 class _Pack:
     """The packed-monomial layout for one variable count (it holds no caches)."""
 
-    __slots__ = ("n", "shifts", "degshift", "himask", "lowmask", "units")
+    __slots__ = ("n", "shifts", "degshift", "himask", "lowmask", "units", "unit_index")
 
     def __init__(self, nvars: int):
         self.n = nvars
@@ -80,6 +80,7 @@ class _Pack:
         self.himask = sum(1 << (s + _FIELD_BITS - 1) for s in self.shifts)  # the guard bits
         self.lowmask = sum(_FIELD_MAX << s for s in self.shifts)  # the exponent bits
         self.units = tuple((1 << s) | (1 << self.degshift) for s in self.shifts)  # the variables
+        self.unit_index = {unit: v for v, unit in enumerate(self.units)}  # variable -> index
 
     def divides(self, b: int, a: int) -> bool:
         """b | a, one masked subtraction (fields below the guard bit)."""
@@ -114,15 +115,19 @@ def _pack_for(nvars: int) -> _Pack:
     return _Pack(nvars)
 
 
-def _repacker(src: _Pack, dst: _Pack, live: Sequence[int]):
+def _repacker(src: _Pack, dst: _Pack, live: Sequence[int], lift: bool = False):
     """The map of monomials from layout src to layout dst that makes variable
-    live[k] variable k and drops the others.
+    live[k] variable k and drops the others; with lift, the inverse map on
+    the monomials of those variables, which makes variable k variable live[k].
 
     The degree field sits above the last variable, so one integer means
     different monomials in packs of different sizes: a monomial changes
     packs only through this map.
     """
-    moves = [(src.shifts[v], dst.shifts[k]) for k, v in enumerate(live)]
+    if lift:
+        moves = [(src.shifts[k], dst.shifts[v]) for k, v in enumerate(live)]
+    else:
+        moves = [(src.shifts[v], dst.shifts[k]) for k, v in enumerate(live)]
     dstdeg = dst.degshift
     fm = _FIELD_MASK
 

@@ -43,6 +43,7 @@ from .groebner import IdealGens, _q_coeffs, all_in_ideal, buchberger, ideal_equa
 from .invariants import (
     ORACLE_DEGREE,
     LocalInvariants,
+    _bruhat_check,
     local_invariants_at,
     richardson_invariants,
     opposite_invariants,
@@ -290,7 +291,10 @@ def verify_theorem_at_points(
     For sampled pairs tau' <= sigma' inside [v, w], a rational point p of
     the open stratum is drawn; the invariants of X_w^v at p are compared
     with the factor combination at the fixed points sigma'B, tau'B and
-    with the factor combination computed directly at p.  A name in
+    with the factor combination computed directly at p.  The dimension
+    and tangent dimension of each of the three records at p are checked
+    against Bruhat order (invariants._bruhat_check), and a mismatch
+    raises RuntimeError.  A name in
     properties that is not a key of LAWS raises ValueError before any
     sampling.
     """
@@ -321,6 +325,7 @@ def verify_theorem_at_points(
             {"kind": "no-strata", "case": {"v": str(v), "w": str(w)}}
         )
         return _timed(report, start)
+    ident, w0 = Permutation.identity(v.n), Permutation.longest(v.n)
     rng = random.Random(seed)
     for _ in range(trials):
         tau, sigma = pairs[rng.randrange(len(pairs))]
@@ -339,10 +344,13 @@ def verify_theorem_at_points(
             ch.var_name(i, j): point_matrix[i - 1][j - 1] for (i, j) in ch.free_positions
         }
         rich_p = local_invariants_at(richardson_ideal_in_chart(v, w, sigma), point, oracle)
+        _bruhat_check(rich_p, v, w, sigma, tau)
         schub_fix = schubert_invariants(w, sigma, oracle)
         opp_fix = opposite_invariants(v, tau, oracle)
         schub_p = local_invariants_at(schubert_ideal_in_chart(w, sigma), point, oracle)
+        _bruhat_check(schub_p, ident, w, sigma, tau)
         opp_p = local_invariants_at(opposite_ideal_in_chart(v, sigma), point, oracle)
+        _bruhat_check(opp_p, v, w0, sigma, tau)
         case = {
             "v": str(v),
             "w": str(w),

@@ -38,7 +38,7 @@ from richardson.groebner import (
 import richardson.groebner as gr
 import richardson.invariants as rinv
 from richardson.invariants import _jacobian_corank, richardson_invariants
-from richardson.permutations import Permutation
+from richardson.permutations import Permutation, bruhat_leq
 from richardson.poly import Context, Polynomial, degrevlex_key
 from richardson.sweep import sweep_images
 
@@ -152,6 +152,99 @@ def test_ideal_equal_certifies_one_shared_basis(monkeypatch):
     assert len(real(I).basis) > 1 and ideal_equal(I, I)
     monkeypatch.setattr(gr, "buchberger", last_dropped)
     assert not ideal_equal(I, I)
+
+
+def _undrained(I):
+    """The reduced basis of one completion in every variable, no drain."""
+    keyf = degrevlex_key(I.ctx)
+    comp = gr._completion_for(I.ctx.pack, [g.terms for g in I.generators], keyf)
+    return tuple(Polynomial(I.ctx, {lt: 1, **tail}) for lt, tail in comp.reduced_elements())
+
+
+def test_drained_completion_matches_the_undrained_one_on_product_iso_ideals():
+    # both ideals of every S4 product-iso case on [v, w]: 1,344 of the 1,472
+    # distinct ones have coordinates to drain, and the basis is the same
+    # tuple for tuple
+    from richardson.charts import richardson_ideal_in_chart
+    from richardson.verify import pullback_ideal
+
+    elems = Permutation.all(4)
+    ideals = {}
+    for u in elems:
+        for v in elems:
+            for w in elems:
+                if bruhat_leq(v, u) and bruhat_leq(u, w):
+                    for I in (pullback_ideal(u, v, w), richardson_ideal_in_chart(v, w, u)):
+                        ideals.setdefault((I.ctx.names, I.generators), I)
+    drained = 0
+    for I in ideals.values():
+        assert buchberger(I).basis == _undrained(I), I.generators
+        drained += gr._drain(I.ctx.pack, [g.terms for g in I.generators])[1] != []
+    assert (len(ideals), drained) == (1472, 1344)
+
+
+def test_drained_completion_matches_the_oracle_on_random_ideals():
+    # seeded ideals holding one or two coordinates c*x among random generators
+    rng = random.Random(71)
+    ctx = Context(("x", "y", "z", "w"))
+    for trial in range(60):
+        gens = [random_poly(ctx, rng, max_deg=2) for _ in range(rng.randint(1, 3))]
+        for v in rng.sample(range(4), rng.randint(1, 2)):
+            gens.insert(rng.randrange(len(gens) + 1), rng.choice([1, -2, Fraction(1, 3)]) * ctx.gens()[v])
+        I = IdealGens(ctx, gens)
+        got = buchberger(I).basis
+        assert got == _undrained(I), f"trial {trial}"
+        if trial < 20:
+            assert list(got) == naive_buchberger(I.generators), f"trial {trial}"
+
+
+@pytest.mark.parametrize(
+    "gens, basis, live",
+    [
+        ([X, 2 * X], ["x"], 1),  # one x, not two
+        ([X, Y + X * X], ["y", "x"], 0),  # y is a coordinate only once x is zero
+        ([X * X - Y, Y], ["y", "x^2"], 1),
+        ([X, Y, X * Y + X - 3], ["1"], 0),  # the drain leaves a constant
+        ([X, Y * Y - 1, Y ** 3 - Y + 1], ["1"], 1),  # the unit ideal in the live variables
+        ([], [], 2),
+    ],
+)
+def test_drained_completion_edge_cases(monkeypatch, gens, basis, live):
+    sizes = []
+    real = gr._completion_for
+    monkeypatch.setattr(gr, "_completion_for", lambda pk, *rest: sizes.append(pk.n) or real(pk, *rest))
+    I = IdealGens(CTX, gens)
+    got = buchberger(I).basis
+    assert [str(g) for g in got] == basis
+    assert sizes == [live]  # one completion, in the variables left
+    assert got == _undrained(I)
+
+
+def test_every_variable_drained_keeps_the_basis_order():
+    # the drained coordinates come back sorted by leading term with the rest
+    I = IdealGens(CTX3, [CTX3.var(nm) * c for nm, c in (("x", 2), ("z", -1), ("y", 5))])
+    assert [str(g) for g in buchberger(I).basis] == ["z", "y", "x"] == [str(g) for g in _undrained(I)]
+    ctx = Context(("a", "b", "c", "d"))
+    a, b, c, d = ctx.gens()
+    I = IdealGens(ctx, [d, b * b - a * c, b + d * a, c * c - a])
+    assert buchberger(I).basis == _undrained(I)
+
+
+@pytest.mark.parametrize(
+    "I, J, equal",
+    [
+        ([X, Y], [X, Y * Y], False),  # y is a coordinate of I only
+        ([X, Y], [Y, X + Y * Y], True),  # x is a coordinate of J once y is drained
+        ([X, Y * Y], [X + Y * Y, Y * Y], True),  # x is a coordinate of I only
+        ([X], [X + Y * Y], False),
+        ([X, X * Y - 1], [Y, X * Y + 2], True),  # both the unit ideal
+    ],
+)
+def test_ideal_equal_drains_only_shared_coordinates(I, J, equal):
+    I, J = IdealGens(CTX, I), IdealGens(CTX, J)
+    assert ideal_equal(I, J) is equal
+    assert ideal_equal(J, I) is equal
+    assert (_undrained(I) == _undrained(J)) is equal
 
 
 @pytest.mark.parametrize("cone", [False, True], ids=["degrevlex", "cone-order"])

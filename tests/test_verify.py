@@ -100,6 +100,31 @@ def test_theorem_at_points_small():
     assert rep.cases >= 3  # most samples succeed
 
 
+def test_point_records_are_checked_against_bruhat_order(monkeypatch):
+    import richardson.invariants as rinv
+
+    v, w = Permutation.from_string("1324"), Permutation.from_string("4231")
+    clear_memos()
+    assert verify_theorem_at_points(v, w, trials=8, seed=3).ok
+    # the fixed-point records are memo hits now: each case checks its three
+    # point records, the Richardson one and its two factors
+    before = rinv.TANGENT_CHECKS
+    rep = verify_theorem_at_points(v, w, trials=8, seed=3)
+    assert rep.ok and rep.cases >= 6
+    assert rinv.TANGENT_CHECKS - before == 3 * rep.cases
+
+    # a tangent space one too large is caught at the first point record
+    corank = rinv._jacobian_corank
+    monkeypatch.setattr(rinv, "_jacobian_corank", lambda gb, n: corank(gb, n) + 1)
+    clear_memos()  # no record computed before the patch may be served
+    try:
+        with pytest.raises(RuntimeError, match=r"at a point of the stratum .*Bruhat order"):
+            verify_theorem_at_points(v, w, trials=8, seed=3)
+    finally:
+        monkeypatch.undo()
+        clear_memos()
+
+
 def test_theorem_at_points_rejects_unknown_laws_before_sampling(monkeypatch):
     import richardson.verify as rv
 
@@ -256,17 +281,17 @@ def test_product_iso_failure_report(monkeypatch):
 
 def test_product_iso_certificate_catches_a_lost_basis_element(monkeypatch):
     # a completion that drops the last element of its basis drops it on both
-    # sides alike, so the two bases still agree on every S3 case; only the
-    # generators that no longer reduce to zero show the fault
+    # sides alike, so the two bases still agree; only the generators that no
+    # longer reduce to zero show the fault.  Once the coordinates are
+    # drained no S3 completion keeps two elements, so S4 is in the range
     real = groebner._Completion.reduced_elements
 
     def last_dropped(self):
         out = real(self)
         return out[:-1] if len(out) >= 2 else out
 
-    elems = Permutation.all(3)
-    triples = [(u, v, w) for u in elems for v in elems for w in elems if bruhat_leq(v, w)]
-    assert len(triples) == 114
+    triples = _triples(3) + _triples(4)
+    assert len(triples) == 114 + 5112
     monkeypatch.setattr(groebner._Completion, "reduced_elements", last_dropped)
     clear_memos()
     try:
@@ -348,7 +373,8 @@ def test_product_iso_off_the_interval_computes_only_located_minors(monkeypatch):
 def test_product_iso_completes_only_on_the_interval(monkeypatch):
     # off [v, w] the case passes on its constant minors, with no ideal built
     # or completed; on it the case runs the full check, whose 1,088 cases
-    # take 1,472 completions with or without the scan
+    # take 1,114 completions with or without the scan (1,472 before the
+    # completions drained their coordinates)
     calls = {"completion": 0, "richardson": 0}
 
     def counted(name, fn):
@@ -372,7 +398,7 @@ def test_product_iso_completes_only_on_the_interval(monkeypatch):
                 on[name] += calls[name] - before[name]
         else:
             assert calls == before, (u, v, w)
-    assert on == {"cases": 1088, "completion": 1472, "richardson": 1088}
+    assert on == {"cases": 1088, "completion": 1114, "richardson": 1088}
 
 
 @pytest.mark.parametrize(
