@@ -26,10 +26,9 @@ such x is set to zero in one pass, keeping the terms that hold none of
 them, until no generator c*x is left.  Each pick rule takes these
 generators before any other, so the drain reaches the ring that one
 variable per pass reaches.  The kernel's drain is one helper on term
-maps (_drain), which buchberger and ideal_equal run too: since
-I = (x) + I|x=0 for a coordinate x of I, buchberger completes only what
-the drain leaves, in the variables left, and ideal_equal drains the
-coordinates both ideals share before it compares them.
+maps (_drain), which ideal_equal runs too: since I = (x) + I|x=0 for a
+coordinate x of I, it drains the coordinates both ideals share before it
+compares them.
 The oracle shares no code with this kernel, those eliminations included:
 it takes the ideal as it was, solves away every variable a generator is
 linear in by its own truncated power-series substitution, then runs one
@@ -375,8 +374,9 @@ def _completion_for(pk: _Pack, term_maps: Iterable[dict], keyf) -> _Completion:
 
 def _drain(pk: _Pack, *systems: list[dict]) -> tuple[Sequence[list[dict]], list[int]]:
     """Zero every variable x that has a coordinate generator c*x in each of
-    the systems of term maps, packed in pk: with one system, all of its
-    coordinates; with two, those they share.
+    the systems of term maps, packed in pk: with one system (as
+    solve_linear_variables runs it), all of its coordinates; with two (as
+    ideal_equal runs it), those they share.
 
     Every such x is set to zero in one pass: each map drops the terms that
     hold one of them (it stays the same map if it drops none, and goes if
@@ -430,35 +430,10 @@ def _restricted(ctx: Context, live: list[int], maps: list[dict]) -> IdealGens:
 
 
 def buchberger(ideal: IdealGens) -> GroebnerBasis:
-    """Reduced degrevlex Groebner basis; deterministic for fixed input.
-
-    The coordinates are drained first (_drain): a generator c*x puts x in
-    I, so I = (X) + I', with X the zeroed variables and I' what is left,
-    which holds none of them.  I' is completed in the ring of the live
-    variables, where degrevlex is the restriction of degrevlex here.  The
-    leading terms of that basis are coprime to every x, so with X it is a
-    reduced basis of I, sorted here by leading term; when I' holds a
-    constant the basis is (1,).
-    """
+    """Reduced degrevlex Groebner basis; deterministic for fixed input."""
     ctx = ideal.ctx
-    pk = ctx.pack
-    keyf = degrevlex_key(ctx)
-    (maps,), zeroed = _drain(pk, [g.terms for g in ideal.generators])
-    if not zeroed:
-        elems = _completion_for(pk, maps, keyf).reduced_elements()
-    else:
-        live = [v for v in range(pk.n) if v not in zeroed]
-        small = _pack_for(len(live))
-        move, up = _repacker(pk, small, live), _repacker(small, pk, live, lift=True)
-        # degrevlex on the live variables (poly.degrevlex_key)
-        comp = _completion_for(
-            small, [{move(b): d for b, d in t.items()} for t in maps], small.lowmask.__xor__
-        )
-        elems = [(up(lt), {up(b): d for b, d in t.items()}) for lt, t in comp.reduced_elements()]
-        if not (elems and elems[0][0] == 0):  # a constant is first, and alone
-            elems += [(pk.units[v], {}) for v in zeroed]
-            elems.sort(key=lambda e: keyf(e[0]))
-    basis = tuple(Polynomial(ctx, {lt: 1, **tail}) for lt, tail in elems)
+    comp = _completion_for(ctx.pack, (g.terms for g in ideal.generators), degrevlex_key(ctx))
+    basis = tuple(Polynomial(ctx, {lt: 1, **tail}) for lt, tail in comp.reduced_elements())
     return GroebnerBasis(basis=basis, ctx=ctx)
 
 
@@ -495,17 +470,8 @@ def all_in_ideal(polys: Iterable[Polynomial], gb: GroebnerBasis) -> bool:
 
 
 def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
-    """Equality of two ideals: equal reduced bases, and every generator of
-    both reduced to zero against that one basis G.
-
-    Proof: G lies in both ideals, since completion only combines their
-    generators, and the zero remainders put every generator of I and of J
-    in (G); so I = (G) = J.  Equal ideals have equal reduced bases, which
-    are unique for a fixed order (Cox-Little-O'Shea, Ideals, Varieties, and
-    Algorithms, 2.7), so equal generator sets share one.  The remainders
-    are a certificate that does not trust the completion to have kept
-    every element; the reducers of G are built once for all of them, and a
-    generator shared by I and J is reduced once.
+    """Equality of two ideals: one generator set, or equal reduced bases
+    and every generator of both reduced to zero against that one basis G.
 
     First the variables X that are coordinates c*x of both I and J are
     drained from both (_drain), and the question is decided in the ring R'
@@ -513,6 +479,16 @@ def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     with I, J going to I', J', so I = J exactly when I' = J'.  A variable
     that is a coordinate of one ideal only is kept: whether the other
     ideal holds it is part of the question.
+
+    Proof: if I' and J' have one generator set, they are one ideal, and
+    nothing is completed.  Otherwise G lies in both ideals, since
+    completion only combines their generators, and the zero remainders
+    put every generator of I' and of J' in (G); so I' = (G) = J'.  Equal
+    ideals have equal reduced bases, which are unique for a fixed order
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.7).  The
+    remainders are a certificate that does not trust the completion to
+    have kept every element; the reducers of G are built once for all of
+    them, and a generator shared by I' and J' is reduced once.
     """
     if I.ctx != J.ctx:
         raise ValueError("context mismatch")
@@ -524,11 +500,10 @@ def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     gens = dict.fromkeys(I.generators + J.generators)
     # IdealGens drops repeats, so I and J have one generator set exactly
     # when their union is no larger than either
-    same = len(gens) == len(I.generators) == len(J.generators)
+    if len(gens) == len(I.generators) == len(J.generators):
+        return True
     gi = buchberger(I)
-    if not same and gi.basis != buchberger(J).basis:
-        return False
-    return all_in_ideal(gens, gi)
+    return gi.basis == buchberger(J).basis and all_in_ideal(gens, gi)
 
 
 # ---------------------------------------------------------------------------

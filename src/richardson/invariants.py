@@ -20,8 +20,9 @@ A record at a torus-fixed point is computed at the origin of the point's
 chart, where localize has nothing to translate.  Its dimension and
 tangent dimension are then checked against Bruhat order, l(w) - l(v) and
 #{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
-mismatch raises.  verify_theorem_at_points checks each record at a point
-of the open stratum (tau, sigma) the same way, with the tangent count
+mismatch raises.  verify_theorem_at_points and
+richardson_invariants_at_point check each record at a point of the open
+stratum (tau, sigma) the same way, with the tangent count
 #{t : t sigma <= w} + #{t : v <= t tau} - n(n-1)/2 (_bruhat_check).  The
 counts come per pair: the transpositions t with t sigma <= w, and those
 with v <= t tau, are bitmasks memoized by the window pairs (sigma, w)
@@ -355,7 +356,9 @@ def richardson_invariants_at_point(
     """Invariants of X_w^v at a rational point of the chart of u, plus the
     (Schubert cell, opposite cell) pair of the point.  A coordinate the
     point omits is 0; a name that is not a coordinate of the chart raises
-    ValueError."""
+    ValueError.  The record is checked against Bruhat order at a point of
+    the stratum (tau, sigma) (_bruhat_check), and a mismatch raises
+    RuntimeError."""
     ideal = richardson_ideal_in_chart(v, w, u)
     unknown = sorted(set(point) - set(ideal.ctx.names))
     if unknown:
@@ -363,6 +366,7 @@ def richardson_invariants_at_point(
     point = {nm: Fraction(point.get(nm, 0)) for nm in ideal.ctx.names}
     sigma, tau = identify_cells(generic_matrix(u).evaluate(point))
     inv = local_invariants_at(ideal, point, oracle)
+    _bruhat_check(inv, v, w, sigma, tau)
     return inv, sigma, tau
 
 

@@ -115,19 +115,15 @@ def _pack_for(nvars: int) -> _Pack:
     return _Pack(nvars)
 
 
-def _repacker(src: _Pack, dst: _Pack, live: Sequence[int], lift: bool = False):
+def _repacker(src: _Pack, dst: _Pack, live: Sequence[int]):
     """The map of monomials from layout src to layout dst that makes variable
-    live[k] variable k and drops the others; with lift, the inverse map on
-    the monomials of those variables, which makes variable k variable live[k].
+    live[k] variable k and drops the others.
 
     The degree field sits above the last variable, so one integer means
     different monomials in packs of different sizes: a monomial changes
     packs only through this map.
     """
-    if lift:
-        moves = [(src.shifts[k], dst.shifts[v]) for k, v in enumerate(live)]
-    else:
-        moves = [(src.shifts[v], dst.shifts[k]) for k, v in enumerate(live)]
+    moves = [(src.shifts[v], dst.shifts[k]) for k, v in enumerate(live)]
     dstdeg = dst.degshift
     fm = _FIELD_MASK
 

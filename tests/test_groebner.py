@@ -126,6 +126,10 @@ def test_ideal_equal():
     assert ideal_equal(IdealGens(CTX, [X]), IdealGens(CTX, [2 * X]))
     assert not ideal_equal(IdealGens(CTX, [X]), IdealGens(CTX, [X * X]))
     assert ideal_equal(IdealGens(CTX, [X + Y, Y]), IdealGens(CTX, [X, Y]))
+    # one generator set inside the other is not one generator set
+    I, J = IdealGens(CTX, [X * X - Y, Y * Y]), IdealGens(CTX, [X * X - Y])
+    assert not ideal_equal(I, J) and not ideal_equal(J, I)
+    assert not ideal_equal(IdealGens(CTX, [X, Y]), IdealGens(CTX, [X]))
 
 
 def test_ideal_equal_completes_one_basis_for_one_generator_set(monkeypatch):
@@ -134,9 +138,10 @@ def test_ideal_equal_completes_one_basis_for_one_generator_set(monkeypatch):
     monkeypatch.setattr(gr, "_completion_for", lambda *args: runs.append(1) or real(*args))
     gens = [X * X - Y, Y * Y - X, X ** 3 - X * Y]
     I = IdealGens(CTX, gens)
-    assert ideal_equal(I, I) and len(runs) == 1
-    assert ideal_equal(I, IdealGens(CTX, gens[::-1])) and len(runs) == 2
-    assert ideal_equal(I, IdealGens(CTX, gens[:2])) and len(runs) == 4
+    # one generator set is one ideal, in any order: nothing is completed
+    assert ideal_equal(I, I) and len(runs) == 0
+    assert ideal_equal(I, IdealGens(CTX, gens[::-1])) and len(runs) == 0
+    assert ideal_equal(I, IdealGens(CTX, gens[:2])) and len(runs) == 2
 
 
 def test_ideal_equal_certifies_one_shared_basis(monkeypatch):
@@ -149,9 +154,10 @@ def test_ideal_equal_certifies_one_shared_basis(monkeypatch):
         return gr.GroebnerBasis(gb.basis[:-1], gb.ctx)
 
     I = IdealGens(CTX, [X * X - Y, Y * Y - X])
-    assert len(real(I).basis) > 1 and ideal_equal(I, I)
+    J = IdealGens(CTX, [X * X - Y, Y * Y - X, X ** 3 - X * Y])  # I + (x^3 - xy) = I
+    assert len(real(I).basis) > 1 and real(I).basis == real(J).basis and ideal_equal(I, J)
     monkeypatch.setattr(gr, "buchberger", last_dropped)
-    assert not ideal_equal(I, I)
+    assert not ideal_equal(I, J)
 
 
 def _undrained(I):
@@ -209,19 +215,17 @@ def test_drained_completion_matches_the_oracle_on_random_ideals():
         ([], [], 2),
     ],
 )
-def test_drained_completion_edge_cases(monkeypatch, gens, basis, live):
-    sizes = []
-    real = gr._completion_for
-    monkeypatch.setattr(gr, "_completion_for", lambda pk, *rest: sizes.append(pk.n) or real(pk, *rest))
+def test_drained_completion_edge_cases(gens, basis, live):
     I = IdealGens(CTX, gens)
     got = buchberger(I).basis
     assert [str(g) for g in got] == basis
-    assert sizes == [live]  # one completion, in the variables left
     assert got == _undrained(I)
+    # the drain that solve_linear_variables and ideal_equal run leaves live variables
+    assert CTX.nvars - len(gr._drain(CTX.pack, [g.terms for g in I.generators])[1]) == live
 
 
 def test_every_variable_drained_keeps_the_basis_order():
-    # the drained coordinates come back sorted by leading term with the rest
+    # a basis of coordinates comes back sorted by leading term, as the rest does
     I = IdealGens(CTX3, [CTX3.var(nm) * c for nm, c in (("x", 2), ("z", -1), ("y", 5))])
     assert [str(g) for g in buchberger(I).basis] == ["z", "y", "x"] == [str(g) for g in _undrained(I)]
     ctx = Context(("a", "b", "c", "d"))
@@ -334,7 +338,7 @@ def test_krull_dimension_matches_the_subset_search_on_random_ideals():
 
 def test_krull_dimension_matches_the_subset_search_on_s4_charts(monkeypatch):
     # every chart ideal that verify dimension --n 4 visits, one per S4
-    # triple v <= sigma <= w, and its reduced ring at the origin
+    # triple v <= sigma <= w, and its reduced ring, where it reads the dimension
     import io
 
     import richardson.verify as rverify
@@ -344,20 +348,25 @@ def test_krull_dimension_matches_the_subset_search_on_s4_charts(monkeypatch):
         lead = [dense(I.ctx, m) for m in buchberger(I).leading_monomials()]
         return krull_dimension_by_subsets(lead, I.ctx.nvars)
 
-    seen = []
+    charts, seen = [], []
 
-    def checked(I):
-        got = krull_dimension(I)
-        assert got == reference(I), I.generators
-        seen.append(I)
+    def solved(I):
+        charts.append(I)
+        return solve_linear_variables(I)
+
+    def checked(J):
+        got = krull_dimension(J)
+        assert got == reference(J), J.generators
+        seen.append(J)
         return got
 
+    monkeypatch.setattr(rverify, "solve_linear_variables", solved)
     monkeypatch.setattr(rverify, "krull_dimension", checked)
     assert run(["verify", "dimension", "--n", "4", "--exhaustive"], io.StringIO()) == 0
-    assert len(seen) == 1088
-    for I in seen:
-        J, _ = solve_linear_variables(I)
-        assert krull_dimension(J) == reference(J) == krull_dimension(I)
+    assert len(charts) == len(seen) == 1088
+    for I, J in zip(charts, seen):
+        assert solve_linear_variables(I)[0].generators == J.generators
+        assert krull_dimension(I) == reference(I) == krull_dimension(J)
 
 
 def _lift_checked(I, J, images, rng):

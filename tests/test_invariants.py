@@ -211,6 +211,48 @@ def test_richardson_at_point_v_identity_reduces_to_schubert():
     assert inv.h_polynomial == schub.h_polynomial
 
 
+def test_richardson_at_point_checks_the_record_against_bruhat_order(monkeypatch):
+    # the record at a point of the stratum (tau, sigma) must have dimension
+    # l(w) - l(v) and tangent dimension #{t : t sigma <= w} + #{t : v <= t tau} - 6
+    import richardson.invariants as rinv
+    from richardson.charts import sample_richardson_point
+
+    v, tau, sigma, w = (Permutation.from_string(s) for s in ("2134", "2314", "3214", "4231"))
+    assert bruhat_leq(v, tau) and bruhat_leq(tau, sigma) and bruhat_leq(sigma, w)
+    m = sample_richardson_point(tau, sigma, seed=5)
+    assert m is not None
+    ch = chart(sigma)
+    point = {ch.var_name(i, j): m[i - 1][j - 1] for (i, j) in ch.free_positions}
+    before = rinv.TANGENT_CHECKS
+    inv, got_sigma, got_tau = richardson_invariants_at_point(v, w, sigma, point)
+    assert (got_sigma, got_tau) == (sigma, tau)
+    assert inv.dimension == w.length() - v.length()
+    assert rinv.TANGENT_CHECKS == before + 1
+
+    # a tangent space one too large raises
+    corank = rinv._jacobian_corank
+    monkeypatch.setattr(rinv, "_jacobian_corank", lambda gens, n: corank(gens, n) + 1)
+    clear_memos()  # no record computed before the patch may be served
+    try:
+        with pytest.raises(RuntimeError, match=r"at a point of the stratum \(2314, 3214\)"):
+            richardson_invariants_at_point(v, w, sigma, point)
+    finally:
+        monkeypatch.undo()
+        clear_memos()
+
+
+def test_solved_ring_keeps_the_dimension_of_the_chart():
+    # verify dimension reads krull_dimension on the ring solve_linear_variables
+    # leaves: R/I and R'/I' are isomorphic, so both give l(w) - l(v)
+    shrunk = 0
+    for v, sigma, w in [*_s4_triples(), *_s5_sample_triples(200, 17)]:
+        I = richardson_ideal_in_chart(v, w, sigma)
+        J, _ = solve_linear_variables(I)
+        assert krull_dimension(I) == krull_dimension(J) == w.length() - v.length(), (v, sigma, w)
+        shrunk += J.ctx.nvars < I.ctx.nvars
+    assert shrunk > 1000
+
+
 def test_oracle_counter_increments():
     import richardson.invariants as rinv
 

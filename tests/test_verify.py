@@ -373,8 +373,8 @@ def test_product_iso_off_the_interval_computes_only_located_minors(monkeypatch):
 def test_product_iso_completes_only_on_the_interval(monkeypatch):
     # off [v, w] the case passes on its constant minors, with no ideal built
     # or completed; on it the case runs the full check, whose 1,088 cases
-    # take 1,114 completions with or without the scan (1,472 before the
-    # completions drained their coordinates)
+    # take 52 completions with or without the scan (1,114 when equal
+    # drained generator sets were completed too, 1,472 with no drain)
     calls = {"completion": 0, "richardson": 0}
 
     def counted(name, fn):
@@ -398,7 +398,7 @@ def test_product_iso_completes_only_on_the_interval(monkeypatch):
                 on[name] += calls[name] - before[name]
         else:
             assert calls == before, (u, v, w)
-    assert on == {"cases": 1088, "completion": 1114, "richardson": 1088}
+    assert on == {"cases": 1088, "completion": 52, "richardson": 1088}
 
 
 @pytest.mark.parametrize(
