@@ -315,40 +315,8 @@ def richardson_ideal_in_chart(v: Permutation, w: Permutation, u: Permutation) ->
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra and cell membership
+# Cell membership
 # ---------------------------------------------------------------------------
-
-
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by fraction Gaussian elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                mr = m[r]
-                prow = m[row]
-                for c in range(col, ncols):
-                    mr[c] -= f * prow[c]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
 
 
 def _schubert_cell(x: list[list[Fraction]]) -> Permutation:

@@ -453,10 +453,6 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial(f.ctx, _reduce_raw(f.terms, reducers, keyf, pk))
 
 
-def in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
-    return all_in_ideal((f,), gb)
-
-
 def all_in_ideal(polys: Iterable[Polynomial], gb: GroebnerBasis) -> bool:
     """Every polynomial reduces to zero against gb; the reducers of gb are
     built once for all of them."""

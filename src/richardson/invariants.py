@@ -1,14 +1,15 @@
 """Local invariants of a chart ideal at a point.
 
 For a point p on V(I) the record holds the Krull dimension, the tangent
-space dimension (corank of the Jacobian of the generators at p),
-smoothness, the Hilbert-Samuel multiplicity, and the H-polynomial: the
-numerator of the Hilbert series of the associated graded ring of the
-local ring over (1-q)^dim.  Everything is exact.  All five belong to the
-local ring, not to the embedding, so the kernel computes them on the
-ring groebner.solve_linear_variables leaves once the point is moved to
-the origin: every variable some generator is linear in, and absent from
-the rest of that generator, is solved for and substituted away.
+space dimension (the tangent cone's Hilbert function in degree 1,
+dim m/(m^2 + I)), smoothness, the Hilbert-Samuel multiplicity, and the
+H-polynomial: the numerator of the Hilbert series of the associated
+graded ring of the local ring over (1-q)^dim.  Everything is exact.
+All five belong to the local ring, not to the embedding, so the kernel
+computes them on the ring groebner.solve_linear_variables leaves once
+the point is moved to the origin: every variable some generator is
+linear in, and absent from the rest of that generator, is solved for and
+substituted away.
 On every record the tangent-cone Hilbert function up to the oracle
 degree is cross-checked against groebner.local_hilbert_oracle, an
 elimination of the truncated Macaulay matrix that does not use the
@@ -54,7 +55,6 @@ from fractions import Fraction
 from .charts import (
     generic_matrix,
     identify_cells,
-    rational_rank,
     richardson_ideal_in_chart,
 )
 from .groebner import (
@@ -129,17 +129,6 @@ def localize(I: IdealGens, p) -> IdealGens:
     return I if origin else IdealGens(I.ctx, moved)
 
 
-def _jacobian_corank(gens, n: int) -> int:
-    """n minus the rank of the linear parts of generators of an ideal I of
-    n variables with I in m, the maximal ideal of the origin.
-
-    That rank is the dimension of (I + m^2)/m^2, and I*m lies in m^2, so
-    every generating set of I gives the same span of linear parts.
-    """
-    rows = [[g.linear_coefficient(i) for i in range(n)] for g in gens]
-    return n - rational_rank(rows) if rows else n
-
-
 def local_invariants_at(I: IdealGens, p, oracle: int = ORACLE_DEGREE) -> LocalInvariants:
     """The full invariant record of V(I) at the point p of its chart.
 
@@ -179,8 +168,10 @@ def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, dic
     degrevlex basis of the cone (Greuel-Pfister, A Singular Introduction
     to Commutative Algebra, 1.7 and 5.5), so the cone's Hilbert data are
     read off their leading monomials as they are.  The two dimensions must
-    agree.  The tangent dimension reads the linear parts of J's own
-    generators (_jacobian_corank).
+    agree.  The tangent dimension is the cone's Hilbert function in degree
+    1, dim m/(m^2 + J), so four of the five fields come from the one cone
+    completion, and the oracle checks that value whenever its degree is at
+    least 1.
     """
     n = J.ctx.nvars
     dim = _hilbert_data(buchberger(J)).dimension  # raises on the unit ideal
@@ -194,7 +185,7 @@ def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, dic
     mult = sum(_q_coeffs(h_poly))
     if mult <= 0:
         raise RuntimeError("nonpositive multiplicity; dimension bug")
-    tangent = _jacobian_corank(J.generators, n)
+    tangent = hd.series_prefix(1)[1]
     return hd, LocalInvariants(
         dimension=dim,
         tangent_dim=tangent,

@@ -70,6 +70,7 @@ class Permutation:
     @staticmethod
     def from_string(s: str) -> "Permutation":
         """Parse one-line notation; windows past S_9 use comma separation.
+        A blank string raises ValueError.
 
         >>> Permutation.from_string("31542").window
         (3, 1, 5, 4, 2)
@@ -77,6 +78,8 @@ class Permutation:
         10
         """
         s = s.strip()
+        if not s:
+            raise ValueError("empty permutation window")
         if "," in s:
             return Permutation(int(p) for p in s.split(","))
         return Permutation(int(ch) for ch in s)

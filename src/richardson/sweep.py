@@ -150,23 +150,21 @@ def recover(u: Permutation) -> dict[tuple[int, int], Polynomial]:
         col_up = sorted((i for (i, jj) in ch.d_up if jj == j), reverse=True)
         for i in col_down:
             f = down.entry(i, j) - ch.var(i, j)
-            expr = img.var(_var_name(i, j, "b")) - _express(f, ch, known)
+            expr = img.var(_var_name(i, j, "b")) - _express(f, ch, known, img)
             known[ch.var_name(i, j)] = expr
             out[(i, j)] = expr
         for i in col_up:
             f = up.entry(i, j) - ch.var(i, j)
-            expr = img.var(_var_name(i, j, "a")) - _express(f, ch, known)
+            expr = img.var(_var_name(i, j, "a")) - _express(f, ch, known, img)
             known[ch.var_name(i, j)] = expr
             out[(i, j)] = expr
     return out
 
 
-def _express(f: Polynomial, ch: Chart, known: dict[str, Polynomial]) -> Polynomial:
-    """Rewrite a chart polynomial in image variables via the known map."""
+def _express(f: Polynomial, ch: Chart, known: dict[str, Polynomial], img: Context) -> Polynomial:
+    """Rewrite a chart polynomial in the image variables of img via the known map."""
     if f.is_zero():
-        if not known:
-            return image_context(ch.u).zero()
-        return next(iter(known.values())).ctx.zero()
+        return img.zero()
     assignment = {}
     for idx in f.variables():
         nm = ch.ctx.names[idx]

@@ -12,3 +12,23 @@ def _no_memo_outlives_a_patch(request):
     yield
     if "monkeypatch" in request.fixturenames:
         clear_memos()
+
+
+@pytest.fixture
+def tangent_one_too_high(monkeypatch):
+    """A call that makes every record computed after it report a tangent
+    dimension one too high, as a kernel bug would; the monkeypatch undoes it."""
+    import dataclasses
+
+    import richardson.invariants as rinv
+
+    def patch():
+        real = rinv._reduced_invariants
+
+        def shifted(J):
+            hd, inv, prefixes = real(J)
+            return hd, dataclasses.replace(inv, tangent_dim=inv.tangent_dim + 1), prefixes
+
+        monkeypatch.setattr(rinv, "_reduced_invariants", shifted)
+
+    return patch

@@ -17,8 +17,9 @@ a scan of all of S_n x S_n on counted rank tables.  Kazhdan-Lusztig
 polynomials are solved from the defining degree and inversion conditions via
 R-polynomials, monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
-ranks, one matrix per degree.  The kernel's exact linear solve and the
-oracle's series elimination are redone one variable per pass on dense
+ranks, one matrix per degree; so is the Zariski tangent dimension, one
+matrix of the generators' linear parts.  The kernel's exact linear
+solve and the oracle's series elimination are redone one variable per pass on dense
 term maps, by the pick rules they had before either drained its
 one-term generators in bulk.  The opposite-side
 references read upper-left ranks directly, not through w0, and the
@@ -496,6 +497,15 @@ def rank_by_fractions(rows: list[list[Fraction]]) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], top)]
         rank += 1
     return rank
+
+
+def jacobian_corank(gens, nvars: int) -> int:
+    """dim m/(m^2 + I) for generators of an ideal I inside m, the maximal
+    ideal of the origin: nvars minus the rank of their linear parts, which
+    span (I + m^2)/m^2 whatever the generating set."""
+    return nvars - rank_by_fractions(
+        [[Fraction(g.linear_coefficient(i)) for i in range(nvars)] for g in gens]
+    )
 
 
 def truncated_quotient_dims(gens, nvars: int, degree_bound: int) -> list[int]:

@@ -25,7 +25,6 @@ from richardson.charts import (
     identify_cells,
     opposite_ideal_in_chart,
     opposite_minors,
-    rational_rank,
     richardson_ideal_in_chart,
     sample_richardson_point,
     schubert_ideal_in_chart,
@@ -155,13 +154,6 @@ def test_dimension_law_sampled_s4():
         I = richardson_ideal_in_chart(v, w, sigma)
         assert krull_dimension(I) == w.length() - v.length()
         checked += 1
-
-
-def test_rational_rank():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert rational_rank(rows) == 1
-    rows = [[Fraction(1, 3), Fraction(0)], [Fraction(0), Fraction(5, 7)]]
-    assert rational_rank(rows) == 2
 
 
 def test_identify_cells_permutation_matrices():

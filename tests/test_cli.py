@@ -151,13 +151,10 @@ def test_run_with_nothing_to_check_does_not_pass():
     assert payload["findings"] and {f["kind"] for f in payload["findings"]} == {"no-strata"}
 
 
-def test_off_by_one_tangent_space_is_caught(monkeypatch):
+def test_off_by_one_tangent_space_is_caught(tangent_one_too_high):
     # the error shifts the Richardson record and both factor records alike,
     # so the product law alone still holds; the Bruhat-order check does not
-    import richardson.invariants as rinv
-
-    corank = rinv._jacobian_corank
-    monkeypatch.setattr(rinv, "_jacobian_corank", lambda gb, n: corank(gb, n) + 1)
+    tangent_one_too_high()
     clear_memos()  # a record that fails its check is never stored
     with pytest.raises(RuntimeError, match="Bruhat order"):
         capture(["verify", "singlocus", "--n", "3", "--exhaustive"])
@@ -335,6 +332,11 @@ def test_parabolic_out_of_range_exits_2(capsys):
 def test_malformed_permutation_exits_2(capsys):
     assert "--u" in _usage_error(["sweep", "--u", "2x1"], capsys)
     assert "--v" in _usage_error(["klpoly", "--v", "113", "--w", "123"], capsys)
+    # a blank window is no permutation, not the empty one
+    assert "--u" in _usage_error(["sweep", "--u", ""], capsys)
+    assert "--u" in _usage_error(["sweep", "--u", " "], capsys)
+    assert "--v" in _usage_error(["invariants", "--v", "", "--w", "", "--sigma", ""], capsys)
+    assert "--v" in _usage_error(["klpoly", "--v", "", "--w", ""], capsys)
 
 
 def test_pool_size_is_capped(monkeypatch):

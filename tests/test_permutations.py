@@ -57,6 +57,9 @@ def test_parse_and_print():
     assert str(Permutation.from_string("31542")) == "31542"
     big = Permutation.from_string("10,3,1,2,4,5,6,7,8,9")
     assert big.n == 10 and str(big) == "10,3,1,2,4,5,6,7,8,9"
+    for blank in ("", " ", "\t\n"):
+        with pytest.raises(ValueError, match="empty permutation window"):
+            Permutation.from_string(blank)
 
 
 def test_length():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oracles import constant_minor_by_scan
+from oracles import constant_minor_by_scan, jacobian_corank
 from richardson import clear_memos, groebner, verify
 from richardson.charts import (
     ChartMatrix,
@@ -20,6 +20,7 @@ from richardson.charts import (
 )
 from richardson.cli import run
 from richardson.groebner import IdealGens, _q_poly
+from richardson.invariants import localize
 from richardson.permutations import Permutation, bruhat_leq
 from richardson.sweep import sweep_images
 from richardson.verify import (
@@ -100,7 +101,7 @@ def test_theorem_at_points_small():
     assert rep.cases >= 3  # most samples succeed
 
 
-def test_point_records_are_checked_against_bruhat_order(monkeypatch):
+def test_point_records_are_checked_against_bruhat_order(monkeypatch, tangent_one_too_high):
     import richardson.invariants as rinv
 
     v, w = Permutation.from_string("1324"), Permutation.from_string("4231")
@@ -114,8 +115,7 @@ def test_point_records_are_checked_against_bruhat_order(monkeypatch):
     assert rinv.TANGENT_CHECKS - before == 3 * rep.cases
 
     # a tangent space one too large is caught at the first point record
-    corank = rinv._jacobian_corank
-    monkeypatch.setattr(rinv, "_jacobian_corank", lambda gb, n: corank(gb, n) + 1)
+    tangent_one_too_high()
     clear_memos()  # no record computed before the patch may be served
     try:
         with pytest.raises(RuntimeError, match=r"at a point of the stratum .*Bruhat order"):
@@ -123,6 +123,33 @@ def test_point_records_are_checked_against_bruhat_order(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_memos()
+
+
+def test_point_tangent_dimensions_match_the_jacobian_of_the_unreduced_ideal(monkeypatch):
+    # the draws of verify points --n 4 --exhaustive: every point record's
+    # tangent dimension, read off its cone, is the Jacobian corank of the
+    # localized chart ideal, also where a linear part outlives the solve
+    records = []
+    real = verify.local_invariants_at
+
+    def recording(I, p, oracle):
+        inv = real(I, p, oracle)
+        records.append((I, p, inv))
+        return inv
+
+    monkeypatch.setattr(verify, "local_invariants_at", recording)
+    elems = Permutation.all(4)
+    for v in elems:
+        for w in elems:
+            if bruhat_leq(v, w):
+                assert verify_theorem_at_points(v, w, trials=5, seed=0).ok
+    linear = 0
+    for I, p, inv in records:
+        I0 = localize(I, p)
+        assert inv.tangent_dim == jacobian_corank(I0.generators, I0.ctx.nvars), (I, p)
+        J, _ = groebner.solve_linear_variables(I0)
+        linear += any(g.linear_coefficient(i) for g in J.generators for i in range(J.ctx.nvars))
+    assert len(records) == 2835 and linear >= 22
 
 
 def test_theorem_at_points_rejects_unknown_laws_before_sampling(monkeypatch):
