@@ -23,18 +23,21 @@ Subcommands:
   not S7's 3.55M, and 5 for product-iso, which lists n! triples per pair
   (ISO_EXHAUSTIVE_MAX_N).
 
+Every record a command prints or checks has passed the truncation oracle
+at groebner.ORACLE_DEGREE; no flag changes that degree.
+
 Exit status: 0 when the command ran and, for verify, no law failed on the
 cases checked; 1 when a law failed; 2 for a usage error (bad flags,
 malformed or size-mismatched permutations, out of range ``--n``,
 ``--samples``, ``--trials``, ``--jobs``, ``--timeout`` (0..TIMEOUT_MAX s,
-0 for no limit), ``--parabolic`` or ``--degree-bound``, ``--n`` past the
-check's largest n, or with ``--exhaustive`` past 6 for the pair checks and
-5 for product-iso, ``--samples`` for a check that takes none,
-``--trials`` for a check other than points, a fixed point off the
-variety), with a one-line message; 3 when a verify run
-checked no case, because its cases timed out or had nothing to check.  A
-timeout is recorded as a finding per case.  Identical argument vectors
-and seeds produce byte-identical JSON.
+0 for no limit) or ``--parabolic``, ``--n`` past the check's largest n,
+or with ``--exhaustive`` past 6 for the pair checks and 5 for
+product-iso, ``--samples`` for a check that takes none, ``--trials`` for
+a check other than points, a fixed point off the variety), with a
+one-line message; 3 when a verify run checked no case, because its cases
+timed out or had nothing to check.  A timeout is recorded as a finding
+per case.  Identical argument vectors and seeds produce byte-identical
+JSON.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ from itertools import accumulate
 from typing import Callable
 
 from .charts import generic_matrix
-from .invariants import ORACLE_DEGREE, NotOnVariety, parabolic_invariants, richardson_invariants
+from .invariants import NotOnVariety, parabolic_invariants, richardson_invariants
 from .permutations import Permutation, is_covexillary, kl_polynomial
-from .poly import _FIELD_MAX
 from .sweep import sweep_images
 from .verify import (
     LAWS,
@@ -78,11 +80,6 @@ def _format_flag(cmd: argparse.ArgumentParser, *more: str) -> None:
     cmd.add_argument("--format", default="json", choices=("json", *more))
 
 
-def _degree_bound_flag(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--degree-bound", type=int, default=ORACLE_DEGREE, dest="degree_bound",
-                     help="truncation oracle degree bound D")
-
-
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="richardson", description=__doc__)
     # flags only some subcommands take; _check_usage reads them for all
@@ -94,7 +91,6 @@ def _parser() -> argparse.ArgumentParser:
     inv.add_argument("--w", required=True)
     inv.add_argument("--sigma", required=True)
     inv.add_argument("--parabolic", help="comma-separated simple reflections")
-    _degree_bound_flag(inv)
     _format_flag(inv, "text", "csv")
 
     sw = sub.add_parser("sweep", help="generic chart matrix and its sweeps")
@@ -116,7 +112,6 @@ def _parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--trials", type=int, help=f"point trials per pair (points only, default {POINT_TRIALS})"
     )
-    _degree_bound_flag(ver)
     ver.add_argument("--timeout", type=float, default=300.0, help="seconds per case (0: none)")
     ver.add_argument("--jobs", type=int, default=1)
     _format_flag(ver, "text")
@@ -138,9 +133,6 @@ def _check_usage(args: argparse.Namespace) -> None:
             args.parabolic = tuple(int(x) for x in args.parabolic.split(",") if x)
         except ValueError:
             raise UsageError(f"--parabolic {args.parabolic!r} is not a list of integers")
-    # oracle exponents up to the degree bound must fit the packed fields
-    if args.subcommand in ("invariants", "verify") and not 0 <= args.degree_bound <= _FIELD_MAX:
-        raise UsageError(f"--degree-bound must lie in 0..{_FIELD_MAX}, got {args.degree_bound}")
     if args.subcommand == "verify":
         # n, samples or trials below 1 would pass having checked nothing; jobs would name no worker
         for flag in ("n", "samples", "trials", "jobs"):
@@ -333,7 +325,7 @@ CHECKS = {
             PAIRS_MAX_N,
             PAIRS_EXHAUSTIVE_MAX_N,
             _pair_cases,
-            lambda args, v, w, law=law: verify_factorization(v, w, law, args.degree_bound),
+            lambda args, v, w, law=law: verify_factorization(v, w, law),
         )
         for law, spec in LAWS.items()
     },
@@ -342,25 +334,21 @@ CHECKS = {
         PAIRS_MAX_N,
         PAIRS_EXHAUSTIVE_MAX_N,
         _pair_cases,
-        lambda args, v, w: verify_theorem_at_points(
-            v, w, trials=args.trials, seed=args.seed, oracle=args.degree_bound
-        ),
+        lambda args, v, w: verify_theorem_at_points(v, w, trials=args.trials, seed=args.seed),
     ),
     "kl-vs-h": _Check(
         None,
         9,  # the case list filters S_n alone: 61 s at S9
         9,  # every run is exhaustive
         lambda args, k: [(w,) for w in Permutation.all(args.n) if is_covexillary(w)],
-        lambda args, w: verify_kl_vs_h(w, args.degree_bound),
+        lambda args, w: verify_kl_vs_h(w),
     ),
     "smooth-table": _Check(
         None,
         SMOOTH_TABLE_MAX_N,
         SMOOTH_TABLE_MAX_N,
         lambda args, k: [("table", str(args.n))],
-        lambda args, _, n: schubert_smoothness_table(
-            args.n, full_scan=args.n <= 4, oracle=args.degree_bound
-        ),
+        lambda args, _, n: schubert_smoothness_table(args.n, full_scan=args.n <= 4),
     ),
     "dimension": _Check(
         20, PAIRS_MAX_N, PAIRS_EXHAUSTIVE_MAX_N, _pair_cases,
@@ -388,8 +376,12 @@ def _dispatch_case(job):
 
 
 def _pool_size(jobs: int, ncases: int) -> int:
-    """Worker processes for a run: no more than cases or CPUs."""
-    return min(jobs, ncases, os.cpu_count() or 1)
+    """Worker processes for a run: no more than cases or the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, ncases, cpus)
 
 
 def _run_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
@@ -479,9 +471,9 @@ def _run_invariants(args: argparse.Namespace, out: io.TextIOBase) -> int:
     v, w, sigma = args.v, args.w, args.sigma
     try:
         if args.parabolic:
-            inv = parabolic_invariants(v, w, sigma, set(args.parabolic), args.degree_bound)
+            inv = parabolic_invariants(v, w, sigma, set(args.parabolic))
         else:
-            inv = richardson_invariants(v, w, sigma, args.degree_bound)
+            inv = richardson_invariants(v, w, sigma)
     except NotOnVariety as e:
         print(f"richardson: error: --sigma {sigma}: {e}", file=sys.stderr)
         return 2

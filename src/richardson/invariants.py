@@ -10,29 +10,28 @@ computes them on the ring groebner.solve_linear_variables leaves once
 the point is moved to the origin: every variable some generator is
 linear in, and absent from the rest of that generator, is solved for and
 substituted away.
-On every record the tangent-cone Hilbert function up to the oracle
-degree is cross-checked against groebner.local_hilbert_oracle, an
-elimination of the truncated Macaulay matrix that does not use the
-Buchberger kernel and is handed the ideal in every variable of the
-chart, and every such check bumps ORACLE_CHECKS.  The oracle degree is
-an explicit parameter, ORACLE_DEGREE by default.
+On every record the tangent-cone Hilbert function up to ORACLE_DEGREE
+is cross-checked against groebner.local_hilbert_oracle, an elimination
+of the truncated Macaulay matrix that does not use the Buchberger
+kernel and is handed the ideal in every variable of the chart, and
+every such check bumps ORACLE_CHECKS.  The degree is one constant: no
+record is checked at another.
 
 A record at a torus-fixed point is computed at the origin of the point's
 chart, where localize has nothing to translate.  Its dimension and
 tangent dimension are then checked against Bruhat order, l(w) - l(v) and
 #{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
-mismatch raises.  verify_theorem_at_points and
-richardson_invariants_at_point check each record at a point of the open
-stratum (tau, sigma) the same way, with the tangent count
-#{t : t sigma <= w} + #{t : v <= t tau} - n(n-1)/2 (_bruhat_check).  The
-counts come per pair: the transpositions t with t sigma <= w, and those
-with v <= t tau, are bitmasks memoized by the window pairs (sigma, w)
-and (v, tau), at most one entry per Bruhat pair (98,407 at S6), and each
-count is a popcount; the comparison runs on every record computed.  A
-Schubert record is the Richardson record at v = id and an opposite
-record the one at w = w0, so there is one memoized record (see memo) per
-(v, w, sigma, oracle degree): a record checked at one degree is never
-served to a call that asks for another.
+mismatch raises.  A record at a point of the open stratum (tau, sigma),
+for richardson_invariants_at_point and verify_theorem_at_points alike,
+comes from _point_invariants, which checks it the same way with the
+tangent count #{t : t sigma <= w} + #{t : v <= t tau} - n(n-1)/2
+(_bruhat_check).  The counts come per pair: the transpositions t with
+t sigma <= w, and those with v <= t tau, are bitmasks memoized by the
+window pairs (sigma, w) and (v, tau), at most one entry per Bruhat pair
+(98,407 at S6), and each count is a popcount; the comparison runs on
+every record computed.  A Schubert record is the Richardson record at
+v = id and an opposite record the one at w = w0, so there is one
+memoized record (see memo) per (v, w, sigma).
 
 Local rings at fixed points repeat: once their linear variables are
 solved, the S4 records come down to 21 distinct reduced systems.  So the
@@ -42,8 +41,8 @@ the reduced ring's layout depends only on the variable count.  What is
 cheap or is a check runs on every call: localize, the linear solve, the
 oracle's concordance check on the unreduced ideal, and at fixed points
 the Bruhat check.  The cone's series prefix that the oracle is compared
-with is expanded once per reduced system and degree, and kept with the
-system's entry.
+with is expanded once per reduced system, to ORACLE_DEGREE, and kept
+with the system's entry.
 """
 
 from __future__ import annotations
@@ -129,20 +128,18 @@ def localize(I: IdealGens, p) -> IdealGens:
     return I if origin else IdealGens(I.ctx, moved)
 
 
-def local_invariants_at(I: IdealGens, p, oracle: int = ORACLE_DEGREE) -> LocalInvariants:
+def local_invariants_at(I: IdealGens, p) -> LocalInvariants:
     """The full invariant record of V(I) at the point p of its chart.
 
     The kernel runs on the reduced ring of the localized ideal I0, once
     per position-canonical reduced system (_reduced_invariants); the
-    tangent cone is checked by the oracle, on I0 itself, up to degree
-    oracle, on every call.
+    tangent cone is checked by the oracle, on I0 itself, up to
+    ORACLE_DEGREE, on every call.
     """
     I0 = localize(I, p)
     J, _ = solve_linear_variables(I0)
-    hd, inv, prefixes = _reduced_invariants(J)
-    if oracle not in prefixes:  # one expansion per reduced system and degree
-        prefixes[oracle] = hd.series_prefix(oracle)
-    _concordance_check(I0, prefixes[oracle], oracle)
+    _, inv, prefix = _reduced_invariants(J)
+    _concordance_check(I0, prefix)
     return inv
 
 
@@ -157,10 +154,9 @@ def _reduced_key(J: IdealGens) -> tuple:
 
 
 @memoized(_reduced_key)
-def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, dict]:
-    """(tangent-cone Hilbert data, record, series prefixes) of the reduced
-    ideal J at the origin; the prefixes, keyed by degree, start empty and
-    are filled by local_invariants_at.
+def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, list[int]]:
+    """(tangent-cone Hilbert data, record, series prefix to ORACLE_DEGREE)
+    of the reduced ideal J at the origin.
 
     Two completions, one when J has no generators: the degrevlex basis of
     J gives the dimension, and tangent_cone's one completion gives the
@@ -169,9 +165,8 @@ def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, dic
     to Commutative Algebra, 1.7 and 5.5), so the cone's Hilbert data are
     read off their leading monomials as they are.  The two dimensions must
     agree.  The tangent dimension is the cone's Hilbert function in degree
-    1, dim m/(m^2 + J), so four of the five fields come from the one cone
-    completion, and the oracle checks that value whenever its degree is at
-    least 1.
+    1, dim m/(m^2 + J), read off the prefix the oracle checks, so four of
+    the five fields come from the one cone completion.
     """
     n = J.ctx.nvars
     dim = _hilbert_data(buchberger(J)).dimension  # raises on the unit ideal
@@ -185,20 +180,21 @@ def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, dic
     mult = sum(_q_coeffs(h_poly))
     if mult <= 0:
         raise RuntimeError("nonpositive multiplicity; dimension bug")
-    tangent = hd.series_prefix(1)[1]
+    prefix = hd.series_prefix(ORACLE_DEGREE)
+    tangent = prefix[1]
     return hd, LocalInvariants(
         dimension=dim,
         tangent_dim=tangent,
         smooth=(tangent == dim),
         multiplicity=mult,
         h_polynomial=h_poly,
-    ), {}
+    ), prefix
 
 
-def _concordance_check(I0: IdealGens, hf: list[int], degree: int) -> None:
+def _concordance_check(I0: IdealGens, hf: list[int]) -> None:
     """First differences of the truncation oracle must match the cone's series hf."""
     global ORACLE_CHECKS
-    counts = local_hilbert_oracle(I0, degree)
+    counts = local_hilbert_oracle(I0, ORACLE_DEGREE)
     diffs = [counts[0]] + [counts[d] - counts[d - 1] for d in range(1, len(counts))]
     if diffs != hf:
         raise RuntimeError(
@@ -213,9 +209,8 @@ def _concordance_check(I0: IdealGens, hf: list[int], degree: int) -> None:
 # Invariants at torus-fixed points, memoized
 # ---------------------------------------------------------------------------
 
-# a record is only as checked as the oracle degree it was checked at
-@memoized(lambda v, w, sigma, oracle: (v.window, w.window, sigma.window, oracle))
-def _fixed_point_invariants(v, w, sigma, oracle: int) -> LocalInvariants:
+@memoized(lambda v, w, sigma: (v.window, w.window, sigma.window))
+def _fixed_point_invariants(v, w, sigma) -> LocalInvariants:
     """The record of X_w^v at sigma, memoized.
 
     A Schubert record is the case v = id, an opposite record w = w0, so
@@ -224,7 +219,7 @@ def _fixed_point_invariants(v, w, sigma, oracle: int) -> LocalInvariants:
     is the one that runs.
     """
     ideal = richardson_ideal_in_chart(v, w, sigma)
-    inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names}, oracle)
+    inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names})
     _bruhat_check(inv, v, w, sigma)
     return inv
 
@@ -310,39 +305,37 @@ def _above_mask(v: tuple[int, ...], sigma: tuple[int, ...]) -> int:
     return _reflection_mask(sigma, lambda ts: _leq(v, ts), False)
 
 
-def schubert_invariants(
-    w: Permutation, sigma: Permutation, oracle: int = ORACLE_DEGREE
-) -> LocalInvariants:
+def schubert_invariants(w: Permutation, sigma: Permutation) -> LocalInvariants:
     """Invariants of X_w at the fixed point sigma, in the chart of sigma."""
     if not bruhat_leq(sigma, w):
         raise NotOnVariety("the fixed point is not on the Schubert variety")
-    return _fixed_point_invariants(Permutation.identity(w.n), w, sigma, oracle)
+    return _fixed_point_invariants(Permutation.identity(w.n), w, sigma)
 
 
-def opposite_invariants(
-    v: Permutation, tau: Permutation, oracle: int = ORACLE_DEGREE
-) -> LocalInvariants:
+def opposite_invariants(v: Permutation, tau: Permutation) -> LocalInvariants:
     """Invariants of the opposite Schubert variety X^v at the fixed point tau."""
     if not bruhat_leq(v, tau):
         raise NotOnVariety("the fixed point is not on the opposite Schubert variety")
-    return _fixed_point_invariants(v, Permutation.longest(v.n), tau, oracle)
+    return _fixed_point_invariants(v, Permutation.longest(v.n), tau)
 
 
-def richardson_invariants(
-    v: Permutation, w: Permutation, sigma: Permutation, oracle: int = ORACLE_DEGREE
-) -> LocalInvariants:
+def richardson_invariants(v: Permutation, w: Permutation, sigma: Permutation) -> LocalInvariants:
     """Invariants of X_w^v at the fixed point sigma."""
     if not (bruhat_leq(v, sigma) and bruhat_leq(sigma, w)):
         raise NotOnVariety("the fixed point is not on the Richardson variety")
-    return _fixed_point_invariants(v, w, sigma, oracle)
+    return _fixed_point_invariants(v, w, sigma)
+
+
+def _point_invariants(v, w, u, point, sigma, tau) -> LocalInvariants:
+    """The record of X_w^v at a point of the chart of u that lies in the
+    stratum (tau, sigma), checked against Bruhat order (_bruhat_check)."""
+    inv = local_invariants_at(richardson_ideal_in_chart(v, w, u), point)
+    _bruhat_check(inv, v, w, sigma, tau)
+    return inv
 
 
 def richardson_invariants_at_point(
-    v: Permutation,
-    w: Permutation,
-    u: Permutation,
-    point,
-    oracle: int = ORACLE_DEGREE,
+    v: Permutation, w: Permutation, u: Permutation, point
 ) -> tuple[LocalInvariants, Permutation, Permutation]:
     """Invariants of X_w^v at a rational point of the chart of u, plus the
     (Schubert cell, opposite cell) pair of the point.  A coordinate the
@@ -350,24 +343,17 @@ def richardson_invariants_at_point(
     ValueError.  The record is checked against Bruhat order at a point of
     the stratum (tau, sigma) (_bruhat_check), and a mismatch raises
     RuntimeError."""
-    ideal = richardson_ideal_in_chart(v, w, u)
-    unknown = sorted(set(point) - set(ideal.ctx.names))
+    x = generic_matrix(u)
+    names = x.chart.ctx.names
+    unknown = sorted(set(point) - set(names))
     if unknown:
         raise ValueError(f"not coordinates of the chart of {u}: {unknown}")
-    point = {nm: Fraction(point.get(nm, 0)) for nm in ideal.ctx.names}
-    sigma, tau = identify_cells(generic_matrix(u).evaluate(point))
-    inv = local_invariants_at(ideal, point, oracle)
-    _bruhat_check(inv, v, w, sigma, tau)
-    return inv, sigma, tau
+    point = {nm: Fraction(point.get(nm, 0)) for nm in names}
+    sigma, tau = identify_cells(x.evaluate(point))
+    return _point_invariants(v, w, u, point, sigma, tau), sigma, tau
 
 
-def parabolic_invariants(
-    v: Permutation,
-    w: Permutation,
-    sigma: Permutation,
-    J,
-    oracle: int = ORACLE_DEGREE,
-) -> LocalInvariants:
+def parabolic_invariants(v: Permutation, w: Permutation, sigma: Permutation, J) -> LocalInvariants:
     """Invariants of the Richardson variety in G/P at a fixed point.
 
     The parabolic is named by its simple reflections J.  The computation
@@ -384,7 +370,7 @@ def parabolic_invariants(
     rep, _ = coset_reps(sigma, J)
     if not (bruhat_leq(v_min, rep) and bruhat_leq(rep, w_max)):
         raise NotOnVariety("the fixed point is not on the parabolic Richardson variety")
-    up = richardson_invariants(v_min, w_max, rep, oracle)
+    up = richardson_invariants(v_min, w_max, rep)
     return LocalInvariants(
         dimension=up.dimension - fiber,
         tangent_dim=up.tangent_dim - fiber,

@@ -7,7 +7,9 @@ LAWS states the three once.  verify_factorization checks one of them at
 every torus-fixed point of [v, w]; verify_theorem_at_points checks them at
 sampled points that are not fixed.  The other checkers cover the product
 isomorphism at ideal level, the dimension law, the Kazhdan-Lusztig bound
-and the smoothness table.
+and the smoothness table.  Every record a checker reads has passed the
+truncation oracle at ORACLE_DEGREE and the Bruhat check (invariants);
+the records at sampled points come from invariants._point_invariants.
 
 Every checker returns a :class:`VerificationReport`; a report with no
 failures means the law held on the whole stated range.  Findings collect
@@ -35,8 +37,6 @@ from .charts import (
     opposite_minors,
     richardson_ideal_in_chart,
     sample_richardson_point,
-    schubert_ideal_in_chart,
-    opposite_ideal_in_chart,
     schubert_minors,
 )
 from .groebner import (
@@ -49,10 +49,8 @@ from .groebner import (
     solve_linear_variables,
 )
 from .invariants import (
-    ORACLE_DEGREE,
     LocalInvariants,
-    _bruhat_check,
-    local_invariants_at,
+    _point_invariants,
     richardson_invariants,
     opposite_invariants,
     schubert_invariants,
@@ -236,13 +234,8 @@ LAWS = {
 }
 
 
-def verify_factorization(
-    v: Permutation, w: Permutation, law: str, oracle: int = ORACLE_DEGREE
-) -> VerificationReport:
-    """LAWS[law] for X_w^v = X_w meet X^v at every fixed point sigma in [v, w].
-
-    Every record is checked by the oracle up to degree oracle.
-    """
+def verify_factorization(v: Permutation, w: Permutation, law: str) -> VerificationReport:
+    """LAWS[law] for X_w^v = X_w meet X^v at every fixed point sigma in [v, w]."""
     start = time.monotonic()
     spec = LAWS[law]
     report = VerificationReport(check=spec.check, params={"n": v.n, "v": str(v), "w": str(w)})
@@ -252,9 +245,9 @@ def verify_factorization(
         rich, schub, opp = (
             spec.read(record)
             for record in (
-                richardson_invariants(v, w, sigma, oracle),
-                schubert_invariants(w, sigma, oracle),
-                opposite_invariants(v, sigma, oracle),
+                richardson_invariants(v, w, sigma),
+                schubert_invariants(w, sigma),
+                opposite_invariants(v, sigma),
             )
         )
         if rich != spec.combine(schub, opp):
@@ -292,7 +285,6 @@ def verify_theorem_at_points(
     trials: int = 10,
     seed: int = 0,
     properties: tuple[str, ...] = tuple(LAWS),
-    oracle: int = ORACLE_DEGREE,
 ) -> VerificationReport:
     """The laws named in properties at sampled points that are not fixed.
 
@@ -301,10 +293,9 @@ def verify_theorem_at_points(
     with the factor combination at the fixed points sigma'B, tau'B and
     with the factor combination computed directly at p.  The dimension
     and tangent dimension of each of the three records at p are checked
-    against Bruhat order (invariants._bruhat_check), and a mismatch
-    raises RuntimeError.  A name in
-    properties that is not a key of LAWS raises ValueError before any
-    sampling.
+    against Bruhat order (invariants._point_invariants), and a mismatch
+    raises RuntimeError.  A name in properties that is not a key of LAWS
+    raises ValueError before any sampling.
     """
     unknown = [name for name in properties if name not in LAWS]
     if unknown:
@@ -351,14 +342,11 @@ def verify_theorem_at_points(
         point = {
             ch.var_name(i, j): point_matrix[i - 1][j - 1] for (i, j) in ch.free_positions
         }
-        rich_p = local_invariants_at(richardson_ideal_in_chart(v, w, sigma), point, oracle)
-        _bruhat_check(rich_p, v, w, sigma, tau)
-        schub_fix = schubert_invariants(w, sigma, oracle)
-        opp_fix = opposite_invariants(v, tau, oracle)
-        schub_p = local_invariants_at(schubert_ideal_in_chart(w, sigma), point, oracle)
-        _bruhat_check(schub_p, ident, w, sigma, tau)
-        opp_p = local_invariants_at(opposite_ideal_in_chart(v, sigma), point, oracle)
-        _bruhat_check(opp_p, v, w0, sigma, tau)
+        rich_p = _point_invariants(v, w, sigma, point, sigma, tau)
+        schub_fix = schubert_invariants(w, sigma)
+        opp_fix = opposite_invariants(v, tau)
+        schub_p = _point_invariants(ident, w, sigma, point, sigma, tau)
+        opp_p = _point_invariants(v, w0, sigma, point, sigma, tau)
         case = {
             "v": str(v),
             "w": str(w),
@@ -390,7 +378,7 @@ def verify_theorem_at_points(
 # ---------------------------------------------------------------------------
 
 
-def verify_kl_vs_h(w: Permutation, oracle: int = ORACLE_DEGREE) -> VerificationReport:
+def verify_kl_vs_h(w: Permutation) -> VerificationReport:
     """Coefficientwise P_{v,w} <= H at vB in X_w, for covexillary w."""
     if not is_covexillary(w):
         raise ValueError("the comparison is only asserted for 3412-avoiding w")
@@ -399,7 +387,7 @@ def verify_kl_vs_h(w: Permutation, oracle: int = ORACLE_DEGREE) -> VerificationR
     for v in bruhat_interval(Permutation.identity(w.n), w):
         report.cases += 1
         kl = kl_polynomial(v, w)
-        h = schubert_invariants(w, v, oracle).h_coefficients()
+        h = schubert_invariants(w, v).h_coefficients()
         for d, c in enumerate(kl.coefficients):
             hc = h[d] if d < len(h) else 0
             if c > hc:
@@ -430,9 +418,7 @@ def pattern_smooth(w: Permutation) -> bool:
 SMOOTH_TABLE_MAX_N = 5
 
 
-def schubert_smoothness_table(
-    n: int, full_scan: bool = True, oracle: int = ORACLE_DEGREE
-) -> VerificationReport:
+def schubert_smoothness_table(n: int, full_scan: bool = True) -> VerificationReport:
     """Compare computed global smoothness of X_w with pattern avoidance.
 
     full_scan checks every fixed point sigma <= w.  Without it only the
@@ -451,11 +437,11 @@ def schubert_smoothness_table(
         report.cases += 1
         if full_scan:
             computed = all(
-                schubert_invariants(w, sigma, oracle).smooth
+                schubert_invariants(w, sigma).smooth
                 for sigma in bruhat_interval(ident, w)
             )
         else:
-            computed = schubert_invariants(w, ident, oracle).smooth
+            computed = schubert_invariants(w, ident).smooth
         expected = pattern_smooth(w)
         if computed != expected:
             report.failures.append(

@@ -26,8 +26,8 @@ def tangent_one_too_high(monkeypatch):
         real = rinv._reduced_invariants
 
         def shifted(J):
-            hd, inv, prefixes = real(J)
-            return hd, dataclasses.replace(inv, tangent_dim=inv.tangent_dim + 1), prefixes
+            hd, inv, prefix = real(J)
+            return hd, dataclasses.replace(inv, tangent_dim=inv.tangent_dim + 1), prefix
 
         monkeypatch.setattr(rinv, "_reduced_invariants", shifted)
 

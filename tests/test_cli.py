@@ -198,20 +198,21 @@ def test_one_timed_out_case_of_two_still_passes(monkeypatch):
     "verify smooth-table --n 3",
 ])
 def test_degree_bound_reaches_every_oracle_call(argv, monkeypatch):
+    # every command checks its records at the one oracle degree
     import richardson.invariants as rinv
 
     real = rinv.local_hilbert_oracle
     degrees = []
 
-    def recording(I, degree_bound=6):
+    def recording(I, degree_bound):
         degrees.append(degree_bound)
         return real(I, degree_bound)
 
     monkeypatch.setattr(rinv, "local_hilbert_oracle", recording)
     clear_memos()
-    status, _ = capture(argv.split() + ["--degree-bound", "2"])
+    status, _ = capture(argv.split())
     assert status == 0
-    assert degrees and set(degrees) == {2}
+    assert degrees and set(degrees) == {rinv.ORACLE_DEGREE}
 
 
 def test_verify_reports_match_golden():
@@ -225,6 +226,9 @@ def test_bad_flags_exit_2():
     status, _ = capture(["verify", "nonsense", "--n", "3"])
     assert status == 2
     status, _ = capture(["sweep"])
+    assert status == 2
+    # the oracle degree is no flag
+    status, _ = capture(["verify", "mult", "--n", "3", "--degree-bound", "2"])
     assert status == 2
 
 
@@ -243,15 +247,6 @@ def test_size_mismatch_exits_2(capsys):
 
 def test_verify_n_below_one_exits_2(capsys):
     assert "--n" in _usage_error(["verify", "mult", "--n", "0"], capsys)
-
-
-def test_degree_bound_out_of_range_exits_2(capsys):
-    base = ["invariants", "--v", "123", "--w", "321", "--sigma", "213"]
-    assert "0..127" in _usage_error(base + ["--degree-bound", "-1"], capsys)
-    assert "0..127" in _usage_error(base + ["--degree-bound", "128"], capsys)
-    assert "0..127" in _usage_error(
-        ["verify", "mult", "--n", "3", "--degree-bound", "200"], capsys
-    )
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])
@@ -342,12 +337,22 @@ def test_malformed_permutation_exits_2(capsys):
 def test_pool_size_is_capped(monkeypatch):
     from richardson import cli
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    # the CPUs the process may run on, where the platform tells them
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli._pool_size(4, 3) == 2
     assert cli._pool_size(4, 1) == 1
     assert cli._pool_size(1, 4) == 1
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._pool_size(8, 100) == 1
+    # and all the CPUs where it does not
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_size(4, 3) == 2
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert cli._pool_size(3, 4) == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._pool_size(3, 4) == 1
 
 
 @pytest.mark.parametrize("check", [

@@ -567,12 +567,6 @@ def test_oracle_degree_bound_must_fit_the_packed_fields():
         with pytest.raises(ValueError, match=f"got {bad}"):
             local_hilbert_oracle(cusp, bad)
     assert local_hilbert_oracle(cusp, 0) == (1,)
-    # the records that hand the oracle their degree raise the same error
-    v, w, sigma = (Permutation.from_string(s) for s in ("1234", "4231", "1324"))
-    with pytest.raises(ValueError, match="got -3"):
-        richardson_invariants(v, w, sigma, oracle=-3)
-    with pytest.raises(ValueError, match="got -1"):
-        rinv.local_invariants_at(cusp, {"x": 0, "y": 0}, oracle=-1)
 
 
 def test_oracle_cusp_plateau():

@@ -259,21 +259,6 @@ def test_oracle_counter_increments():
     assert rinv.ORACLE_CHECKS == before + 1
 
 
-def test_fixed_point_memo_is_keyed_on_the_oracle_degree():
-    import richardson.invariants as rinv
-
-    v, w, sigma = Permutation([1, 2, 3]), Permutation([3, 2, 1]), Permutation([2, 1, 3])
-    clear_memos()
-    first = richardson_invariants(v, w, sigma, oracle=2)
-    before = rinv.ORACLE_CHECKS
-    assert richardson_invariants(v, w, sigma, oracle=5) == first
-    assert rinv.ORACLE_CHECKS == before + 1
-    assert richardson_invariants(v, w, sigma, oracle=5) == first
-    assert rinv.ORACLE_CHECKS == before + 1
-    assert richardson_invariants(v, w, sigma, oracle=2) == first
-    assert rinv.ORACLE_CHECKS == before + 1
-
-
 def test_fixed_point_records_are_checked_against_bruhat_order(tangent_one_too_high):
     import richardson.invariants as rinv
 
@@ -607,7 +592,7 @@ def test_parabolic_representative_is_the_minimal_one_s4(monkeypatch):
     upstairs = []
     record = LocalInvariants(5, 5, True, 1, Context(()).one())
     monkeypatch.setattr(
-        rinv, "richardson_invariants", lambda v, w, sigma, oracle: upstairs.append(sigma) or record
+        rinv, "richardson_invariants", lambda v, w, sigma: upstairs.append(sigma) or record
     )
     elems = Permutation.all(4)
     for J in (set(c) for k in range(4) for c in combinations((1, 2, 3), k)):
@@ -694,8 +679,8 @@ def test_reflection_masks_are_cleared_and_records_checked_again():
 
 
 def test_the_cone_series_is_expanded_once_per_reduced_system_and_degree(monkeypatch):
-    # S4's 1,088 records at two oracle degrees: 21 reduced systems, each
-    # expanded once per degree, and every record still checked by the oracle
+    # S4's 1,088 records: 21 reduced systems, each expanded once, to the
+    # oracle degree, and every record still checked by the oracle
     import richardson.groebner as gr
     import richardson.invariants as rinv
 
@@ -706,8 +691,7 @@ def test_the_cone_series_is_expanded_once_per_reduced_system_and_degree(monkeypa
     clear_memos()
     triples = _s4_triples()
     before = rinv.ORACLE_CHECKS
-    for degree in (6, 3):
-        for v, sigma, w in triples:
-            richardson_invariants(v, w, sigma, oracle=degree)
-    assert sorted(degrees) == [1] * 21 + [3] * 21 + [6] * 21
-    assert rinv.ORACLE_CHECKS - before == 2 * len(triples) == 2176
+    for v, sigma, w in triples:
+        richardson_invariants(v, w, sigma)
+    assert degrees == [6] * 21
+    assert rinv.ORACLE_CHECKS - before == len(triples) == 1088

@@ -129,15 +129,18 @@ def test_point_tangent_dimensions_match_the_jacobian_of_the_unreduced_ideal(monk
     # the draws of verify points --n 4 --exhaustive: every point record's
     # tangent dimension, read off its cone, is the Jacobian corank of the
     # localized chart ideal, also where a linear part outlives the solve
-    records = []
-    real = verify.local_invariants_at
+    import richardson.invariants as rinv
 
-    def recording(I, p, oracle):
-        inv = real(I, p, oracle)
-        records.append((I, p, inv))
+    records = []
+    real = rinv.local_invariants_at
+
+    def recording(I, p):
+        inv = real(I, p)
+        if any(p.values()):  # a point record; a fixed-point one is at the origin
+            records.append((I, p, inv))
         return inv
 
-    monkeypatch.setattr(verify, "local_invariants_at", recording)
+    monkeypatch.setattr(rinv, "local_invariants_at", recording)
     elems = Permutation.all(4)
     for v in elems:
         for w in elems:
@@ -251,8 +254,8 @@ _FIXED_POINT_FAILURES = {
 def test_fixed_point_law_failure_report(check, monkeypatch):
     real = verify.richardson_invariants
 
-    def broken(v, w, sigma, oracle):
-        rec = real(v, w, sigma, oracle)
+    def broken(v, w, sigma):
+        rec = real(v, w, sigma)
         if (str(v), str(w), str(sigma)) != _BROKEN_TRIPLE:
             return rec
         # wrong in every law at once; H = 1 - q also has a negative coefficient
@@ -271,8 +274,8 @@ _POINTS_FAILURE = '{"cases":1,"check":"points","failures":[{"at_point":1,"case":
 def test_points_law_failure_report(monkeypatch):
     real = verify.schubert_invariants
 
-    def broken(w, sigma, oracle):
-        rec = real(w, sigma, oracle)
+    def broken(w, sigma):
+        rec = real(w, sigma)
         return dataclasses.replace(
             rec, multiplicity=rec.multiplicity + 1, smooth=not rec.smooth,
             h_polynomial=rec.h_polynomial * _q_poly([1, 1]),
