@@ -13,8 +13,9 @@ emitted generators are the essential rank conditions (regression tests
 pin their ideals against the full unpruned lists of the test oracles).
 
 One generic matrix is kept per chart (``generic_matrix`` is memoized by
-u), so its table of minors serves every Schubert, opposite and Richardson
-ideal built in that chart.  The table holds at most one entry per square
+u, and ``chart(u)`` is the chart it holds), so its table of minors
+serves every Schubert, opposite and Richardson ideal built in that
+chart.  The table holds at most one entry per square
 submatrix, so at most C(2n, n) entries (252 at n = 5, 924 at n = 6), and
 ``clear_memos()`` drops it with the matrix.  Which minors a permutation
 asks for does not depend on the chart, so its (rows, cols) index list is
@@ -117,11 +118,6 @@ class Chart:
         return {nm: Fraction(0) for nm in self.ctx.names}
 
 
-@memoized(lambda u: u.window)
-def chart(u: Permutation) -> Chart:
-    return Chart(u)
-
-
 class ChartMatrix:
     """An n x n matrix of polynomials in a chart's coordinates."""
 
@@ -183,7 +179,7 @@ def generic_matrix(u: Permutation) -> ChartMatrix:
 
     One matrix per chart, shared by every caller: it must not be mutated.
     """
-    ch = chart(u)
+    ch = Chart(u)
     n = u.n
     uinv = u.inverse()
     rows = []
@@ -198,6 +194,11 @@ def generic_matrix(u: Permutation) -> ChartMatrix:
                 row.append(ch.ctx.zero())
         rows.append(row)
     return ChartMatrix(ch, rows)
+
+
+def chart(u: Permutation) -> Chart:
+    """The chart of u, the one its generic matrix holds."""
+    return generic_matrix(u).chart
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ ideal, tangent cones by one completion of the homogenized ideal, and a
 local Hilbert-function oracle used to cross-check every multiplicity the
 package ever reports.
 
-There are two monomial orders, each one int key and no cache: degrevlex
-(poly.degrevlex_key), the order of every basis buchberger returns, and
-the cone order (_cone_key), under which tangent_cone completes the
-homogenized ideal.  The lowest-degree forms of that one basis are a
-degrevlex basis of the cone, so its Hilbert data come from their leading
-monomials (_hilbert_data, shared with hilbert_numerator).
+There is one completion routine, _completion_for: a function of term
+maps, their pack and an int key of a monomial order, which keeps its
+basis, pair heap and reducers in locals and returns the reduced basis as
+monic (leading term, tail) pairs.  It runs under two orders, each one int
+key and no cache: degrevlex (poly.degrevlex_key), the order of every
+basis buchberger returns, and the cone order (_cone_key), under which
+tangent_cone completes the homogenized ideal.  The lowest-degree forms
+of that one basis are a degrevlex basis of the cone, so its Hilbert data
+come from their leading monomials (_hilbert_data, shared with
+hilbert_numerator).
 
 A local invariant at the origin is computed on the ring that
 solve_linear_variables leaves: while some generator is g = c*x + h with x
@@ -256,33 +260,39 @@ def _monic_raw(terms: dict, keyf):
     return lt, tail
 
 
-class _Completion:
-    """Buchberger completion state: basis elements, pair heap and reducers."""
+def _completion_for(pk: _Pack, term_maps: Iterable[dict], keyf) -> list[tuple[int, dict]]:
+    """The reduced basis of the ideal of the term maps, packed in pk, under
+    the order of the int key keyf: its monic (lt, tail) pairs, ascending by
+    leading term.
 
-    def __init__(self, keyf, pk: _Pack):
-        self.keyf = keyf
-        self.pk = pk
-        self.lts: list[int] = []
-        self.tails: list[dict] = []
-        self.pairs: list = []  # heap of (lcm_key, i, j, lcm)
-        self.dead_pairs: set[tuple[int, int]] = set()
-        self.reducers: list = []  # _reducer entries, kept sorted
+    The maps are seeded in ascending order of leading term, each reduced
+    against the basis so far; then pairs are taken lowest lcm first (normal
+    selection), and each S-polynomial is reduced the same way.  A nonzero
+    remainder joins the basis, monic, through the Gebauer-Moller pair
+    update.  Last the basis is minimalized and tail-reduced.
+    """
+    degshift = pk.degshift
+    divides = pk.divides
+    lcm = pk.lcm
+    hi, low = pk.himask, pk.lowmask
+    lts: list[int] = []
+    tails: list[dict] = []
+    pairs: list = []  # heap of (lcm_key, i, j, lcm)
+    dead_pairs: set[tuple[int, int]] = set()
+    reducers: list = []  # _reducer entries, kept sorted
 
-    def add(self, lt: int, tail: dict):
-        """Gebauer-Moller pair update with a new monic element."""
-        keyf = self.keyf
-        pk = self.pk
-        t = len(self.lts)
-        degshift = pk.degshift
+    def absorb(terms: dict):
+        r = _reduce_raw(terms, reducers, keyf, pk)
+        if not r:
+            return
+        lt, tail = _monic_raw(r, keyf)
+        t = len(lts)
         new_ltdeg = lt >> degshift
-        divides = pk.divides
-        lcm = pk.lcm
-        hi, low = pk.himask, pk.lowmask
         ltmask = ((lt & low) + low) & hi  # pk.support_mask(lt)
         lcms = {}
         live = []
         blockers = []
-        for i, li in enumerate(self.lts):
+        for i, li in enumerate(lts):
             lcms[i] = lcm(li, lt)
             if ((li & low) + low) & ltmask:
                 live.append(i)
@@ -299,12 +309,12 @@ class _Completion:
                 divides(lcms[j], li) for j in kept
             ):
                 kept.append(i)
-        for (_, i, j, l) in self.pairs:
-            if (i, j) in self.dead_pairs:
+        for (_, i, j, l) in pairs:
+            if (i, j) in dead_pairs:
                 continue
             if new_ltdeg <= (l >> degshift) and divides(lt, l):
-                if lcm(self.lts[i], lt) != l and lcm(self.lts[j], lt) != l:
-                    self.dead_pairs.add((i, j))
+                if lcm(lts[i], lt) != l and lcm(lts[j], lt) != l:
+                    dead_pairs.add((i, j))
         if kept:
             uniq = {lcms[j] for j in blockers}
             blocker_lcms = sorted(uniq, key=lambda l: l >> degshift)
@@ -319,57 +329,28 @@ class _Completion:
                         blocked = True
                         break
                 if not blocked:
-                    heapq.heappush(self.pairs, (keyf(li), i, t, li))
-        self.lts.append(lt)
-        self.tails.append(tail)
-        insort(self.reducers, _reducer(t, lt, tail, keyf, pk))
+                    heapq.heappush(pairs, (keyf(li), i, t, li))
+        lts.append(lt)
+        tails.append(tail)
+        insort(reducers, _reducer(t, lt, tail, keyf, pk))
 
-    def pop_pair(self):
-        while self.pairs:
-            _, i, j, l = heapq.heappop(self.pairs)
-            if (i, j) in self.dead_pairs:
-                continue
-            self.dead_pairs.add((i, j))
-            return i, j, l
-        return None
+    for terms in sorted(term_maps, key=lambda t: keyf(max(t, key=keyf))):
+        absorb(terms)
+    while pairs:
+        _, i, j, l = heapq.heappop(pairs)
+        if (i, j) not in dead_pairs:
+            dead_pairs.add((i, j))
+            absorb(_spoly(lts[i], tails[i], lts[j], tails[j], l))
 
-    def absorb(self, terms: dict):
-        """Reduce terms against the basis so far and add the monic remainder."""
-        r = _reduce_raw(terms, self.reducers, self.keyf, self.pk)
-        if r:
-            self.add(*_monic_raw(r, self.keyf))
-
-    def seed(self, term_dicts):
-        for terms in term_dicts:
-            self.absorb(terms)
-
-    def run(self):
-        while (nxt := self.pop_pair()) is not None:
-            i, j, l = nxt
-            self.absorb(_spoly(self.lts[i], self.tails[i], self.lts[j], self.tails[j], l))
-
-    def reduced_elements(self):
-        """Minimalize and tail-reduce, sorted ascending by leading term."""
-        keyf = self.keyf
-        pk = self.pk
-        idx = sorted(range(len(self.lts)), key=lambda i: (keyf(self.lts[i]), i))
-        minimal: list[int] = []
-        for i in idx:
-            if not any(pk.divides(self.lts[j], self.lts[i]) for j in minimal):
-                minimal.append(i)
-        # one reducer set serves every element: a leading term never divides
-        # the smaller terms of its own tail
-        reducers = _make_reducers(((self.lts[i], self.tails[i]) for i in minimal), keyf, pk)
-        return [(self.lts[i], _reduce_raw(self.tails[i], reducers, keyf, pk)) for i in minimal]
-
-
-def _completion_for(pk: _Pack, term_maps: Iterable[dict], keyf) -> _Completion:
-    """The finished completion of the term maps, packed in pk, under the
-    order of the int key keyf, seeded in ascending order of leading term."""
-    comp = _Completion(keyf, pk)
-    comp.seed(sorted(term_maps, key=lambda t: keyf(max(t, key=keyf))))
-    comp.run()
-    return comp
+    idx = sorted(range(len(lts)), key=lambda i: (keyf(lts[i]), i))
+    minimal: list[int] = []
+    for i in idx:
+        if not any(divides(lts[j], lts[i]) for j in minimal):
+            minimal.append(i)
+    # one reducer set serves every element: a leading term never divides
+    # the smaller terms of its own tail
+    reducers = _make_reducers(((lts[i], tails[i]) for i in minimal), keyf, pk)
+    return [(lts[i], _reduce_raw(tails[i], reducers, keyf, pk)) for i in minimal]
 
 
 def _drain(pk: _Pack, *systems: list[dict]) -> tuple[Sequence[list[dict]], list[int]]:
@@ -432,8 +413,8 @@ def _restricted(ctx: Context, live: list[int], maps: list[dict]) -> IdealGens:
 def buchberger(ideal: IdealGens) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis; deterministic for fixed input."""
     ctx = ideal.ctx
-    comp = _completion_for(ctx.pack, (g.terms for g in ideal.generators), degrevlex_key(ctx))
-    basis = tuple(Polynomial(ctx, {lt: 1, **tail}) for lt, tail in comp.reduced_elements())
+    elements = _completion_for(ctx.pack, (g.terms for g in ideal.generators), degrevlex_key(ctx))
+    basis = tuple(Polynomial(ctx, {lt: 1, **tail}) for lt, tail in elements)
     return GroebnerBasis(basis=basis, ctx=ctx)
 
 
@@ -761,11 +742,9 @@ def tangent_cone(I: IdealGens) -> IdealGens:
         if d - g.min_degree() > _FIELD_MAX:
             raise OverflowError(f"a power of the homogenizing variable exceeds {_FIELD_MAX}")
         hom.append({up(a) + (d - (a >> degshift)) * t: c for a, c in g.terms.items()})
-    comp = _completion_for(big, hom, _cone_key(big))
-
     out = []
     down = _repacker(big, ctx.pack, range(ctx.nvars))
-    for lt, tail in comp.reduced_elements():
+    for lt, tail in _completion_for(big, hom, _cone_key(big)):
         # dehomogenize (t -> 1) and take the lowest-degree form; the element is
         # homogeneous, so no two of its terms have the same part outside t
         g = Polynomial(ctx, {down(a): c for a, c in [*tail.items(), (lt, 1)]})

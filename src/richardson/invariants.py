@@ -59,9 +59,8 @@ from .charts import (
 from .groebner import (
     ORACLE_DEGREE,
     GroebnerBasis,
-    HilbertData,
     IdealGens,
-    buchberger,
+    krull_dimension,
     local_hilbert_oracle,
     solve_linear_variables,
     tangent_cone,
@@ -135,10 +134,16 @@ def local_invariants_at(I: IdealGens, p) -> LocalInvariants:
     per position-canonical reduced system (_reduced_invariants); the
     tangent cone is checked by the oracle, on I0 itself, up to
     ORACLE_DEGREE, on every call.
+
+    The record's dimension is the Krull dimension of R/I, so every
+    top-dimensional component of V(I) must pass through p; every chart
+    ideal the package builds is one irreducible variety and meets this.
+    Otherwise the local dimension, read off the tangent cone, is smaller,
+    and the dimension cross-check raises RuntimeError.
     """
     I0 = localize(I, p)
     J, _ = solve_linear_variables(I0)
-    _, inv, prefix = _reduced_invariants(J)
+    inv, prefix = _reduced_invariants(J)
     _concordance_check(I0, prefix)
     return inv
 
@@ -154,9 +159,9 @@ def _reduced_key(J: IdealGens) -> tuple:
 
 
 @memoized(_reduced_key)
-def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, list[int]]:
-    """(tangent-cone Hilbert data, record, series prefix to ORACLE_DEGREE)
-    of the reduced ideal J at the origin.
+def _reduced_invariants(J: IdealGens) -> tuple[LocalInvariants, list[int]]:
+    """(record, tangent-cone series prefix to ORACLE_DEGREE) of the
+    reduced ideal J at the origin.
 
     Two completions, one when J has no generators: the degrevlex basis of
     J gives the dimension, and tangent_cone's one completion gives the
@@ -164,17 +169,21 @@ def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, lis
     degrevlex basis of the cone (Greuel-Pfister, A Singular Introduction
     to Commutative Algebra, 1.7 and 5.5), so the cone's Hilbert data are
     read off their leading monomials as they are.  The two dimensions must
-    agree.  The tangent dimension is the cone's Hilbert function in degree
-    1, dim m/(m^2 + J), read off the prefix the oracle checks, so four of
-    the five fields come from the one cone completion.
+    agree: the cone's is the local one, at the origin, and it falls short
+    of dim R/J when a top-dimensional component of V(J) misses the origin
+    (see local_invariants_at).  The tangent dimension is the cone's
+    Hilbert function in degree 1, dim m/(m^2 + J), read off the prefix the
+    oracle checks, so four of the five fields come from the one cone
+    completion.
     """
     n = J.ctx.nvars
-    dim = _hilbert_data(buchberger(J)).dimension  # raises on the unit ideal
+    dim = krull_dimension(J)  # raises on the unit ideal
     hd = _hilbert_data(GroebnerBasis(tangent_cone(J).generators, J.ctx))
     if hd.dimension != dim:
         raise RuntimeError(
             f"H-polynomial division mismatch: {n - hd.dimension} factors of (1-q) "
-            f"cancelled, expected {n - dim}"
+            f"cancelled, expected {n - dim}: either a top-dimensional component "
+            "of V(I) misses the point, or the kernel is wrong"
         )
     h_poly = hd.cancelled_numerator
     mult = sum(_q_coeffs(h_poly))
@@ -182,7 +191,7 @@ def _reduced_invariants(J: IdealGens) -> tuple[HilbertData, LocalInvariants, lis
         raise RuntimeError("nonpositive multiplicity; dimension bug")
     prefix = hd.series_prefix(ORACLE_DEGREE)
     tangent = prefix[1]
-    return hd, LocalInvariants(
+    return LocalInvariants(
         dimension=dim,
         tangent_dim=tangent,
         smooth=(tangent == dim),

@@ -11,6 +11,7 @@ from oracles import brute_coset, jacobian_corank, subword_bruhat_leq, tangent_co
 from richardson import clear_memos
 from richardson.charts import chart, richardson_ideal_in_chart, schubert_ideal_in_chart
 from richardson.groebner import (
+    ORACLE_DEGREE,
     IdealGens,
     buchberger,
     hilbert_numerator,
@@ -406,6 +407,19 @@ def test_reduced_systems_with_different_keys_get_their_own_records():
     assert (point.dimension, point.multiplicity) == (0, 4)
 
 
+def test_a_top_component_off_the_point_raises():
+    # V(x(y-1), z(y-1)) is the plane y = 1 and the y-axis: dim R/I is 2, but
+    # only the line passes through the origin, where the cone has dimension 1
+    xyz = Context(("x", "y", "z"))
+    x, y, z = xyz.gens()
+    I = IdealGens(xyz, [x * (y - 1), z * (y - 1)])
+    assert krull_dimension(I) == 2
+    clear_memos()
+    with pytest.raises(RuntimeError, match=r"2 factors of \(1-q\) cancelled, expected 1: "
+                       r"either a top-dimensional component of V\(I\) misses the point"):
+        local_invariants_at(I, {"x": 0, "y": 0, "z": 0})
+
+
 def test_every_record_runs_its_checks_and_each_reduced_system_runs_once(monkeypatch):
     # S4 has 1,088 records and 21 reduced systems: every record solves its
     # own series and is checked twice, each system meets the kernel and the
@@ -428,7 +442,7 @@ def test_every_record_runs_its_checks_and_each_reduced_system_runs_once(monkeypa
     macaulay_keys = counting(gr, "_macaulay_counts", gr._macaulay_key)
     macaulay_runs = counting(gr, "_monomials_upto")  # once per run of the Macaulay stage
     kernel_keys = counting(rinv, "_reduced_invariants", rinv._reduced_key)
-    kernel_runs = counting(rinv, "buchberger")  # once per run of the kernel
+    kernel_runs = counting(rinv, "krull_dimension")  # once per run of the kernel
     clear_memos()
     triples = _s4_triples()
     oracle_before, tangent_before = rinv.ORACLE_CHECKS, rinv.TANGENT_CHECKS
@@ -489,8 +503,10 @@ def test_one_cone_completion_gives_the_cone_hilbert_data():
     assert len(s4) == 21 and len(s5) >= 40
     clear_memos()
     for J in [*s4.values(), *s5.values()]:
-        hd = rinv._reduced_invariants(J)[0]
-        assert hd == hilbert_numerator(tangent_cone(J)), J.generators
+        inv, prefix = rinv._reduced_invariants(J)
+        hd = hilbert_numerator(tangent_cone(J))
+        assert (inv.dimension, inv.h_polynomial) == (hd.dimension, hd.cancelled_numerator), J.generators
+        assert prefix == hd.series_prefix(ORACLE_DEGREE), J.generators
 
 
 def test_fixed_point_reduced_systems_are_torus_graded():
