@@ -843,7 +843,7 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
     fm = _FIELD_MASK
     low = pk.lowmask
     limit = (degree_bound + 1) << pk.degshift
-    linear = {unit: v for v, unit in enumerate(pk.units)}
+    linear = pk.unit_index
     live = list(range(pk.n))
     while True:
         # a one-term series c*x solves to x = 0: drop every such g and every
@@ -912,35 +912,6 @@ def _integer_rows(gens: list[dict], pk: _Pack, live: list[int]) -> list[dict[int
     return rows
 
 
-def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
-    """Reduce an integer row (consumed) against pivot rows keyed by their smallest column.
-
-    Fraction-free: each step scales the row by the pivot coefficient over
-    their gcd.  A row left nonzero becomes a new pivot, divided by its
-    content; returns whether that happened.
-    """
-    while row:
-        p = min(row)
-        prow = pivots.get(p)
-        if prow is None:
-            pivots[p] = _primitive(row)
-            return True
-        a = row[p]
-        b = prow[p]
-        g = gcd(a, b)
-        a //= g
-        b //= g
-        if b != 1:
-            row = {m: b * c for m, c in row.items()}
-        for m, c in prow.items():
-            acc = row.get(m, 0) - a * c
-            if acc:
-                row[m] = acc
-            else:
-                del row[m]
-    return False
-
-
 def local_hilbert_oracle(I: IdealGens, degree_bound: int = ORACLE_DEGREE) -> tuple[int, ...]:
     """dim_Q of R/(<I> + m^{d+1}) for d = 0..degree_bound.
 
@@ -992,6 +963,12 @@ def _macaulay_counts(n: int, rows: list[dict[int, int]], degree_bound: int) -> t
     ascending degree.  With every pivot at its row's smallest column, the
     pivots of degree <= d span (<rows> + m^{d+1}) / m^{d+1}, so
     dim R'/(<rows> + m^{d+1}) = C(n+d, n) - #pivots of degree <= d.
+    A row is built only when it must be reduced: g's terms ascend, and so
+    do m plus each, so m*g's smallest column is m plus g's first term below
+    the truncation and off the dead columns.  If that column is new, the row
+    would become its pivot unreduced, so it holds (m, g) until a later row
+    reduces against it.  The pivot columns are the smallest columns of the
+    row space, so the counts do not depend on when a row is built.
     """
     degshift = _pack_for(n).degshift
     cols = _monomials_upto(n, degree_bound)
@@ -1005,23 +982,59 @@ def _macaulay_counts(n: int, rows: list[dict[int, int]], degree_bound: int) -> t
             dead.update(a + m for m in cols[: bisect_left(cols, limit - a)])
     # m*g truncates to zero once deg m + min deg g > D, i.e. from packed m >= bound
     polys = [
-        ((degree_bound - (min(row) >> degshift) + 1) << degshift, row)
+        ((degree_bound - (min(row) >> degshift) + 1) << degshift, sorted(row.items()))
         for row in rows
         if len(row) > 1
     ]
     stop = max((bound for bound, _ in polys), default=0)
     live = len(cols) - len(dead)
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict = {}  # column -> its row, or the (m, terms) it is built from
     for m in cols:
         if m >= stop or len(pivots) == live:
             break
         if m in dead:
             continue
-        for bound, g in polys:
+        for bound, terms in polys:
             if m >= bound:
                 continue
-            row = {t: c for a, c in g.items() if (t := a + m) < limit and t not in dead}
-            if row and _eliminate(row, pivots) and len(pivots) == live:
+            for e, _ in terms:  # e + m ascends with e: the first one off the dead columns leads
+                p = e + m
+                if p not in dead:
+                    break
+            else:
+                continue
+            if p >= limit:  # and so is every later term
+                continue
+            prow = pivots.get(p)
+            if prow is None:
+                pivots[p] = (m, terms)
+            else:
+                row = {t: c for e, c in terms if (t := e + m) < limit and t not in dead}
+                while True:  # fraction-free: the row is scaled by the pivot coefficient over their gcd
+                    if prow.__class__ is tuple:
+                        k, ts = prow
+                        prow = pivots[p] = {t: c for e, c in ts if (t := e + k) < limit and t not in dead}
+                    a = row[p]
+                    b = prow[p]
+                    g = gcd(a, b)
+                    a //= g
+                    b //= g
+                    if b != 1:
+                        row = {t: b * c for t, c in row.items()}
+                    for t, c in prow.items():
+                        acc = row.get(t, 0) - a * c
+                        if acc:
+                            row[t] = acc
+                        else:
+                            del row[t]
+                    if not row:
+                        break
+                    p = min(row)
+                    prow = pivots.get(p)
+                    if prow is None:
+                        pivots[p] = _primitive(row)
+                        break
+            if len(pivots) == live:
                 break
     per_degree = [0] * (degree_bound + 1)
     for p in dead:

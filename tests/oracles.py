@@ -18,7 +18,9 @@ polynomials are solved from the defining degree and inversion conditions via
 R-polynomials, monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
 ranks, one matrix per degree; so is the Zariski tangent dimension, one
-matrix of the generators' linear parts.  The kernel's exact linear
+matrix of the generators' linear parts.  The oracle's Macaulay stage,
+which builds a row only when another reduces against it, is checked
+against the row-by-row elimination it replaced.  The kernel's exact linear
 solve and the oracle's series elimination are redone one variable per pass on dense
 term maps, by the pick rules they had before either drained its
 one-term generators in bulk.  The opposite-side
@@ -678,6 +680,74 @@ def integer_rows(gens: list[dict], live: list[int]) -> list[dict]:
             packed(small, tuple(a[v] for v in live)): c // content for a, c in ints.items()
         })
     return rows
+
+
+def _exponents_upto(n: int, degree: int):
+    """Every exponent vector of length n and total degree <= degree."""
+    if n == 0:
+        yield ()
+        return
+    for e in range(degree + 1):
+        for rest in _exponents_upto(n - 1, degree - e):
+            yield (e, *rest)
+
+
+def _eliminate_row(row: dict, pivots: dict) -> bool:
+    """Reduce an integer row (consumed) against pivot rows keyed by their
+    smallest column, fraction-free; a row left nonzero becomes a new pivot,
+    divided by its content.  Returns whether that happened."""
+    while row:
+        p = min(row)
+        prow = pivots.get(p)
+        if prow is None:
+            content = math.gcd(*row.values())
+            pivots[p] = {a: c // content for a, c in row.items()}
+            return True
+        a, b = row[p], prow[p]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        row = {m: b * c for m, c in row.items()}
+        for m, c in prow.items():
+            row[m] = row.get(m, 0) - a * c
+        row = {m: c for m, c in row.items() if c}
+    return False
+
+
+def macaulay_counts_row_by_row(n: int, rows: list[dict], degree_bound: int) -> tuple[int, ...]:
+    """The oracle's Macaulay stage as it was before rows were deferred:
+    every row m*g, truncated at degree D and with the columns of monomial
+    generators dropped, is built and reduced in turn, in the same m-major
+    order, and the counts are read off the pivot degrees.  rows are packed
+    in the layout of a context of n variables; the columns are enumerated
+    from exponent vectors."""
+    small = Context([f"u{k}" for k in range(n)])
+    ds = small.pack.degshift
+    cols = sorted(packed(small, e) for e in _exponents_upto(n, degree_bound))
+    limit = (degree_bound + 1) << ds
+    dead = set()
+    for row in rows:
+        if len(row) == 1:
+            (a,) = row
+            dead.update(a + m for m in cols if a + m < limit)
+    polys = [((degree_bound - (min(row) >> ds) + 1) << ds, row) for row in rows if len(row) > 1]
+    stop = max((bound for bound, _ in polys), default=0)
+    live = len(cols) - len(dead)
+    pivots: dict = {}
+    for m in cols:
+        if m >= stop or len(pivots) == live:
+            break
+        if m in dead:
+            continue
+        for bound, g in polys:
+            if m >= bound:
+                continue
+            row = {t: c for a, c in g.items() if (t := a + m) < limit and t not in dead}
+            if row and _eliminate_row(row, pivots) and len(pivots) == live:
+                break
+    degrees = [p >> ds for p in (*dead, *pivots)]
+    return tuple(
+        math.comb(n + d, n) - sum(e <= d for e in degrees) for d in range(degree_bound + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
