@@ -54,9 +54,10 @@ and oracle calls are not: the ideals they are handed rarely repeat.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -125,18 +126,9 @@ class HilbertData:
 
     def series_prefix(self, upto: int) -> list[int]:
         """Coefficients 0..upto of the power-series expansion."""
-        k = self.num_vars
-        ncoef = _q_coeffs(self.numerator)
-        if k == 0:  # no (1-q) to expand: the series is the numerator
-            return (ncoef + [0] * upto)[:upto + 1]
-        out = []
-        for d in range(upto + 1):
-            total = 0
-            for e, ce in enumerate(ncoef):
-                if e > d:
-                    break
-                total += ce * comb(k - 1 + d - e, k - 1)
-            out.append(total)
+        out = (_q_coeffs(self.numerator) + [0] * upto)[:upto + 1]
+        for _ in range(self.num_vars):  # times 1/(1-q): the prefix sums
+            out = list(accumulate(out))
         return out
 
 
@@ -964,56 +956,39 @@ def _macaulay_counts(n: int, rows: list[dict[int, int]], degree_bound: int) -> t
     pivots of degree <= d span (<rows> + m^{d+1}) / m^{d+1}, so
     dim R'/(<rows> + m^{d+1}) = C(n+d, n) - #pivots of degree <= d.
     A row is built only when it must be reduced: g's terms ascend, and so
-    do m plus each, so m*g's smallest column is m plus g's first term below
-    the truncation and off the dead columns.  If that column is new, the row
-    would become its pivot unreduced, so it holds (m, g) until a later row
-    reduces against it.  The pivot columns are the smallest columns of the
-    row space, so the counts do not depend on when a row is built.
+    do m plus each, so m*g's smallest column is m plus g's first term.  Only
+    multipliers with deg m + min deg g <= D are taken, so that column lies
+    below the truncation.  If it is new, the row would become its pivot
+    unreduced, so it holds (m, g) until a later row reduces against it.
+    The pivot columns are the smallest columns of the row space, so the
+    counts do not depend on when a row is built.  A one-term row is an
+    ordinary row: each multiple m*a is the pivot of column m + a.
     """
     degshift = _pack_for(n).degshift
-    cols = _monomials_upto(n, degree_bound)
     limit = (degree_bound + 1) << degshift  # packed monomials of degree <= D lie below
-    # a monomial generator is a single-entry pivot on every column it divides:
-    # those dead columns count as pivots and never enter a row
-    dead: set[int] = set()
-    for row in rows:
-        if len(row) == 1:
-            (a,) = row
-            dead.update(a + m for m in cols[: bisect_left(cols, limit - a)])
     # m*g truncates to zero once deg m + min deg g > D, i.e. from packed m >= bound
     polys = [
         ((degree_bound - (min(row) >> degshift) + 1) << degshift, sorted(row.items()))
         for row in rows
-        if len(row) > 1
     ]
     stop = max((bound for bound, _ in polys), default=0)
-    live = len(cols) - len(dead)
     pivots: dict = {}  # column -> its row, or the (m, terms) it is built from
-    for m in cols:
-        if m >= stop or len(pivots) == live:
+    for m in _monomials_upto(n, degree_bound):
+        if m >= stop:
             break
-        if m in dead:
-            continue
         for bound, terms in polys:
             if m >= bound:
                 continue
-            for e, _ in terms:  # e + m ascends with e: the first one off the dead columns leads
-                p = e + m
-                if p not in dead:
-                    break
-            else:
-                continue
-            if p >= limit:  # and so is every later term
-                continue
+            p = terms[0][0] + m
             prow = pivots.get(p)
             if prow is None:
                 pivots[p] = (m, terms)
             else:
-                row = {t: c for e, c in terms if (t := e + m) < limit and t not in dead}
+                row = {t: c for e, c in terms if (t := e + m) < limit}
                 while True:  # fraction-free: the row is scaled by the pivot coefficient over their gcd
                     if prow.__class__ is tuple:
                         k, ts = prow
-                        prow = pivots[p] = {t: c for e, c in ts if (t := e + k) < limit and t not in dead}
+                        prow = pivots[p] = {t: c for e, c in ts if (t := e + k) < limit}
                     a = row[p]
                     b = prow[p]
                     g = gcd(a, b)
@@ -1034,11 +1009,7 @@ def _macaulay_counts(n: int, rows: list[dict[int, int]], degree_bound: int) -> t
                     if prow is None:
                         pivots[p] = _primitive(row)
                         break
-            if len(pivots) == live:
-                break
     per_degree = [0] * (degree_bound + 1)
-    for p in dead:
-        per_degree[p >> degshift] += 1
     for p in pivots:
         per_degree[p >> degshift] += 1
     counts = []

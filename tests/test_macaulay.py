@@ -4,8 +4,10 @@ _macaulay_counts builds a row m*g only when a later row reduces against
 it: a row whose smallest column is new is held there as (m, g).  Its
 counts must be the ones the elimination that built and reduced every row
 reads (tests/oracles.py): on every distinct system of the S4 fixed points
-and of a seeded S5 sample, and on hand-made rows whose smallest term lies
-on a dead column (a monomial generator divides it) or past the truncation.
+and of a seeded S5 sample, and on hand-made rows with one-term rows or
+terms past the truncation.  The reference drops the dead columns, those
+a one-term row divides; _macaulay_counts takes a one-term row as an
+ordinary row, whose multiples become the pivots of those columns.
 """
 
 from oracles import macaulay_counts_row_by_row, truncated_quotient_dims
@@ -50,7 +52,7 @@ def test_s4_systems_match_the_row_by_row_elimination(monkeypatch):
 
 
 def test_s5_sample_systems_match_the_row_by_row_elimination(monkeypatch):
-    # no fixed-point system keeps a monomial generator: dead columns are
+    # no fixed-point system keeps a monomial generator: one-term rows are
     # left to the hand-made rows below and to the dense-rank test
     systems = _systems(_s5_sample_triples(2000, 3201), monkeypatch)
     assert len(systems) == 171
@@ -67,22 +69,30 @@ def test_dead_and_truncated_leading_terms():
     cases = [
         # x*y kills x*y + y^3 at m = 1 down to y^3, and every term of it at m = x
         ([x * y, x * y + y ** 3], 4),
-        # y*(x^2 + x*y + y^2) leads at y^3 past two dead terms and waits there;
-        # y*(y^2 + x^3) reduces against it, so it is built without them
+        # in the reference y*(x^2 + x*y + y^2) leads at y^3 past two dead
+        # terms and waits there; y*(y^2 + x^3) reduces against it, so it is
+        # built without them
         ([x * y, x * x + x * y + y * y, y * y + x ** 3], 4),
         # the same with the multipliers of the waiting and the reducing row
-        # apart: x^2*(x*y + y^2) waits at x^2*y^2 past the dead x^3*y, and
-        # x*y*(2*x^2 + x*y + x^3) reduces against it
+        # apart: in the reference x^2*(x*y + y^2) waits at x^2*y^2 past the
+        # dead x^3*y, and x*y*(2*x^2 + x*y + x^3) reduces against it
         ([x ** 3, y * y + x * y, x * y + 2 * x * x + x ** 3], 4),
-        # x^2 + x^3 + y^5 is dead below degree 5 and truncated above 4
+        # x^2 + x^3 + y^5 is dead in the reference below degree 5, and
+        # truncated above 4
         ([x * x, x * x + x ** 3 + y ** 5], 4),
-        # y*(x*y + y^4): x*y^2 is dead, y^5 is past the truncation; the same
-        # with terms of three degrees
+        # y*(x*y + y^4): x*y^2 is dead in the reference, y^5 is past the
+        # truncation; the same with terms of three degrees
         ([x * y, x * y + y ** 4], 4),
         ([x * y, x * y + y ** 4 + x ** 3 - y ** 3], 5),
-        # no dead column: multiples of y^2 - x^3 and of x^2*y - y^4 wait, and
-        # are built when rows of other multipliers reduce against them
+        # no one-term row: multiples of y^2 - x^3 and of x^2*y - y^4 wait,
+        # and are built when rows of other multipliers reduce against them
         ([y * y - x ** 3, x * y + y ** 3, x * x * y - y ** 4], 6),
+        # a constant row: every column is a pivot, (0, 0, 0, 0, 0)
+        ([XY.one(), x * y + y ** 3], 4),
+        # a one-term row that is not primitive: (1, 3, 4, 4, 4, 4)
+        ([3 * x * y, x * y + y ** 3, x * x - 2 * y * y], 5),
+        # a one-term row alone: (1, 3, 6, 9, 12, 15, 18)
+        ([2 * x * x * y], 6),
     ]
     clear_memos()
     for gens, D in cases:
