@@ -63,6 +63,7 @@ from typing import Iterable, Sequence
 
 from .memo import memoized
 from .poly import (
+    MONOMIAL_ONE,
     _FIELD_BITS,
     _FIELD_MASK,
     _FIELD_MAX,
@@ -354,50 +355,64 @@ def _drain(pk: _Pack, *systems: list[dict]) -> tuple[Sequence[list[dict]], list[
     Every such x is set to zero in one pass: each map drops the terms that
     hold one of them (it stays the same map if it drops none, and goes if
     nothing is left, as c*x does), and the pass repeats while new
-    coordinates appear.  Returns the systems left, each in its order, and
-    the zeroed variables, pass by pass, each pass in ascending order.
+    coordinates appear.  A pass notes the coordinates among the maps it
+    keeps, so the maps are scanned once per pass.  Returns the systems
+    left, each in its order, and the zeroed variables, pass by pass, each
+    pass in ascending order.
     """
     hi, low, degshift = pk.himask, pk.lowmask, pk.degshift
     zeroed: list[int] = []
-    while True:
-        mask = hi  # the guard bits of the variables to zero
-        for maps in systems:
-            seen = 0
-            for t in maps:
-                if len(t) == 1:
-                    for m in t:
-                        if m >> degshift == 1:
-                            seen |= ((m & low) + low) & hi  # pk.support_mask(m)
-            mask &= seen
-        if not mask:
-            return systems, zeroed
+    mask = hi  # the guard bits of the variables to zero
+    for maps in systems:
+        seen = 0
+        for t in maps:
+            if len(t) == 1:
+                (m,) = t
+                if m >> degshift == 1:
+                    seen |= ((m & low) + low) & hi  # pk.support_mask(m)
+        mask &= seen
+    while mask:
         bits = mask
         while bits:  # the guard bit of variable v is bit 8v + 7
             bit = bits & -bits
             zeroed.append(bit.bit_length() // _FIELD_BITS - 1)
             bits ^= bit
         left = []
+        common = hi  # the coordinates every system keeps
         for maps in systems:
             out = []
+            seen = 0
             for t in maps:
-                if len(t) == 1:  # stays or goes whole
-                    for m in t:
-                        if not ((m & low) + low) & mask:
-                            out.append(t)
-                    continue
-                kept = {b: d for b, d in t.items() if not ((b & low) + low) & mask}
-                if len(kept) == len(t):
+                for b in t:
+                    if ((b & low) + low) & mask:
+                        break
+                else:  # no term holds a zeroed variable
                     out.append(t)
-                elif kept:
-                    out.append(kept)
+                    if len(t) == 1 and b >> degshift == 1:
+                        seen |= ((b & low) + low) & hi
+                    continue
+                if len(t) == 1:  # c*x and the monomials holding a zeroed x go
+                    continue
+                t = {b: d for b, d in t.items() if not ((b & low) + low) & mask}
+                if t:
+                    out.append(t)
+                    if len(t) == 1:
+                        (b,) = t
+                        if b >> degshift == 1:
+                            seen |= ((b & low) + low) & hi
             left.append(out)
+            common &= seen
         systems = left
+        mask = common
+    return systems, zeroed
 
 
 def _restricted(ctx: Context, live: list[int], maps: list[dict]) -> IdealGens:
     """Term maps in the variables live only, as the ideal they generate in
     the ring of those variables, which keep their names."""
     small = Context([ctx.names[v] for v in live], [ctx.latex_names[v] for v in live])
+    if not maps:  # at a fixed point, nearly every reduced system
+        return IdealGens(small, ())
     move = _repacker(ctx.pack, small.pack, live)
     return IdealGens(small, [Polynomial(small, {move(b): d for b, d in t.items()}) for t in maps])
 
@@ -506,6 +521,7 @@ def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Pol
     ctx = I.ctx
     pk = ctx.pack
     fm = _FIELD_MASK
+    hi = pk.himask
     linear = pk.unit_index
     gens = [g.terms for g in I.generators]  # term maps, as _drain takes them
     live = list(range(ctx.nvars))
@@ -538,24 +554,33 @@ def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Pol
         solved.append((ctx.names[v], image))
         shift = pk.shifts[v]
         unit = pk.units[v]
-        powers = [image]  # image^1, image^2, ...
+        powers = [image.terms]  # the term maps of image^1, image^2, ...
         out = []
         for t in gens:
-            # f = f_0 + sum_e f_e x^e with x not in the f_e: f(image) = f_0 + sum_e f_e image^e
-            parts: dict[int, dict] = {}
-            for b, d in t.items():
-                e = (b >> shift) & fm
-                parts.setdefault(e, {})[b - e * unit] = d
-            if parts.keys() == {0}:
+            if not any((b >> shift) & fm for b in t):
                 out.append(t)
                 continue
-            while len(powers) < max(parts):
-                powers.append(powers[-1] * image)
-            f = Polynomial(ctx, parts.pop(0, {}))
-            for e, terms in parts.items():
-                f = f + Polynomial(ctx, terms) * powers[e - 1]
-            if f.terms:
-                out.append(f.terms)
+            # f = f_0 + sum_e f_e x^e with x not in the f_e: f(image) = f_0 + sum_e f_e image^e
+            f: dict = {}
+            for b, d in t.items():
+                e = (b >> shift) & fm
+                if e:
+                    while len(powers) < e:
+                        powers.append((Polynomial(ctx, powers[-1]) * image).terms)
+                    base = b - e * unit
+                    pairs = [(base + m, d * q) for m, q in powers[e - 1].items()]
+                else:
+                    pairs = [(b, d)]
+                for m, q in pairs:
+                    if m & hi:
+                        raise OverflowError(f"an exponent of the product exceeds {_FIELD_MAX}")
+                    acc = f.get(m, 0) + q
+                    if acc:
+                        f[m] = acc
+                    else:
+                        del f[m]
+            if f:
+                out.append(f)
         gens = out
         live.remove(v)
     if not solved:
@@ -775,8 +800,14 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _powers(series: dict, upto: int, limit: int) -> list[dict]:
-    """series^0 .. series^upto truncated below limit, ending early at a zero power."""
+    """series^0 .. series^upto truncated below limit, ending early at a zero power.
+
+    The series has no constant term and its terms lie below limit, so its
+    first power is itself.
+    """
     out = [{0: 1}]
+    if series and upto:
+        out.append(series)
     while len(out) <= upto:
         nxt: dict = {}
         for a, c in out[-1].items():
@@ -817,85 +848,121 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
     """Remove, in place, every variable some generator is linear in; return the rest.
 
     gens are packed series truncated at degree D = degree_bound, with no
-    constant term.  While some g = c*x + h has a linear term c*x, g = 0 is
-    solved for x as a series x = -h/c truncated at D (when x occurs in h,
-    by D rounds of fixed-point substitution, each fixing one more degree);
-    the series replaces x in the other generators, and g and x are
-    dropped.  A one-term g = c*x gives x = 0, and the pick (x absent from
-    h, then the shortest g) takes those first, so they are drained in bulk
-    before each other pick: every such x is dropped with every term that
-    holds it, in one pass repeated while new ones appear.  By the formal
-    inverse function theorem the completions of
-    R/I and R'/I' at the origin are isomorphic with m onto m', and
-    dim R/(I + m^{d+1}) for d <= D depends only on the generators mod
-    m^{D+1}, so every truncated quotient dimension is unchanged.  Each step
-    is a Gaussian elimination step on the linear parts, so
-    n - rank(linear parts) variables are left.
+    constant term; the list is changed, the maps in it are not.  While some
+    g = c*x + h has a linear term c*x, g = 0 is solved for x as a series
+    x = -h/c truncated at D; the series replaces x in the other generators,
+    and g and x are dropped.  When x is not in h the series is -h/c itself;
+    when it is, it takes D rounds of fixed-point substitution, each fixing
+    one more degree.  A one-term g = c*x gives x = 0, and the pick (x
+    absent from h, then the shortest g) takes those first, so they are
+    drained in bulk before each other pick: every such x is dropped with
+    every term that holds it, in one pass repeated while new ones appear.
+    One scan of the generators finds the c*x and the other pick alike.  By
+    the formal inverse function theorem the completions of R/I and R'/I' at
+    the origin are isomorphic with m onto m', and dim R/(I + m^{d+1}) for
+    d <= D depends only on the generators mod m^{D+1}, so every truncated
+    quotient dimension is unchanged.  Each step is a Gaussian elimination
+    step on the linear parts, so n - rank(linear parts) variables are left.
     """
     fm = _FIELD_MASK
-    low = pk.lowmask
+    low, hi = pk.lowmask, pk.himask
     limit = (degree_bound + 1) << pk.degshift
     linear = pk.unit_index
-    live = list(range(pk.n))
+    gone = 0  # the guard bits of the variables removed
     while True:
-        # a one-term series c*x solves to x = 0: drop every such g and every
-        # term holding such an x in one pass, then look again
-        zeroed = 0
-        rest = []
-        for g in gens:
-            if len(g) == 1 and next(iter(g)) in linear:
-                zeroed |= pk.support_mask(next(iter(g)))
-            else:
-                rest.append(g)
-        if zeroed:
-            gens.clear()
-            for g in rest:
-                f = {b: c for b, c in g.items() if not ((b & low) + low) & zeroed}
-                if f:
-                    gens.append(f)
-            live = [v for v in live if not pk.support_mask(pk.units[v]) & zeroed]
-            continue
-        # prefer x absent from h (one substitution), then the shortest g
-        best = None
+        zeroed = 0  # the guard bits of the x of every one-term c*x
+        best = None  # (x in h, len(g), k, a, v) of the pick so far
         for k, g in enumerate(gens):
-            if len(g) == 1:  # a monomial of degree >= 2: the drain took the rest
+            if len(g) == 1:  # c*x, or a monomial of degree >= 2
+                (a,) = g
+                if a in linear:
+                    zeroed |= ((a & low) + low) & hi
                 continue
+            if zeroed:
+                continue
+            n = len(g)
             for a in g:
                 v = linear.get(a)
-                if v is not None:
-                    shift = pk.shifts[v]
-                    rank = (any(b != a and (b >> shift) & fm for b in g), len(g))
-                    if best is None or rank < best[0]:
-                        best = (rank, k, a, v)
+                if v is None or (best is not None and not best[0] and n >= best[1]):
+                    continue
+                shift = pk.shifts[v]
+                for b in g:
+                    if b != a and (b >> shift) & fm:
+                        inh = True
+                        break
+                else:
+                    inh = False
+                # prefer x absent from h (one substitution), then the shortest g
+                if best is None or (inh, n) < best[:2]:
+                    best = (inh, n, k, a, v)
+        if zeroed:
+            # x = 0 for every such x: each pass drops the terms holding one,
+            # and notes the c*x it leaves for the next
+            while zeroed:
+                gone |= zeroed
+                rest = []
+                more = 0
+                for g in gens:
+                    for b in g:
+                        if ((b & low) + low) & zeroed:
+                            break
+                    else:
+                        rest.append(g)
+                        continue
+                    g = {b: c for b, c in g.items() if not ((b & low) + low) & zeroed}
+                    if len(g) == 1:
+                        (b,) = g
+                        if b in linear:
+                            more |= ((b & low) + low) & hi
+                            continue
+                    if g:
+                        rest.append(g)
+                gens[:] = rest
+                zeroed = more
+            continue
         if best is None:
-            return live
-        _, k, a, v = best
+            return [v for v in range(pk.n) if not gone & 1 << pk.shifts[v] + _FIELD_BITS - 1]
+        inh, _, k, a, v = best
         h = gens.pop(k)
         shift = pk.shifts[v]
-        c = h.pop(a)
+        c = h[a]
         scale = -c if c in (1, -1) else -1 / Fraction(c)
-        # x = scale * h(x) by rounds from x = 0: each round fixes one more
-        # degree, and when x is not in h the second round confirms the first
-        top = max(((b >> shift) & fm for b in h), default=0)
-        series: dict = {}
-        for _ in range(degree_bound):
+        h = {b: d for b, d in h.items() if b != a}
+        if inh:
+            # x = scale * h(x) by rounds from x = 0, each fixing one more degree
+            top = max((b >> shift) & fm for b in h)
+            series: dict = {}
+            for _ in range(degree_bound):
+                powers = _powers(series, top, limit)
+                nxt = {b: scale * d for b, d in _substitute(h, shift, powers, pk, limit).items()}
+                if nxt == series:
+                    break
+                series = nxt
+        else:
+            series = {b: scale * d for b, d in h.items()}
+        top = 0
+        for f in gens:
+            for b in f:
+                if (b >> shift) & fm > top:
+                    top = (b >> shift) & fm
+        if top:
             powers = _powers(series, top, limit)
-            nxt = {b: scale * d for b, d in _substitute(h, shift, powers, pk, limit).items()}
-            if nxt == series:
-                break
-            series = nxt
-        hit = [j for j, f in enumerate(gens) if any((b >> shift) & fm for b in f)]
-        if hit:
-            top = max((b >> shift) & fm for j in hit for b in gens[j])
-            powers = _powers(series, top, limit)
-            for j in hit:
-                gens[j] = _substitute(gens[j], shift, powers, pk, limit)
-        gens[:] = [f for f in gens if f]
-        live.remove(v)
+            rest = []
+            for f in gens:
+                for b in f:
+                    if (b >> shift) & fm:
+                        f = _substitute(f, shift, powers, pk, limit)
+                        break
+                if f:
+                    rest.append(f)
+            gens[:] = rest
+        gone |= 1 << shift + _FIELD_BITS - 1  # the guard bit of x
 
 
 def _integer_rows(gens: list[dict], pk: _Pack, live: list[int]) -> list[dict[int, int]]:
     """The generators repacked over the live variables, scaled to coprime integers."""
+    if not gens:
+        return []
     move = _repacker(pk, _pack_for(len(live)), live)
     rows = []
     for g in gens:
@@ -921,14 +988,15 @@ def local_hilbert_oracle(I: IdealGens, degree_bound: int = ORACLE_DEGREE) -> tup
     """
     if not 0 <= degree_bound <= _FIELD_MAX:
         raise ValueError(f"oracle degree bound must lie in 0..{_FIELD_MAX}, got {degree_bound}")
-    for g in I.generators:
-        if g.constant_term() != 0:
-            raise ValueError("generator with nonzero constant term at the origin")
     pk = I.ctx.pack
     top = (degree_bound + 1) << pk.degshift  # terms of degree <= D lie below
     gens = []
     for g in I.generators:
-        terms = {m: c.numerator if c.denominator == 1 else c for m, c in g.terms.items() if m < top}
+        terms = g.terms
+        if MONOMIAL_ONE in terms:
+            raise ValueError("generator with nonzero constant term at the origin")
+        if max(terms) >= top:
+            terms = {m: c for m, c in terms.items() if m < top}
         if terms:
             gens.append(terms)
     kept = _eliminate_linear_variables(gens, pk, degree_bound)

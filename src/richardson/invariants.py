@@ -50,6 +50,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Mapping
 
 from .charts import (
     generic_matrix,
@@ -75,7 +78,7 @@ from .permutations import (
     coset_reps,
     w_j_longest_length,
 )
-from .poly import Polynomial
+from .poly import MONOMIAL_ONE, Polynomial
 
 ORACLE_CHECKS = 0
 TANGENT_CHECKS = 0
@@ -109,26 +112,46 @@ class LocalInvariants:
         }
 
 
+# the origin of every chart, as a point that names no coordinate: a
+# fixed-point record passes it to localize, which needs no scan to know it
+ORIGIN: Mapping[str, int] = MappingProxyType({})
+
+
 def localize(I: IdealGens, p) -> IdealGens:
     """Translate the generators so that p becomes the origin.
 
     The translate g(z + p) of a generator has constant term g(p), so p is
-    on V(I) exactly when no translate has one.  At the origin itself
-    (every fixed-point record) there is nothing to translate, and I comes
-    back unchanged.  A name of p outside the ring raises ValueError.
+    on V(I) exactly when no translate has one (_check_on_variety, on every
+    call).  At the origin itself there is nothing to translate, and I
+    comes back unchanged: p is ORIGIN (every fixed-point record), or a
+    point whose every coordinate is 0.  A name of p outside the ring
+    raises ValueError.
     """
-    unknown = sorted(p.keys() - I.ctx.names)
-    if unknown:
-        raise ValueError(f"not variables of the ring: {unknown}")
-    origin = all(p.get(nm) == 0 for nm in I.ctx.names)
-    moved = I.generators if origin else [g.translate(p) for g in I.generators]
-    if any(g.constant_term() != 0 for g in moved):
-        raise ValueError("point is not on the variety")
-    return I if origin else IdealGens(I.ctx, moved)
+    if p is ORIGIN:
+        moved = I.generators
+    else:
+        unknown = sorted(p.keys() - I.ctx.names)
+        if unknown:
+            raise ValueError(f"not variables of the ring: {unknown}")
+        if all(p.get(nm) == 0 for nm in I.ctx.names):
+            moved = I.generators
+        else:
+            moved = [g.translate(p) for g in I.generators]
+    _check_on_variety(moved)
+    return I if moved is I.generators else IdealGens(I.ctx, moved)
+
+
+def _check_on_variety(moved) -> None:
+    """The membership check of localize, on every call: no translate has a
+    constant term."""
+    for g in moved:
+        if MONOMIAL_ONE in g.terms:
+            raise ValueError("point is not on the variety")
 
 
 def local_invariants_at(I: IdealGens, p) -> LocalInvariants:
-    """The full invariant record of V(I) at the point p of its chart.
+    """The full invariant record of V(I) at the point p of its chart
+    (ORIGIN for its origin).
 
     The kernel runs on the reduced ring of the localized ideal I0, once
     per position-canonical reduced system (_reduced_invariants); the
@@ -204,8 +227,8 @@ def _concordance_check(I0: IdealGens, hf: list[int]) -> None:
     """First differences of the truncation oracle must match the cone's series hf."""
     global ORACLE_CHECKS
     counts = local_hilbert_oracle(I0, ORACLE_DEGREE)
-    diffs = [counts[0]] + [counts[d] - counts[d - 1] for d in range(1, len(counts))]
-    if diffs != hf:
+    if tuple(accumulate(hf)) != counts:  # the counts are the partial sums of hf
+        diffs = [counts[0]] + [counts[d] - counts[d - 1] for d in range(1, len(counts))]
         raise RuntimeError(
             f"tangent-cone Hilbert function {hf} disagrees with the "
             f"truncation oracle differences {diffs}"
@@ -227,8 +250,7 @@ def _fixed_point_invariants(v, w, sigma) -> LocalInvariants:
     named through the module global at call time, so a rebound function
     is the one that runs.
     """
-    ideal = richardson_ideal_in_chart(v, w, sigma)
-    inv = local_invariants_at(ideal, {nm: 0 for nm in ideal.ctx.names})
+    inv = local_invariants_at(richardson_ideal_in_chart(v, w, sigma), ORIGIN)
     _bruhat_check(inv, v, w, sigma)
     return inv
 

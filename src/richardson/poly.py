@@ -151,7 +151,9 @@ class Context:
         if len(self.latex_names) != len(self.names):
             raise ValueError("latex name count mismatch")
         self.pack = _pack_for(len(self.names))
-        self._index = {nm: k for k, nm in enumerate(self.names)}
+        # both built on first use: a reduced ring is built for every record
+        # and rarely names a variable
+        self._index: dict[str, int] | None = None
         self._gens: tuple[Polynomial, ...] | None = None
 
     @property
@@ -159,6 +161,8 @@ class Context:
         return len(self.names)
 
     def index(self, name: str) -> int:
+        if self._index is None:
+            self._index = {nm: k for k, nm in enumerate(self.names)}
         try:
             return self._index[name]
         except KeyError:
