@@ -27,17 +27,18 @@ is an isomorphism of quotient rings sending the origin to the origin.
 At a fixed point most generators are single coordinates c*x, whose image
 is 0, so before each general pick both eliminations drain them: every
 such x is set to zero in one pass, keeping the terms that hold none of
-them, until no generator c*x is left.  Each pick rule takes these
-generators before any other, so the drain reaches the ring that one
-variable per pass reaches.  The kernel's drain is one helper on term
+them, until no generator c*x is left.  A pass notes the c*x it leaves
+for the next, so each pass reads the generators once.  Each pick rule
+takes these generators before any other, so the drain reaches the ring
+that one variable per pass reaches.  The kernel's drain is one helper on term
 maps (_drain), which ideal_equal runs too: since I = (x) + I|x=0 for a
 coordinate x of I, it drains the coordinates both ideals share before it
 compares them.
 The oracle shares no code with this kernel, those eliminations included:
-it takes the ideal as it was, solves away every variable a generator is
-linear in by its own truncated power-series substitution, then runs one
-fraction-free integer elimination of the truncated Macaulay matrix of
-what is left.
+it takes the ideal as it was, reading its term maps without changing
+them, solves away every variable a generator is linear in by its own
+truncated power-series substitution, then runs one fraction-free
+integer elimination of the truncated Macaulay matrix of what is left.
 
 Every algorithm reads the terms of a Polynomial as they are: their
 monomials are the packed integers of richardson.poly, so a product is one
@@ -87,7 +88,7 @@ class IdealGens:
         for g in generators:
             if g.ctx is not ctx and g.ctx != ctx:
                 raise ValueError("generator context mismatch")
-            if not g.is_zero():
+            if g.terms:  # not zero
                 gens.setdefault(g, None)
         self.ctx = ctx
         self.generators = tuple(gens)
@@ -510,7 +511,8 @@ def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Pol
     generator has a constant term, neither has h, so the isomorphism
     sends the origin to the origin and every local invariant there is
     unchanged.  What is left is repacked over the remaining variables,
-    which keep their names.
+    which keep their names (_restricted; at a fixed point usually nothing
+    is left, and only the reduced ring is built).
 
     solved lists (name of x, -h/c) in the order of elimination, each image
     in I.ctx; the zero images of one drain pass come in variable order.
@@ -908,6 +910,8 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
                             break
                     else:
                         rest.append(g)
+                        continue
+                    if len(g) == 1:  # c*x and the monomials holding a zeroed x go
                         continue
                     g = {b: c for b, c in g.items() if not ((b & low) + low) & zeroed}
                     if len(g) == 1:

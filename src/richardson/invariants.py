@@ -18,7 +18,7 @@ every such check bumps ORACLE_CHECKS.  The degree is one constant: no
 record is checked at another.
 
 A record at a torus-fixed point is computed at the origin of the point's
-chart, where localize has nothing to translate.  Its dimension and
+chart, named by ORIGIN, where localize has nothing to translate or scan.  Its dimension and
 tangent dimension are then checked against Bruhat order, l(w) - l(v) and
 #{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
 mismatch raises.  A record at a point of the open stratum (tau, sigma),
@@ -38,11 +38,15 @@ solved, the S4 records come down to 21 distinct reduced systems.  So the
 kernel runs once per reduced system, keyed by its variable count and its
 generator terms with the variable names dropped (_reduced_invariants):
 the reduced ring's layout depends only on the variable count.  What is
-cheap or is a check runs on every call: localize, the linear solve, the
-oracle's concordance check on the unreduced ideal, and at fixed points
-the Bruhat check.  The cone's series prefix that the oracle is compared
-with is expanded once per reduced system, to ORACLE_DEGREE, and kept
-with the system's entry.
+cheap or is a check runs on every call, so a record pays: its chart
+ideal, localize's constant-term check, the linear solve down to its
+reduced ring and that ring's key, the oracle on the unreduced ideal (its
+own series elimination, its integer rows and their key) with the
+concordance check, and at fixed points the Bruhat check.  A reduced
+system pays once: its two completions, the Hilbert data read off them,
+and the cone's series prefix that the oracle is compared with, expanded
+to ORACLE_DEGREE and kept with the system's entry.  The oracle's
+Macaulay stage runs once per integer system it leaves (groebner).
 """
 
 from __future__ import annotations
@@ -172,13 +176,16 @@ def local_invariants_at(I: IdealGens, p) -> LocalInvariants:
 
 
 def _reduced_key(J: IdealGens) -> tuple:
-    """The variable count and the sorted generator terms of J, names ignored.
+    """The variable count and the set of J's generator term maps, names ignored.
 
     A reduced ring's packed layout depends only on its variable count, so
     the key fixes the ideal up to renaming the variables in place, and
-    every invariant of the record is unchanged by such a renaming.
+    every invariant of the record is unchanged by such a renaming.  The
+    generators of an IdealGens are distinct, so the set, each map a
+    frozenset of its (monomial, coefficient) pairs, loses none of them and
+    ignores their order.
     """
-    return (J.ctx.nvars, tuple(sorted(g.key()[1] for g in J.generators)))
+    return (J.ctx.nvars, frozenset(frozenset(g.terms.items()) for g in J.generators))
 
 
 @memoized(_reduced_key)

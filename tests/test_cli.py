@@ -160,6 +160,58 @@ def test_off_by_one_tangent_space_is_caught(tangent_one_too_high):
         capture(["verify", "singlocus", "--n", "3", "--exhaustive"])
 
 
+def _deferred_rows_built(macaulay_counts, systems) -> int:
+    """How often macaulay_counts, the memoized groebner._macaulay_counts,
+    builds a held row (m, g) because a later row reduces against it, on
+    the systems (n, rows, D): the function under the memo is traced, and
+    the line that unpacks a held row is counted."""
+    import inspect
+    import sys
+
+    fn = macaulay_counts.__wrapped__
+    lines, first = inspect.getsourcelines(fn)
+    target = first + next(k for k, line in enumerate(lines) if "k, ts = prow" in line)
+    built = 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        if event == "line" and frame.f_lineno == target:
+            built += 1
+        return count
+
+    def enter(frame, event, arg):
+        return count if frame.f_code is fn.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        for n, rows, d in systems:
+            fn(n, rows, d)
+    finally:
+        sys.settrace(previous)
+    return built
+
+
+def test_sampled_s5_run_builds_deferred_macaulay_rows(monkeypatch):
+    # every S4 row becomes a pivot unreduced, so no S4 run builds a held
+    # row; this seeded S5 run does, so a fault in how one is built meets a
+    # verify run
+    import richardson.groebner as gr
+
+    systems = {}
+    real = gr._macaulay_counts
+
+    def recording(n, rows, d):
+        systems.setdefault(gr._macaulay_key(n, rows, d), (n, rows, d))
+        return real(n, rows, d)
+
+    monkeypatch.setattr(gr, "_macaulay_counts", recording)
+    clear_memos()
+    status, out = capture(["verify", "mult", "--n", "5", "--samples", "20", "--seed", "4"])
+    assert status == 0 and json.loads(out)["ok"] is True
+    assert _deferred_rows_built(real, systems.values()) > 0
+
+
 def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
     import runpy
 

@@ -20,6 +20,7 @@ from richardson.groebner import (
     tangent_cone,
 )
 from richardson.invariants import (
+    ORIGIN,
     LocalInvariants,
     NotOnVariety,
     _bruhat_check,
@@ -59,6 +60,19 @@ def test_localize():
     for point in ({"x": 0, "y": 0, "z": 3}, {"x": 1, "y": 0, "z": 3}):
         with pytest.raises(ValueError, match="'z'"):
             localize(K, point)
+
+
+def test_localize_at_origin_names_no_point():
+    # ORIGIN is the origin of every ring, with no point to scan; the
+    # constant-term check still runs on it
+    L = IdealGens(CTX, [Y - X * X, X * Y + Fraction(1, 2) * Y ** 3])
+    assert localize(L, ORIGIN) is L
+    assert not ORIGIN and ORIGIN.keys() == set()
+    for gens in ([X * Y + 3], [X, Y - Fraction(1, 2)]):
+        with pytest.raises(ValueError, match="not on the variety"):
+            localize(IdealGens(CTX, gens), ORIGIN)
+    cusp = IdealGens(CTX, [Y * Y - X ** 3])
+    assert local_invariants_at(cusp, ORIGIN) == local_invariants_at(cusp, {"x": 0, "y": 0})
 
 
 def test_tangent_dim():
@@ -453,6 +467,25 @@ def test_every_record_runs_its_checks_and_each_reduced_system_runs_once(monkeypa
     assert rinv.TANGENT_CHECKS - tangent_before == len(triples)
     assert len(kernel_runs) == len(set(kernel_keys)) == 21
     assert len(macaulay_runs) == len(set(macaulay_keys)) == 21
+
+
+def test_every_record_runs_its_own_solve_and_membership_check(monkeypatch):
+    # the memos serve reduced systems, never a record's own steps: each of
+    # the 1,088 S4 records checks that its point is on the variety and runs
+    # the kernel's linear solve, though 21 reduced systems serve them all
+    import richardson.invariants as rinv
+
+    calls = {"_check_on_variety": 0, "solve_linear_variables": 0}
+    for name in calls:
+        def call(*args, real=getattr(rinv, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(rinv, name, call)
+    clear_memos()
+    for v, sigma, w in _s4_triples():
+        richardson_invariants(v, w, sigma)
+    assert calls == {"_check_on_variety": 1088, "solve_linear_variables": 1088}
 
 
 def test_only_the_record_table_grows_with_the_records():
