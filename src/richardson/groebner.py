@@ -387,7 +387,7 @@ def _drain(pk: _Pack, *systems: list[dict]) -> tuple[Sequence[list[dict]], list[
                 for b in t:
                     if ((b & low) + low) & mask:
                         break
-                else:  # no term holds a zeroed variable
+                else:  # no term holds a zeroed variable; b is t's last
                     out.append(t)
                     if len(t) == 1 and b >> degshift == 1:
                         seen |= ((b & low) + low) & hi
@@ -556,27 +556,24 @@ def solve_linear_variables(I: IdealGens) -> tuple[IdealGens, list[tuple[str, Pol
         solved.append((ctx.names[v], image))
         shift = pk.shifts[v]
         unit = pk.units[v]
-        powers = [image.terms]  # the term maps of image^1, image^2, ...
+        powers = [{0: 1}, image.terms]  # the term maps of image^0, image^1, ...
         out = []
         for t in gens:
             if not any((b >> shift) & fm for b in t):
                 out.append(t)
                 continue
-            # f = f_0 + sum_e f_e x^e with x not in the f_e: f(image) = f_0 + sum_e f_e image^e
+            # f = sum_e f_e x^e with x not in the f_e: f(image) = sum_e f_e image^e
             f: dict = {}
             for b, d in t.items():
                 e = (b >> shift) & fm
-                if e:
-                    while len(powers) < e:
-                        powers.append((Polynomial(ctx, powers[-1]) * image).terms)
-                    base = b - e * unit
-                    pairs = [(base + m, d * q) for m, q in powers[e - 1].items()]
-                else:
-                    pairs = [(b, d)]
-                for m, q in pairs:
+                while len(powers) <= e:
+                    powers.append((Polynomial(ctx, powers[-1]) * image).terms)
+                base = b - e * unit
+                for m, q in powers[e].items():
+                    m += base
                     if m & hi:
                         raise OverflowError(f"an exponent of the product exceeds {_FIELD_MAX}")
-                    acc = f.get(m, 0) + q
+                    acc = f.get(m, 0) + d * q
                     if acc:
                         f[m] = acc
                     else:
