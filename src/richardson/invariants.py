@@ -18,18 +18,18 @@ every such check bumps ORACLE_CHECKS.  The degree is one constant: no
 record is checked at another.
 
 A record at a torus-fixed point is computed at the origin of the point's
-chart, named by ORIGIN, where localize has nothing to translate or scan.  Its dimension and
-tangent dimension are then checked against Bruhat order, l(w) - l(v) and
-#{t : v <= t sigma <= w}, and every such check bumps TANGENT_CHECKS; a
-mismatch raises.  A record at a point of the open stratum (tau, sigma),
-for richardson_invariants_at_point and verify_theorem_at_points alike,
-comes from _point_invariants, which checks it the same way with the
-tangent count #{t : t sigma <= w} + #{t : v <= t tau} - n(n-1)/2
-(_bruhat_check).  The counts come per pair: the transpositions t with
-t sigma <= w, and those with v <= t tau, are bitmasks memoized by the
-window pairs (sigma, w) and (v, tau), at most one entry per Bruhat pair
-(98,407 at S6), and each count is a popcount; the comparison runs on
-every record computed.  A Schubert record is the Richardson record at
+chart, named by ORIGIN, where localize has nothing to translate or scan.
+Its dimension and tangent dimension are then checked against Bruhat
+order, l(w) - l(v) and #{t : v <= t sigma <= w}, and every such check
+bumps TANGENT_CHECKS; a mismatch raises.  A record at a point of the
+open stratum (tau, sigma), for richardson_invariants_at_point and
+verify_theorem_at_points alike, comes from _point_invariants, which
+checks it the same way with the tangent count
+#{t : t sigma <= w} + #{t : v <= t tau} - n(n-1)/2 (_bruhat_check).  The
+counts come per pair: the transpositions t with t sigma <= w, and those
+with v <= t tau, are bitmasks memoized by the window pairs (sigma, w) and
+(v, tau), at most one entry per Bruhat pair (98,407 at S6), and each
+count is a popcount; the comparison runs on every record computed.  A Schubert record is the Richardson record at
 v = id and an opposite record the one at w = w0, so there is one
 memoized record (see memo) per (v, w, sigma).
 
@@ -231,10 +231,11 @@ def _reduced_invariants(J: IdealGens) -> tuple[LocalInvariants, list[int]]:
 
 
 def _concordance_check(I0: IdealGens, hf: list[int]) -> None:
-    """First differences of the truncation oracle must match the cone's series hf."""
+    """First differences of the truncation oracle must match the cone's
+    series hf: the oracle's counts must be its partial sums."""
     global ORACLE_CHECKS
     counts = local_hilbert_oracle(I0, ORACLE_DEGREE)
-    if tuple(accumulate(hf)) != counts:  # the counts are the partial sums of hf
+    if tuple(accumulate(hf)) != counts:
         diffs = [counts[0]] + [counts[d] - counts[d - 1] for d in range(1, len(counts))]
         raise RuntimeError(
             f"tangent-cone Hilbert function {hf} disagrees with the "
