@@ -870,7 +870,7 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
     gone = 0  # the guard bits of the variables removed
     while True:
         zeroed = 0  # the guard bits of the x of every one-term c*x
-        best = None  # (x in h, len(g), k, a, v) of the pick so far
+        best = None  # ((x in h, len(g)), k, a, v) of the pick so far
         for k, g in enumerate(gens):
             if len(g) == 1:  # c*x, or a monomial of degree >= 2
                 (a,) = g
@@ -879,21 +879,14 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
                 continue
             if zeroed:
                 continue
-            n = len(g)
             for a in g:
                 v = linear.get(a)
-                if v is None or (best is not None and not best[0] and n >= best[1]):
-                    continue
-                shift = pk.shifts[v]
-                for b in g:
-                    if b != a and (b >> shift) & fm:
-                        inh = True
-                        break
-                else:
-                    inh = False
-                # prefer x absent from h (one substitution), then the shortest g
-                if best is None or (inh, n) < best[:2]:
-                    best = (inh, n, k, a, v)
+                if v is not None:
+                    shift = pk.shifts[v]
+                    # prefer x absent from h (one substitution), then the shortest g
+                    rank = (any(b != a and (b >> shift) & fm for b in g), len(g))
+                    if best is None or rank < best[0]:
+                        best = (rank, k, a, v)
         if zeroed:
             # x = 0 for every such x: each pass drops the terms holding one,
             # and notes the c*x it leaves for the next
@@ -922,8 +915,8 @@ def _eliminate_linear_variables(gens: list[dict], pk: _Pack, degree_bound: int) 
                 zeroed = more
             continue
         if best is None:
-            return [v for v in range(pk.n) if not gone & 1 << pk.shifts[v] + _FIELD_BITS - 1]
-        inh, _, k, a, v = best
+            return [v for v in range(pk.n) if not gone & (1 << pk.shifts[v] + _FIELD_BITS - 1)]
+        (inh, _), k, a, v = best
         h = gens.pop(k)
         shift = pk.shifts[v]
         c = h[a]
