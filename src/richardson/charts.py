@@ -17,7 +17,10 @@ u, and ``chart(u)`` is the chart it holds), so its table of minors
 serves every Schubert, opposite and Richardson ideal built in that
 chart.  The table holds at most one entry per square
 submatrix, so at most C(2n, n) entries (252 at n = 5, 924 at n = 6), and
-``clear_memos()`` drops it with the matrix.  Which minors a permutation
+``clear_memos()`` drops it with the matrix.  A minor is expanded along
+its last column with one accumulator: each product +-e*sub of an entry
+and a sub-minor from the table is added term by term into the one term
+map that becomes the minor.  Which minors a permutation
 asks for does not depend on the chart, so its (rows, cols) index list is
 built once per permutation (``_schubert_index`` and ``_opposite_index``,
 memoized by window, at most n! entries each, like the condition tables
@@ -66,7 +69,7 @@ from .permutations import (
     bruhat_leq,
     schubert_rank,
 )
-from .poly import Context, Polynomial
+from .poly import _FIELD_MAX, Context, Polynomial
 
 
 def _var_name(i: int, j: int, prefix: str = "z") -> str:
@@ -139,24 +142,40 @@ class ChartMatrix:
         if hit is not None:
             return hit
         k = len(row_idx)
-        ctx = self.ctx
         if k == 1:
             out = self.rows[row_idx[0] - 1][col_idx[0] - 1]
         else:
-            # expand along the last column (charts have many structural zeros)
-            out = ctx.zero()
-            col = col_idx[-1]
+            # expand along the last column (charts have many structural
+            # zeros), adding each +-e*sub into one term map in place
+            hi = self.ctx.pack.himask
+            acc: dict = {}
+            col = col_idx[-1] - 1
             rest_cols = col_idx[:-1]
             for t, r in enumerate(row_idx):
-                e = self.rows[r - 1][col - 1]
-                if e.is_zero():
+                e = self.rows[r - 1][col].terms
+                if not e:
                     continue
-                rest_rows = row_idx[:t] + row_idx[t + 1:]
-                sub = self.minor(rest_rows, rest_cols)
-                if sub.is_zero():
+                sub = self.minor(row_idx[:t] + row_idx[t + 1:], rest_cols).terms
+                if not sub:
                     continue
-                term = e * sub
-                out = out - term if (k - 1 + t) % 2 == 1 else out + term
+                odd = (k - 1 + t) % 2 == 1
+                for ma, ca in e.items():
+                    if odd:
+                        ca = -ca
+                    for mb, cb in sub.items():
+                        m = ma + mb
+                        if m & hi:
+                            raise OverflowError(f"an exponent of the product exceeds {_FIELD_MAX}")
+                        c = acc.get(m)
+                        if c is None:
+                            acc[m] = ca * cb
+                        else:
+                            c += ca * cb
+                            if c:
+                                acc[m] = c
+                            else:
+                                del acc[m]
+            out = Polynomial(self.ctx, acc)
         self._det_memo[key] = out
         return out
 

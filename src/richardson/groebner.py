@@ -33,7 +33,8 @@ takes these generators before any other, so the drain reaches the ring
 that one variable per pass reaches.  The kernel's drain is one helper on term
 maps (_drain), which ideal_equal runs too: since I = (x) + I|x=0 for a
 coordinate x of I, it drains the coordinates both ideals share before it
-compares them.
+compares them, and it compares and completes the drained maps in the
+packing they came in.
 The oracle shares no code with this kernel, those eliminations included:
 it takes the ideal as it was, reading its term maps without changing
 them, solves away every variable a generator is linear in by its own
@@ -465,6 +466,15 @@ def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     that is a coordinate of one ideal only is kept: whether the other
     ideal holds it is part of the question.
 
+    R' is never built: the drained term maps are I' and J' as they stand,
+    in I.ctx's packing, compared as sets of term maps and, when they
+    differ, completed and reduced there.  Their monomials hold no variable
+    of X, and the degrevlex key (poly.degrevlex_key) XORs each absent
+    field to the same 127, so on them it orders exactly as degrevlex of
+    R' does; completion and division only form products, lcms and
+    S-polynomials of them, so the bases and remainders are those of R',
+    term for term.
+
     Proof: if I' and J' have one generator set, they are one ideal, and
     nothing is completed.  Otherwise G lies in both ideals, since
     completion only combines their generators, and the zero remainders
@@ -478,15 +488,12 @@ def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     if I.ctx != J.ctx:
         raise ValueError("context mismatch")
     ctx = I.ctx
-    systems, zeroed = _drain(ctx.pack, *([g.terms for g in K.generators] for K in (I, J)))
-    if zeroed:
-        live = [v for v in range(ctx.nvars) if v not in zeroed]
-        I, J = (_restricted(ctx, live, maps) for maps in systems)
-    gens = dict.fromkeys(I.generators + J.generators)
-    # IdealGens drops repeats, so I and J have one generator set exactly
-    # when their union is no larger than either
-    if len(gens) == len(I.generators) == len(J.generators):
+    (ti, tj), _ = _drain(ctx.pack, *([g.terms for g in K.generators] for K in (I, J)))
+    # one generator set, in any order and with any repeats
+    if {frozenset(t.items()) for t in ti} == {frozenset(t.items()) for t in tj}:
         return True
+    I, J = (IdealGens(ctx, [Polynomial(ctx, t) for t in maps]) for maps in (ti, tj))
+    gens = dict.fromkeys(I.generators + J.generators)
     gi = buchberger(I)
     return gi.basis == buchberger(J).basis and all_in_ideal(gens, gi)
 

@@ -25,7 +25,9 @@ solve and the oracle's series elimination are redone one variable per pass on de
 term maps, by the pick rules they had before either drained its
 one-term generators in bulk.  The opposite-side
 references read upper-left ranks directly, not through w0, and the
-rank-condition references count ranks off the permutation.
+rank-condition references count ranks off the permutation.  A minor of
+a chart matrix is the Leibniz sum over the orderings of its rows, not
+the package's memoized expansion along the last column.
 """
 
 from __future__ import annotations
@@ -841,6 +843,21 @@ def lower_left_schubert_minors(matrix, w: Permutation, prune: bool = True) -> li
                     if not m.is_zero() and m.key() not in seen:
                         seen.add(m.key())
                         out.append(m)
+    return out
+
+
+def leibniz_minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+    """The minor of a chart matrix on (rows, cols) by the Leibniz formula:
+    the signed sum, over the orderings of the row set, of the products of
+    the entries (ordering[k], cols[k]), formed with Polynomial arithmetic,
+    with no expansion and no table of sub-minors."""
+    out = matrix.entry(rows[0], cols[0]).ctx.zero()
+    for order in itpermutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(order, 2))
+        term = matrix.entry(rows[order[0]], cols[0])
+        for k in range(1, len(cols)):
+            term = term * matrix.entry(rows[order[k]], cols[k])
+        out = out - term if inversions % 2 else out + term
     return out
 
 

@@ -11,12 +11,14 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    leibniz_minor,
     lower_left_schubert_minors,
     upper_left_opposite_cell,
     upper_left_opposite_minors,
 )
 from richardson import clear_memos
 from richardson.charts import (
+    ChartMatrix,
     _essential_schubert_conditions,
     _opposite_index,
     _schubert_index,
@@ -436,3 +438,51 @@ def test_index_tables_are_bounded_by_the_permutations():
     assert all(0 < len(t) <= 24 for t in tables)
     clear_memos()
     assert all(len(t) == 0 for t in tables)
+
+
+def _asked_minors(n):
+    """Every (rows, cols) some permutation of S_n asks for, on either side."""
+    return sorted({at for p in Permutation.all(n) for at in _schubert_index(p) + _opposite_index(p)})
+
+
+def _check_minors_by_leibniz(u, asked):
+    # a fresh copy of each matrix has an empty minor table, so every minor
+    # asked for is expanded here, with the sub-minors it reads filled in the
+    # order the list asks for them
+    for matrix in (generic_matrix(u),) + sweep_images(u):
+        fresh = ChartMatrix(matrix.chart, matrix.rows)
+        for rows, cols in asked:
+            got = fresh.minor(rows, cols)
+            assert got == leibniz_minor(matrix, rows, cols), (u, rows, cols)
+            assert all(type(c) is int and c for c in got.terms.values()), (u, rows, cols)
+
+
+def test_minors_match_the_leibniz_formula():
+    # on x, eta1(x) and eta2(x) of every S4 chart, every square submatrix,
+    # which includes every minor a permutation asks for; on a seeded sample
+    # of S5 charts, every minor a permutation asks for
+    squares = [
+        (rows, cols)
+        for k in range(1, 5)
+        for rows in combinations(range(1, 5), k)
+        for cols in combinations(range(1, 5), k)
+    ]
+    assert set(_asked_minors(4)) < set(squares)
+    for u in Permutation.all(4):
+        _check_minors_by_leibniz(u, squares)
+    rng = random.Random(35)
+    asked = _asked_minors(5)
+    for u in rng.sample(Permutation.all(5), 8):
+        _check_minors_by_leibniz(u, asked)
+
+
+def test_a_minor_past_the_exponent_field_raises():
+    # z^100 * z^28 passes the largest exponent, 127, of a packed field
+    ch = chart(Permutation.identity(2))
+    z = ch.var(2, 1)
+    matrix = ChartMatrix(ch, [[z ** 100, ch.ctx.zero()], [ch.ctx.one(), z ** 28]])
+    assert matrix.minor((1,), (1,)) == z ** 100
+    with pytest.raises(OverflowError):
+        matrix.minor((1, 2), (1, 2))
+    with pytest.raises(OverflowError):
+        leibniz_minor(matrix, (1, 2), (1, 2))

@@ -244,6 +244,78 @@ def test_ideal_equal_drains_only_shared_coordinates(I, J, equal):
     assert (naive_buchberger(I.generators) == naive_buchberger(J.generators)) is equal
 
 
+def _on_interval_cases(n):
+    elems = Permutation.all(n)
+    return [
+        (u, v, w) for u in elems for v in elems for w in elems if bruhat_leq(v, u) and bruhat_leq(u, w)
+    ]
+
+
+def test_ideal_equal_builds_no_ring(monkeypatch):
+    # ideal_equal compares and completes the drained maps where they are:
+    # with _restricted raising, every S4 product-iso case on [v, w] and the
+    # inputs of the ideal_equal tests above still pass
+    from richardson.verify import product_iso_report
+
+    def no_ring(*args):
+        raise AssertionError("ideal_equal built a ring")
+
+    monkeypatch.setattr(gr, "_restricted", no_ring)
+    cases = _on_interval_cases(4)
+    assert len(cases) == 1088 and all(product_iso_report(*case).ok for case in cases)
+    test_ideal_equal()
+    for I, J, equal in test_ideal_equal_drains_only_shared_coordinates.pytestmark[0].args[1]:
+        test_ideal_equal_drains_only_shared_coordinates(I, J, equal)
+    test_ideal_equal_completes_one_basis_for_one_generator_set(monkeypatch)
+    test_ideal_equal_certifies_one_shared_basis(monkeypatch)  # last: it breaks buchberger
+
+
+def _drained_pairs():
+    """(ctx, drained maps of I, of J, the variables left) of every S4
+    product-iso case on [v, w] whose drained generator sets differ, then
+    of seeded random pairs that share a coordinate or two."""
+    from richardson.charts import richardson_ideal_in_chart
+    from richardson.verify import pullback_ideal
+
+    pairs = [
+        (pullback_ideal(u, v, w), richardson_ideal_in_chart(v, w, u))
+        for u, v, w in _on_interval_cases(4)
+    ]
+    rng = random.Random(3501)
+    ctx = Context(("x", "y", "z", "w"))
+
+    def side(shared):
+        return IdealGens(ctx, shared + [random_poly(ctx, rng, max_deg=2) for _ in range(rng.randint(1, 3))])
+
+    for _ in range(60):
+        shared = [c * ctx.gens()[v] for c, v in zip((1, -2), rng.sample(range(4), rng.randint(1, 2)))]
+        pairs.append((side(shared), side(shared)))
+    for I, J in pairs:
+        (gi, gj), zeroed = gr._drain(I.ctx.pack, *([g.terms for g in K.generators] for K in (I, J)))
+        if {frozenset(t.items()) for t in gi} != {frozenset(t.items()) for t in gj}:
+            yield I.ctx, gi, gj, [v for v in range(I.ctx.nvars) if v not in zeroed]
+
+
+def test_drained_maps_complete_as_in_the_ring_of_the_live_variables():
+    # on the drained maps the order of R is the degrevlex order of R', the
+    # ring of the variables left: completed in R, each side's basis is the
+    # one completed in R' element for element, and so is the remainder of
+    # each map of the other side
+    cases = 0
+    for ctx, gi, gj, live in _drained_pairs():
+        for mine, other in ((gi, gj), (gj, gi)):
+            whole = buchberger(IdealGens(ctx, [Polynomial(ctx, t) for t in mine]))
+            small = buchberger(gr._restricted(ctx, live, mine))
+            assert [str(g) for g in whole.basis] == [str(g) for g in small.basis]
+            for t in other:
+                (g,) = gr._restricted(ctx, live, [t]).generators
+                assert str(normal_form(Polynomial(ctx, t), whole)) == str(normal_form(g, small))
+        cases += 1
+    # the 26 S4 cases that complete (52 completions), and 56 of the 60 random
+    # pairs: the other four drain to one generator set
+    assert cases == 26 + 56
+
+
 @pytest.mark.parametrize("cone", [False, True], ids=["degrevlex", "cone-order"])
 def test_one_reducer_list_divides_like_the_two_list_scan(cone):
     # random reducer sets, not Groebner bases: the remainder depends on which
