@@ -1,24 +1,31 @@
 """Ideal algorithms over exact rationals.
 
-Buchberger completion with the Gebauer-Moller pair criteria and normal
-selection strategy, reduced bases, normal forms, ideal equality, exact
-elimination of the variables a generator is linear in, Krull dimension
-from the Hilbert numerator of the leading-term ideal, Hilbert series of
-homogeneous ideals by recursive splitting of the leading-term monomial
-ideal, tangent cones by one completion of the homogenized ideal, and a
-local Hilbert-function oracle used to cross-check every multiplicity the
+Buchberger completion with the product criterion, the chain criterion
+and Gebauer-Moller's criterion B under the normal selection strategy,
+reduced bases, normal forms, ideal equality, exact elimination of the
+variables a generator is linear in, Krull dimension from the Hilbert
+numerator of the leading-term ideal, Hilbert series of homogeneous
+ideals by recursive splitting of the leading-term monomial ideal,
+tangent cones by one completion of the homogenized ideal, and a local
+Hilbert-function oracle used to cross-check every multiplicity the
 package ever reports.
 
 There is one completion routine, _completion_for: a function of term
 maps, their pack and an int key of a monomial order, which keeps its
 basis, pair heap and reducers in locals and returns the reduced basis as
-monic (leading term, tail) pairs.  It runs under two orders, each one int
-key and no cache: degrevlex (poly.degrevlex_key), the order of every
-basis buchberger returns, and the cone order (_cone_key), under which
-tangent_cone completes the homogenized ideal.  The lowest-degree forms
-of that one basis are a degrevlex basis of the cone, so its Hilbert data
-come from their leading monomials (_hilbert_data, shared with
-hilbert_numerator).
+monic (leading term, tail) pairs.  Its pairs live in one heap.  A new
+element pairs with no element whose leading term is coprime to its own
+(the product criterion), and, lowest lcm first, with none whose lcm a
+new pair kept before divides (the chain criterion); the old pairs that
+criterion B shows redundant leave the heap.  The criteria choose only
+which S-polynomials are reduced: the reduced basis of an ideal under a
+fixed order is unique, so no basis, cone or dimension depends on them.
+It runs under two orders, each one int key and no cache: degrevlex
+(poly.degrevlex_key), the order of every basis buchberger returns, and
+the cone order (_cone_key), under which tangent_cone completes the
+homogenized ideal.  The lowest-degree forms of that one basis are a
+degrevlex basis of the cone, so its Hilbert data come from their leading
+monomials (_hilbert_data, shared with hilbert_numerator).
 
 A local invariant at the origin is computed on the ring that
 solve_linear_variables leaves: while some generator is g = c*x + h with x
@@ -263,17 +270,23 @@ def _completion_for(pk: _Pack, term_maps: Iterable[dict], keyf) -> list[tuple[in
     The maps are seeded in ascending order of leading term, each reduced
     against the basis so far; then pairs are taken lowest lcm first (normal
     selection), and each S-polynomial is reduced the same way.  A nonzero
-    remainder joins the basis, monic, through the Gebauer-Moller pair
-    update.  Last the basis is minimalized and tail-reduced.
+    remainder joins the basis, monic, and updates the one pair heap with
+    two Buchberger criteria (Gebauer-Moller).  Of the new pairs, one whose
+    leading terms are coprime forms no pair (the product criterion), and
+    the others are taken lowest lcm first, each dropped when the lcm of a
+    new pair kept before it divides its own (the chain criterion).  An old
+    pair whose lcm the new leading term divides is dropped unless one of
+    its two new pairs has that same lcm (criterion B).  Last the basis is
+    minimalized and tail-reduced.  The reduced basis of an ideal under a
+    fixed order is unique, so the criteria choose only which S-polynomials
+    are reduced, never what comes out.
     """
-    degshift = pk.degshift
     divides = pk.divides
     lcm = pk.lcm
     hi, low = pk.himask, pk.lowmask
     lts: list[int] = []
     tails: list[dict] = []
     pairs: list = []  # heap of (lcm_key, i, j, lcm)
-    dead_pairs: set[tuple[int, int]] = set()
     reducers: list = []  # _reducer entries, kept sorted
 
     def absorb(terms: dict):
@@ -282,49 +295,22 @@ def _completion_for(pk: _Pack, term_maps: Iterable[dict], keyf) -> list[tuple[in
             return
         lt, tail = _monic_raw(r, keyf)
         t = len(lts)
-        new_ltdeg = lt >> degshift
+        lcms = [lcm(li, lt) for li in lts]
+        # criterion B on the old pairs, so that no popped pair is dead
+        old = [p for p in pairs if not divides(lt, p[3]) or p[3] in (lcms[p[1]], lcms[p[2]])]
+        if len(old) < len(pairs):
+            pairs[:] = old
+            heapq.heapify(pairs)
+        # the product criterion, then the chain criterion on the new pairs
         ltmask = ((lt & low) + low) & hi  # pk.support_mask(lt)
-        lcms = {}
-        live = []
-        blockers = []
-        for i, li in enumerate(lts):
-            lcms[i] = lcm(li, lt)
-            if ((li & low) + low) & ltmask:
-                live.append(i)
-            else:  # coprime leading terms
-                blockers.append(i)
-        # pairs whose S-polynomial is identically zero act only as blockers,
-        # so the quadratic filter runs over the few live candidates
-        pending = sorted(live, key=lambda i: (keyf(lcms[i]), i))
-        kept: list[int] = []
-        while pending:
-            i = pending.pop(0)
-            li = lcms[i]
-            if not any(divides(lcms[j], li) for j in pending) and not any(
-                divides(lcms[j], li) for j in kept
-            ):
-                kept.append(i)
-        for (_, i, j, l) in pairs:
-            if (i, j) in dead_pairs:
-                continue
-            if new_ltdeg <= (l >> degshift) and divides(lt, l):
-                if lcm(lts[i], lt) != l and lcm(lts[j], lt) != l:
-                    dead_pairs.add((i, j))
-        if kept:
-            uniq = {lcms[j] for j in blockers}
-            blocker_lcms = sorted(uniq, key=lambda l: l >> degshift)
-            for i in kept:
-                li = lcms[i]
-                lid = li >> degshift
-                blocked = False
-                for l in blocker_lcms:
-                    if (l >> degshift) > lid:
-                        break
-                    if divides(l, li):
-                        blocked = True
-                        break
-                if not blocked:
-                    heapq.heappush(pairs, (keyf(li), i, t, li))
+        new = sorted(
+            (keyf(l), i, l) for i, l in enumerate(lcms) if ((lts[i] & low) + low) & ltmask
+        )
+        kept: list[int] = []  # the lcms of the new pairs pushed so far
+        for k, i, l in new:
+            if not any(divides(m, l) for m in kept):
+                kept.append(l)
+                heapq.heappush(pairs, (k, i, t, l))
         lts.append(lt)
         tails.append(tail)
         insort(reducers, _reducer(t, lt, tail, keyf, pk))
@@ -333,9 +319,7 @@ def _completion_for(pk: _Pack, term_maps: Iterable[dict], keyf) -> list[tuple[in
         absorb(terms)
     while pairs:
         _, i, j, l = heapq.heappop(pairs)
-        if (i, j) not in dead_pairs:
-            dead_pairs.add((i, j))
-            absorb(_spoly(lts[i], tails[i], lts[j], tails[j], l))
+        absorb(_spoly(lts[i], tails[i], lts[j], tails[j], l))
 
     idx = sorted(range(len(lts)), key=lambda i: (keyf(lts[i]), i))
     minimal: list[int] = []

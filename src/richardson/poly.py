@@ -244,13 +244,12 @@ class Polynomial:
     Context.const put each coefficient in exact form first.
     """
 
-    __slots__ = ("ctx", "terms", "_hash", "_key")
+    __slots__ = ("ctx", "terms", "_hash")
 
     def __init__(self, ctx: Context, terms: dict[int, Coeff]):
         self.ctx = ctx
         self.terms = terms
         self._hash = None
-        self._key = None
 
     # -- construction helpers -------------------------------------------
 
@@ -506,19 +505,6 @@ class Polynomial:
         return self.terms.get(self.ctx.pack.units[var_index], 0)
 
     # -- canonical text form ----------------------------------------------
-
-    def key(self) -> tuple:
-        """Canonical hashable key (used by memo tables and dedup).
-
-        Computed once, like the hash: a polynomial is never changed after
-        construction, and a chart's minors are shared by many ideals.
-        """
-        if self._key is None:
-            self._key = (
-                self.ctx.names,
-                tuple(sorted((m, c.numerator, c.denominator) for m, c in self.terms.items())),
-            )
-        return self._key
 
     def sorted_terms(self) -> list[tuple[int, Coeff]]:
         """Terms in canonical order: ascending degree, earliest variables first."""

@@ -27,10 +27,9 @@ from .poly import Context, Polynomial
 def _sweep_rows(rows, u: Permutation, upward: bool):
     """Row operations clearing one side of each structural 1.
 
-    Works uniformly on polynomial and rational entries.  Columns are
-    processed by the row of their 1: decreasing for the upward sweep,
-    increasing for the downward one, so no column needs a second pass.
-    Only the nonzero entries of the pivot row are subtracted.
+    Columns are processed by the row of their 1: decreasing for the
+    upward sweep, increasing for the downward one, so no column needs a
+    second pass.  Only the nonzero entries of the pivot row are subtracted.
     """
     n = u.n
     uinv = u.inverse()
@@ -40,20 +39,15 @@ def _sweep_rows(rows, u: Permutation, upward: bool):
         j = uinv(r)  # column whose 1 sits in row r
         span = range(1, r) if upward else range(r + 1, n + 1)
         pivot = rows[r - 1]
-        live = [(k, b) for k, b in enumerate(pivot) if not _is_zero(b)]
+        live = [(k, b) for k, b in enumerate(pivot) if b.terms]
         for i in span:
             row = rows[i - 1]
             c = row[j - 1]
-            if _is_zero(c):
+            if not c.terms:
                 continue
             for k, b in live:
                 row[k] = row[k] - c * b
     return rows
-
-
-def _is_zero(c) -> bool:
-    # Polynomial has no __bool__, and == 0 would compare it to an int
-    return c.is_zero() if isinstance(c, Polynomial) else c == 0
 
 
 @memoized(lambda u: u.window)
@@ -86,16 +80,17 @@ def _check_chart_form(rows, u: Permutation) -> None:
         if row[j - 1] != 1:
             raise ValueError(f"entry ({i},{j}) must be the structural 1")
         for k in range(j + 1, u.n + 1):
-            if not _is_zero(row[k - 1]):
+            if row[k - 1] != 0:
                 raise ValueError(f"entry ({i},{k}) must vanish right of the 1")
 
 
 def eta_on_point(u: Permutation, x: list[list[Fraction]]):
-    """Numeric sweeps of a rational matrix in the chart of u."""
+    """Numeric sweeps of a rational matrix in the chart of u: the sweep
+    images of the chart (sweep_images) at x's chart coordinates."""
     _check_chart_form(x, u)
-    up = [[Fraction(e) for e in row] for row in _sweep_rows(x, u, upward=True)]
-    down = [[Fraction(e) for e in row] for row in _sweep_rows(x, u, upward=False)]
-    return up, down
+    point = {_var_name(i, j): x[i - 1][j - 1] for (i, j) in chart(u).free_positions}
+    up, down = sweep_images(u)
+    return up.evaluate(point), down.evaluate(point)
 
 
 def claim_structure_check(u: Permutation) -> bool:

@@ -809,8 +809,8 @@ def upper_left_opposite_minors(matrix, v: Permutation, prune: bool = True) -> li
             for rows in combinations(range(1, i + 1), b + 1):
                 for cols in combinations(range(1, j + 1), b + 1):
                     m = matrix.minor(rows, cols)
-                    if not m.is_zero() and m.key() not in seen:
-                        seen.add(m.key())
+                    if not m.is_zero() and m not in seen:
+                        seen.add(m)
                         out.append(m)
     return out
 
@@ -840,8 +840,8 @@ def lower_left_schubert_minors(matrix, w: Permutation, prune: bool = True) -> li
             for rows in combinations(range(i, n + 1), b + 1):
                 for cols in combinations(range(1, j + 1), b + 1):
                     m = matrix.minor(rows, cols)
-                    if not m.is_zero() and m.key() not in seen:
-                        seen.add(m.key())
+                    if not m.is_zero() and m not in seen:
+                        seen.add(m)
                         out.append(m)
     return out
 

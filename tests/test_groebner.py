@@ -21,7 +21,7 @@ from oracles import (
     two_list_normal_form,
 )
 from richardson import clear_memos
-from richardson.charts import chart, generic_matrix
+from richardson.charts import chart, generic_matrix, schubert_ideal_in_chart
 from richardson.groebner import (
     Q_CONTEXT,
     HilbertData,
@@ -604,6 +604,25 @@ def test_tangent_cone_needs_saturation_style_completion():
 def test_tangent_cone_rejects_nonvanishing_generator():
     with pytest.raises(ValueError):
         tangent_cone(IdealGens(CTX, [X - 1]))
+
+
+def test_the_pair_criteria_prune_a_deep_tangent_cone(monkeypatch):
+    # X_456123 at id: the degrevlex basis of its chart ideal forms 13
+    # S-polynomials (46 with the product criterion dropped, 31 with the
+    # chain criterion dropped, 17 with criterion B dropped), and the cone of
+    # its reduced system (12 variables, 10 generators) forms 127 (595
+    # without the chain criterion, 154 without B)
+    I = schubert_ideal_in_chart(Permutation([4, 5, 6, 1, 2, 3]), Permutation.identity(6))
+    J, _ = solve_linear_variables(rinv.localize(I, rinv.ORIGIN))
+    assert (J.ctx.nvars, len(J.generators)) == (12, 10)
+    formed = []
+    real = gr._spoly
+    monkeypatch.setattr(gr, "_spoly", lambda *a: formed.append(a) or real(*a))
+    buchberger(I)
+    assert len(formed) <= 14
+    formed.clear()
+    assert len(tangent_cone(J).generators) == 28
+    assert len(formed) <= 130
 
 
 def test_ideal_gens_drop_zeros_and_repeats_keeping_first_occurrences():
