@@ -4,7 +4,11 @@ Permutations are one-indexed windows in one-line notation; ``Permutation
 ([3, 1, 5, 4, 2])`` is the map 1->3, 2->1, 3->5, 4->4, 5->2.  The module
 provides lengths, rank matrices and Bruhat order, intervals, parabolic
 coset representatives, pattern containment, and Kazhdan-Lusztig
-polynomials via the classical descent recursion.
+polynomials via the classical descent recursion.  Before it recurses, a
+pair is made extremal by the identity P_{v,w} = P_{sv,w} = P_{vs,w} for
+a left or right descent s of w that v lacks (Kazhdan-Lusztig 1979;
+Bjorner-Brenti 5.1); then v has every descent of w, so one branch of the
+recursion is left.
 
 Rank-matrix convention, fixed package-wide: the permutation matrix of w
 has a 1 in row w(k), column k.  Schubert conditions bound ranks of
@@ -449,15 +453,17 @@ def _kl_coeffs(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
     if lw - _length(v) <= 2:
         # degree bound forces a constant, and the constant term is 1
         return (1,)
-    # descend on the leftmost left descent s of w: s + 1 stands left of s
+    # P_{v,w} = P_{sv,w} = P_{vs,w} for a descent s of w that v lacks
+    for s in range(1, len(w)):
+        if w.index(s + 1) < w.index(s) and v.index(s) < v.index(s + 1):
+            return _kl_coeffs(_swap_values(v, s), w)
+        if w[s - 1] > w[s] and v[s - 1] < v[s]:
+            return _kl_coeffs(v[:s - 1] + (v[s], v[s - 1]) + v[s + 1:], w)
+    # descend on the leftmost left descent s of w (s + 1 stands left of s);
+    # v has it too, so sv < v and P_{v,w} = P_{sv,sw} + q P_{v,sw} - mu terms
     s = next(s for s in range(1, len(w)) if w.index(s + 1) < w.index(s))
     sw = _swap_values(w, s)
-    sv = _swap_values(v, s)
-    if v.index(s + 1) < v.index(s):  # sv < v
-        # q^0 P_{sv,sw} + q P_{v,sw}
-        out = _poly_add(_kl_coeffs(sv, sw), _poly_shift(_kl_coeffs(v, sw), 1))
-    else:
-        out = _poly_add(_poly_shift(_kl_coeffs(sv, sw), 1), _kl_coeffs(v, sw))
+    out = _poly_add(_kl_coeffs(_swap_values(v, s), sw), _poly_shift(_kl_coeffs(v, sw), 1))
     # mu corrections over the z in [v, sw] with sz < z and l(w) - l(z) even
     for z, lz in _interval(v, sw):
         if (lw - lz) % 2 != 0 or z.index(s + 1) > z.index(s):
@@ -475,9 +481,11 @@ def _kl_coeffs(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
 def kl_polynomial(v: Permutation, w: Permutation) -> KLPolynomial:
     """The Kazhdan-Lusztig polynomial P_{v,w}(q).
 
-    Computed by the classical recursion on a left descent of w, with
-    mu-coefficient corrections, on windows; results are memoized across
-    calls.
+    While w has a left or right descent s that v lacks, P_{v,w} = P_{sv,w}
+    (or P_{vs,w}), a longer v.  Then v has every descent of w, so on the
+    leftmost left descent s of w, sv < v and the classical recursion has
+    one branch: P_{sv,sw} + q P_{v,sw} less the mu corrections over
+    [v, sw].  It runs on windows; results are memoized across calls.
     """
     if v.n != w.n:
         raise ValueError("size mismatch")

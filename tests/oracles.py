@@ -15,7 +15,9 @@ reflection count of a tangent space takes the order as a parameter, the
 package's rank-table order by default), and the Bruhat pairs of S_n are
 a scan of all of S_n x S_n on counted rank tables.  Kazhdan-Lusztig
 polynomials are solved from the defining degree and inversion conditions via
-R-polynomials, monomial counting is
+R-polynomials, and also run through the classical two-branch descent
+recursion with no extremal-pair reduction, on counted rank tables and
+covers found by inversion counts; monomial counting is
 plain enumeration, and local quotient dimensions are dense Gaussian
 ranks, one matrix per degree; so is the Zariski tangent dimension, one
 matrix of the generators' linear parts.  The oracle's Macaulay stage,
@@ -305,10 +307,7 @@ def bruhat_pairs_by_scan(n: int) -> tuple[tuple[Permutation, Permutation], ...]:
     """Every pair v <= w of S_n, v-major in window order: r_v <= r_w entrywise,
     with r_w(i,j) = #{k <= j : w(k) >= i} counted for each w."""
     elems = Permutation.all(n)
-    ranks = [
-        tuple(sum(1 for k in range(j) if w.window[k] >= i) for i in range(1, n + 1) for j in range(1, n + 1))
-        for w in elems
-    ]
+    ranks = [_counted_ranks(w.window) for w in elems]
     return tuple(
         (v, w)
         for v, rv in zip(elems, ranks)
@@ -417,6 +416,98 @@ def kl_by_inversion(v: Permutation, w: Permutation) -> list[int]:
             coeffs.pop()
         P[z.window] = coeffs
     return P[v.window]
+
+
+# ---------------------------------------------------------------------------
+# Kazhdan-Lusztig by the two-branch descent recursion, without reductions
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _counted_ranks(window: tuple[int, ...]) -> tuple[int, ...]:
+    """r(i,j) = #{k <= j : window(k) >= i}, row by row, counted entry by entry."""
+    n = len(window)
+    return tuple(sum(1 for k in range(j) if window[k] >= i)
+                 for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def _counted_leq(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    return all(map(operator.le, _counted_ranks(v), _counted_ranks(w)))
+
+
+@cache
+def _inversions(window: tuple[int, ...]) -> int:
+    return sum(1 for a, b in combinations(window, 2) if a > b)
+
+
+@cache
+def _counted_covers(window: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every transposition of positions that lowers the inversion count by exactly 1."""
+    out = []
+    for i, j in combinations(range(len(window)), 2):
+        z = list(window)
+        z[i], z[j] = z[j], z[i]
+        if _inversions(tuple(z)) == _inversions(window) - 1:
+            out.append(tuple(z))
+    return tuple(out)
+
+
+def _counted_interval(v: tuple[int, ...], w: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """[v, w], by walking lower covers down from w while they stay above v."""
+    seen = {w} if _counted_leq(v, w) else set()
+    stack = list(seen)
+    while stack:
+        for c in _counted_covers(stack.pop()):
+            if c not in seen and _counted_leq(v, c):
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def _left_mul(window: tuple[int, ...], s: int) -> tuple[int, ...]:
+    return tuple(s + 1 if x == s else s if x == s + 1 else x for x in window)
+
+
+def kl_by_descent(v: Permutation, w: Permutation, memo: dict) -> tuple[int, ...]:
+    """Coefficients of P_{v,w} by the classical recursion on the leftmost left
+    descent s of w, both branches (sv < v and sv > v), with mu corrections
+    over [v, sw]; no extremal-pair reduction.  memo maps window pairs to
+    results and may be shared across calls.
+    """
+    return _kl_descent(v.window, w.window, memo)
+
+
+def _kl_descent(v, w, memo):
+    key = (v, w)
+    if key in memo:
+        return memo[key]
+    lw = _inversions(w)
+    if not _counted_leq(v, w):
+        out = (0,)
+    elif lw - _inversions(v) <= 2:
+        out = (1,)
+    else:
+        s = next(s for s in range(1, len(w)) if w.index(s + 1) < w.index(s))
+        sw, sv = _left_mul(w, s), _left_mul(v, s)
+        if v.index(s + 1) < v.index(s):
+            acc = _padd(_kl_descent(sv, sw, memo), [0] + list(_kl_descent(v, sw, memo)))
+        else:
+            acc = _padd([0] + list(_kl_descent(sv, sw, memo)), _kl_descent(v, sw, memo))
+        for z in _counted_interval(v, sw):
+            lz = _inversions(z)
+            if (lw - lz) % 2 or z.index(s + 1) > z.index(s):
+                continue
+            pz = _kl_descent(z, sw, memo)
+            deg = (lw - 2 - lz) // 2
+            mu = pz[deg] if deg < len(pz) else 0
+            if mu:
+                shifted = [0] * ((lw - lz) // 2) + [-mu * c for c in _kl_descent(v, z, memo)]
+                acc = _padd(acc, shifted)
+        while len(acc) > 1 and acc[-1] == 0:
+            acc.pop()
+        out = tuple(acc)
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from richardson import clear_memos
 from oracles import (
     brute_coset_min_max,
     counting_opposite_rank,
+    kl_by_descent,
     kl_by_inversion,
     subword_bruhat_leq,
     subword_interval,
@@ -212,7 +213,10 @@ def test_size_mismatch_raises():
 
 
 def test_kl_recursion_builds_no_permutation(monkeypatch):
+    # P(id, w0) = 1 returns through the extremal-pair reduction and walks no
+    # cover, so the recursion is driven by 45312, whose P = 1 + q^2 recurses
     ident, w0 = Permutation.identity(5), Permutation.longest(5)
+    w = Permutation([4, 5, 3, 1, 2])
     clear_memos()
     built = []
     init = Permutation.__init__
@@ -222,6 +226,7 @@ def test_kl_recursion_builds_no_permutation(monkeypatch):
         init(self, window)
 
     monkeypatch.setattr(Permutation, "__init__", counting_init)
+    assert kl_polynomial(ident, w).coefficients == (1, 0, 1)
     assert kl_polynomial(ident, w0).coefficients == (1,)
     assert built == []
     tables = [inspect.getclosurevars(f).nonlocals["table"]
@@ -320,6 +325,35 @@ def test_kl_matches_inversion_solver_on_s5_sample():
     ]
     for v, w in random.Random(5).sample(pairs, 120):
         assert kl_polynomial(v, w).coefficients == tuple(kl_by_inversion(v, w))
+
+
+def test_kl_matches_the_descent_recursion_on_s5_and_an_s6_sample():
+    # the two-branch recursion without reductions, on the oracles' own Bruhat
+    # order and intervals: every S5 pair, then a seeded S6 sample of gap >= 3
+    memo = {}
+    elems = Permutation.all(5)
+    for v in elems:
+        for w in elems:
+            assert kl_polynomial(v, w).coefficients == kl_by_descent(v, w, memo), (str(v), str(w))
+    elems = Permutation.all(6)
+    rng = random.Random(37)
+    checked = 0
+    while checked < 500:
+        v, w = rng.choice(elems), rng.choice(elems)
+        if bruhat_leq(v, w) and w.length() - v.length() >= 3:
+            assert kl_polynomial(v, w).coefficients == kl_by_descent(v, w, memo), (str(v), str(w))
+            checked += 1
+
+
+def test_kl_reduction_keeps_the_memo_small():
+    # both halves of the extremal-pair reduction: P(id, 564123) fills 74
+    # entries of the KL table, 301 without the right-descent half
+    clear_memos()
+    table = inspect.getclosurevars(perm._kl_coeffs).nonlocals["table"]
+    got = kl_polynomial(Permutation.identity(6), Permutation([5, 6, 4, 1, 2, 3]))
+    assert got.coefficients == (1, 0, 2)
+    assert 0 < len(table) <= 80
+    clear_memos()
 
 
 def test_kl_s6_spot_values():
